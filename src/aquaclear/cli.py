@@ -3,9 +3,10 @@
     aquaclear <command> --config <path> [--input <dir>] [--output <dir>]
                         [--seed <u64>] [--method <name>] [--verbose]
 
-Commands: classify, enhance, evaluate, split, augment, report.
-Exit codes: 0 success, 2 empty input or parse failure, 3 missing weights,
-4 bad parameters.
+Commands: classify, enhance, evaluate, split, augment, report. --verbose
+adds per-step traces to enhance's log and affects no other command.
+Exit codes: 0 success, 2 empty input, no image succeeded, or parse failure,
+3 missing weights, 4 bad parameters.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--method", default=None,
                         help="enhancement method: classic|vgg|resnet|unite")
-    parser.add_argument("--verbose", action="store_true")
+    parser.add_argument("--verbose", action="store_true",
+                        help="add per-step traces to enhance_log.jsonl")
     return parser
 
 
@@ -61,18 +63,18 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "classify":
-            return cmd_classify(args.input, config, args.output, args.verbose)
+            return cmd_classify(args.input, config, args.output)
         if args.command == "enhance":
             return cmd_enhance(
                 args.input, config, args.output, args.method, args.seed, args.verbose
             )
         if args.command == "evaluate":
-            return cmd_evaluate(args.input, config, None, args.output, args.verbose)
+            return cmd_evaluate(args.input, config, None, args.output)
         if args.command == "split":
-            return cmd_split(args.input, config, args.output, args.seed, args.verbose)
+            return cmd_split(args.input, config, args.output, args.seed)
         if args.command == "augment":
-            return cmd_augment(args.input, config, args.output, args.seed, args.verbose)
-        return cmd_report(args.input, config, args.output, args.verbose)
+            return cmd_augment(args.input, config, args.output, args.seed)
+        return cmd_report(args.input, config, args.output)
     except CsvParseError as exc:
         print(f"parse failure at line {exc.line}: {exc}", file=sys.stderr)
         return EXIT_EMPTY

@@ -1,9 +1,9 @@
 """Classical enhancement filters and the flag-driven plan machinery.
 
 Four defect-targeted methods (gray-world color balance, CLAHE on V, non-local
-means denoising, Laplacian sharpening) plus two preprocessing filters
-(homomorphic illumination correction, global histogram equalization). A plan
-is an ordered list of steps; build_plan derives one from DegradationFlags.
+means denoising, Laplacian sharpening) plus two preprocessing filters that no
+plan uses (homomorphic illumination correction, global histogram equalization).
+A plan is an ordered list of steps; build_plan derives one from DegradationFlags.
 """
 
 from __future__ import annotations
@@ -334,8 +334,6 @@ class StepKind(Enum):
     CLAHE = "clahe"
     DENOISE = "denoise"
     SHARPEN = "sharpen"
-    HOMOMORPHIC = "homomorphic"
-    GLOBAL_HIST_EQ = "global_hist_eq"
 
 
 @dataclass(frozen=True)
@@ -390,8 +388,6 @@ _STEP_FUNCS = {
     StepKind.CLAHE: lambda img, p: clahe_v(img, ClaheParams(**p)),
     StepKind.DENOISE: lambda img, p: nlm_denoise(img, NlmParams(**p)),
     StepKind.SHARPEN: lambda img, p: sharpen(img, **p),
-    StepKind.HOMOMORPHIC: lambda img, p: homomorphic_filter(img, **p),
-    StepKind.GLOBAL_HIST_EQ: lambda img, p: hist_equalize_global(img),
 }
 
 

@@ -20,7 +20,7 @@ class UnsupportedMaxvalError(AquaClearError):
 
 
 class IoFailureError(AquaClearError):
-    """Underlying file write failed."""
+    """Underlying file read or write failed."""
 
 
 class GrayscaleUnsupportedError(AquaClearError):
@@ -64,11 +64,11 @@ class UnsupportedDepthError(AquaClearError):
 
 
 class ShapeMismatchInManifestError(AquaClearError):
-    """Weight manifest entry disagrees with the extractor layout."""
+    """Weight manifest is malformed or disagrees with the extractor layout."""
 
 
 class CorruptBlobError(AquaClearError):
-    """Weight blob is shorter than the manifest demands."""
+    """Weight blob is missing or shorter than the manifest demands."""
 
 
 class IndivisibleDimsError(AquaClearError):

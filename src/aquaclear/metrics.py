@@ -32,6 +32,7 @@ __all__ = [
     "uiqm",
     "score_image",
     "evaluate_batch",
+    "aggregate_scores",
     "report_csv",
 ]
 
@@ -236,13 +237,18 @@ def _method_sort_key(method: str):
 
 def evaluate_batch(items) -> QualityReport:
     """Score every item and aggregate per-method means in canonical order."""
-    items = list(items)
-    if not items:
-        raise EmptyBatchError("no images to evaluate")
-    rows = [
+    return aggregate_scores(
         (item.image, item.method, score_image(item.test, item.reference))
         for item in items
-    ]
+    )
+
+
+def aggregate_scores(rows) -> QualityReport:
+    """Per-method means, in canonical method order, of (image, method,
+    QualityScores) rows."""
+    rows = list(rows)
+    if not rows:
+        raise EmptyBatchError("no images to evaluate")
     methods = sorted({m for _, m, _ in rows}, key=_method_sort_key)
     aggregates: dict = {}
     inf_counts: dict = {}

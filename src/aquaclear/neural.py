@@ -23,6 +23,7 @@ from .errors import (
     CorruptBlobError,
     DimMismatchError,
     IndivisibleDimsError,
+    IoFailureError,
     NonIntegralOutputDimError,
     OddSpatialDimError,
     ShapeMismatchError,
@@ -46,6 +47,7 @@ __all__ = [
     "init_weights",
     "load_weights",
     "save_weights",
+    "validate_dims",
     "extract_features",
     "attention_map",
     "fuse_attention",
@@ -338,14 +340,24 @@ def save_weights(bound: BoundExtractor, directory) -> Path:
 def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
     """Bind a manifest's blob to the spec; shapes must match slot-for-slot."""
     manifest_path = Path(manifest_path)
-    doc = json.loads(manifest_path.read_text())
+    try:
+        doc = json.loads(manifest_path.read_text())
+    except OSError as exc:
+        raise IoFailureError(f"cannot read manifest: {exc}") from exc
+    except ValueError as exc:
+        raise ShapeMismatchInManifestError(f"manifest is not JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
+        raise ShapeMismatchInManifestError("manifest needs an object with a layers list")
     entries = doc["layers"]
     expected = _weight_slots(spec)
     if len(entries) != len(expected):
         raise ShapeMismatchInManifestError(
             f"manifest has {len(entries)} entries, spec needs {len(expected)}"
         )
-    blob = (manifest_path.parent / doc.get("blob", "weights.bin")).read_bytes()
+    try:
+        blob = (manifest_path.parent / doc.get("blob", "weights.bin")).read_bytes()
+    except OSError as exc:
+        raise CorruptBlobError(f"cannot read weight blob: {exc}") from exc
     weights = {}
     for entry, (name, shape) in zip(entries, expected):
         if entry["name"] != name or tuple(entry["shape"]) != shape:
@@ -373,7 +385,9 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
 
 # ------------------------------------------------------ feature extraction
 
-def _validate_dims(spec: ExtractorSpec, h: int, w: int) -> None:
+def validate_dims(spec: ExtractorSpec, h: int, w: int) -> None:
+    """Raise IndivisibleDims unless an h x w input survives the head's convs
+    and poolings up to its tap."""
     for layer in spec.layers:
         if layer.kind == "conv":
             try:
@@ -397,7 +411,7 @@ def extract_features(img: ImageF32, extractor: BoundExtractor) -> np.ndarray:
     IndivisibleDims before any arithmetic runs."""
     if img.channels != 3:
         raise ShapeMismatchError("extractor input must be 3-channel")
-    _validate_dims(extractor.spec, img.height, img.width)
+    validate_dims(extractor.spec, img.height, img.width)
     return extractor.forward(img.data.astype(np.float64))
 
 
@@ -435,9 +449,8 @@ def attention_map(features: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return _bilinear_resize(norm, out_h, out_w)
 
 
-def fuse_attention(a: np.ndarray, b: np.ndarray, mode: str = "mean") -> np.ndarray:
-    if mode != "mean":
-        raise ValueError(f"unknown fusion mode {mode!r}")
+def fuse_attention(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean of two attention maps of the same shape."""
     if a.shape != b.shape:
         raise DimMismatchError(f"attention shapes differ: {a.shape} vs {b.shape}")
     return (a + b) / 2.0

@@ -2,11 +2,13 @@
 augment, and report.
 
 Every command is a plain function taking parsed inputs plus a PipelineConfig
-and returning a process exit code (0 ok, 2 empty input or parse failure,
-3 missing weights, 4 bad parameters). All outputs are deterministic for a
-given (input set, config, seed) at any thread count: per-image work is pure,
-results are collected in input order, and output files never embed absolute
-paths or timestamps.
+and returning a process exit code (0 ok, 2 empty input, no image succeeded
+or parse failure, 3 missing weights, 4 bad parameters). The per-image
+commands share one runner: an image that fails is skipped with one stderr
+line, and only a configuration error aborts the batch. All outputs are
+deterministic for a given (input set, config, seed) at any thread count:
+per-image work is pure, results are collected in input order, and output
+files never embed absolute paths or timestamps.
 """
 
 from __future__ import annotations
@@ -33,19 +35,19 @@ from .classify import (
     summary_csv,
 )
 from .enhance import ClaheParams, NlmParams, StepKind, apply_plan, build_plan
-from .errors import AquaClearError, ConfigError, CsvParseError
+from .errors import AquaClearError, ConfigError, CsvParseError, IndivisibleDimsError
 from .image import ImageF32, channel_stats, laplacian_variance, load_ppm, save_ppm
-from .metrics import EvalItem, evaluate_batch, report_csv
+from .metrics import aggregate_scores, report_csv, score_image
 from .neural import (
     attention_map,
     build_resnet_head,
     build_vgg_head,
-    conv_output_dim,
     extract_features,
     feature_guided_enhance,
     fuse_attention,
     init_weights,
     load_weights,
+    validate_dims,
 )
 
 __all__ = [
@@ -138,6 +140,8 @@ class PipelineConfig:
             raise ConfigError("split ratios must be three positive numbers")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -162,8 +166,6 @@ class PipelineConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad {name} section: {exc}") from exc
 
-        split = doc.get("split", {})
-        ratios = tuple(float(r) for r in split.get("ratios", (8, 1, 1)))
         try:
             return cls(
                 thresholds=section("thresholds", ClassifierThresholds),
@@ -171,7 +173,9 @@ class PipelineConfig:
                 nlm=section("nlm", NlmParams),
                 sharpen=section("sharpen", SharpenConfig),
                 neural=section("neural", NeuralConfig),
-                split_ratios=ratios,
+                split_ratios=section(
+                    "split", lambda ratios=(8, 1, 1): tuple(float(r) for r in ratios)
+                ),
                 augment=section("augment", AugmentConfig),
                 output_dir=str(doc.get("output_dir", "out")),
                 reference_dir=(
@@ -220,84 +224,79 @@ def _pmap(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _skipped(result) -> bool:
+    return isinstance(result, dict) and "error" in result
+
+
+def _run(files, one, threads: int) -> list:
+    """``one(path)`` for every file, results in input order.
+
+    An AquaClearError other than ConfigError turns that file's result into
+    the skip record {"file": name, "error": reason} and prints one
+    ``skipping`` line on stderr; a ConfigError aborts the whole batch.
+    """
+
+    def item(path):
+        try:
+            return one(path)
+        except ConfigError:
+            raise
+        except AquaClearError as exc:
+            return {"file": path.name, "error": str(exc)}
+
+    results = _pmap(item, files, threads)
+    for r in results:
+        if _skipped(r):
+            print(f"skipping {r['file']}: {r['error']}", file=sys.stderr)
+    return results
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
 
 
-def _log(verbose: bool, message: str) -> None:
-    if verbose:
-        print(message, file=sys.stderr)
-
-
 # ----------------------------------------------------------------- classify
 
-def cmd_classify(input_dir, config: PipelineConfig, output_dir=None,
-                 verbose: bool = False) -> int:
+def cmd_classify(input_dir, config: PipelineConfig, output_dir=None) -> int:
     """Label every PPM and write labels.csv, summary.csv, cooccurrence.csv."""
     out = Path(output_dir or config.output_dir)
     files = _list_ppms(input_dir)
-    if not files:
-        print("no input images", file=sys.stderr)
-        return EXIT_EMPTY
 
     def one(path):
-        try:
-            img = load_ppm(path)
-        except AquaClearError as exc:
-            return (path.name, None, str(exc))
-        flags, category = classify(img, config.thresholds)
-        return (path.name, (flags, category), None)
-
-    results = _pmap(one, files, config.threads)
-    rows, labels, skipped = [], [], 0
-    for name, payload, err in results:
-        if payload is None:
-            skipped += 1
-            _log(True, f"skipping {name}: {err}")
-            continue
-        flags, category = payload
-        rows.append(
-            f"{name},{int(flags.color_cast)},{int(flags.low_light)},"
+        flags, category = classify(load_ppm(path), config.thresholds)
+        row = (
+            f"{path.name},{int(flags.color_cast)},{int(flags.low_light)},"
             f"{int(flags.blurred)},{category.name.lower()}"
         )
-        labels.append(category)
+        return row, category
 
-    if not labels:
+    done = [r for r in _run(files, one, config.threads) if not _skipped(r)]
+    if not done:
         print("no input images", file=sys.stderr)
         return EXIT_EMPTY
+    rows = [row for row, _ in done]
+    labels = [category for _, category in done]
     _write(out / "labels.csv", "file,cast,lowlight,blur,category\n" + "\n".join(rows) + "\n")
     report = summarize(labels)
     _write(out / "summary.csv", summary_csv(report))
     _write(out / "cooccurrence.csv", cooccurrence_csv(report))
-    print(f"classified {len(labels)} images, skipped {skipped}")
+    print(f"classified {len(labels)} images, skipped {len(files) - len(done)}")
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ enhance
 
-def _axis_ok(spec, extent: int) -> bool:
-    """Whether one spatial extent survives the head's convs and poolings."""
-    e = extent
-    for layer in spec.layers:
-        if layer.kind == "conv":
-            if e + 2 * layer.padding < layer.kernel:
-                return False
-            e = conv_output_dim(e, layer.kernel, layer.stride, layer.padding)
-        elif layer.kind == "pool":
-            if e % 2:
-                return False
-            e //= 2
-        if layer.name == spec.tap:
-            return True
-    return True
-
-
-def _largest_valid(specs, extent: int) -> int | None:
+def _largest_valid(specs, extent: int) -> int:
+    """The largest extent, at most 64 below ``extent``, every head accepts."""
     for e in range(extent, max(extent - 64, 7), -1):
-        if all(_axis_ok(s, e) for s in specs):
+        try:
+            for spec in specs:
+                validate_dims(spec, e, e)
             return e
-    return None
+        except IndivisibleDimsError:
+            pass
+    raise IndivisibleDimsError("image too small for extractor")
 
 
 def _center_crop(img: ImageF32, h: int, w: int) -> ImageF32:
@@ -344,11 +343,6 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
     if not files:
         print("no input images", file=sys.stderr)
         return EXIT_EMPTY
-
-    for manifest in (config.neural.vgg_manifest, config.neural.resnet_manifest):
-        if manifest and not Path(manifest).exists():
-            print(f"weight manifest not found: {manifest}", file=sys.stderr)
-            return EXIT_MISSING_WEIGHTS
     try:
         heads = _load_heads(config, method, seed)
     except AquaClearError as exc:
@@ -359,10 +353,7 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
     specs = [h.spec for h in heads.values()]
 
     def one(path):
-        try:
-            img = load_ppm(path)
-        except AquaClearError as exc:
-            return {"file": path.name, "error": str(exc)}
+        img = load_ppm(path)
         record = {"file": path.name, "method": method}
         steps = []
 
@@ -382,18 +373,12 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
             )
 
         hook = on_step if verbose else None
-        if method == "classic":
-            flags, category = classify(img, config.thresholds)
-            plan = build_plan(flags, overrides)
-            enhanced = apply_plan(img, plan, hook)
-        else:
+        if method != "classic":
             h_ok = _largest_valid(specs, img.height)
             w_ok = _largest_valid(specs, img.width)
-            if h_ok is None or w_ok is None:
-                return {"file": path.name, "error": "image too small for extractor"}
             if (h_ok, w_ok) != (img.height, img.width):
                 record["cropped"] = [h_ok, w_ok]
-                _log(True, f"{path.name}: center-cropped to {w_ok}x{h_ok}")
+                print(f"{path.name}: center-cropped to {w_ok}x{h_ok}", file=sys.stderr)
                 img = _center_crop(img, h_ok, w_ok)
             maps = [
                 attention_map(extract_features(img, heads[name]), img.height, img.width)
@@ -401,7 +386,11 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
                 if name in heads
             ]
             attn = maps[0] if len(maps) == 1 else fuse_attention(maps[0], maps[1])
-            flags, category = classify(img, config.thresholds)
+        flags, category = classify(img, config.thresholds)
+        plan = build_plan(flags, overrides)
+        if method == "classic":
+            enhanced = apply_plan(img, plan, hook)
+        else:
             enhanced = feature_guided_enhance(
                 img, attn, config.neural.gain, config.thresholds, overrides, hook
             )
@@ -411,7 +400,7 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
             "blur": flags.blurred,
         }
         record["category"] = category.name.lower()
-        record["plan"] = build_plan(flags).kinds()
+        record["plan"] = plan.kinds()
         if verbose:
             record["steps"] = steps
         out_path = out / f"{path.stem}.{method}.ppm"
@@ -420,13 +409,11 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
         record["output"] = out_path.name
         return record
 
-    records = _pmap(one, files, config.threads)
-    out.mkdir(parents=True, exist_ok=True)
+    records = _run(files, one, config.threads)
     log_lines = [json.dumps(r, sort_keys=True) for r in records]
     _write(out / "enhance_log.jsonl", "\n".join(log_lines) + "\n")
-    done = sum(1 for r in records if "error" not in r)
-    skipped = len(records) - done
-    print(f"enhanced {done} images with {method}, skipped {skipped}")
+    done = sum(1 for r in records if not _skipped(r))
+    print(f"enhanced {done} images with {method}, skipped {len(records) - done}")
     return EXIT_OK if done else EXIT_EMPTY
 
 
@@ -443,25 +430,17 @@ def _parse_enhanced_name(name: str):
 
 
 def cmd_evaluate(input_dir, config: PipelineConfig, reference_dir=None,
-                 output_dir=None, verbose: bool = False) -> int:
+                 output_dir=None) -> int:
     """Score each enhanced image and write scores.csv (fixed header)."""
     out = Path(output_dir or config.output_dir)
     files = _list_ppms(input_dir)
-    if not files:
-        print("no images to evaluate", file=sys.stderr)
-        return EXIT_EMPTY
-
     if reference_dir is None:
         reference_dir = config.reference_dir
     ref_dir = Path(reference_dir) if reference_dir else None
 
     def one(path):
         stem, label = _parse_enhanced_name(path.name)
-        try:
-            test = load_ppm(path)
-        except AquaClearError as exc:
-            _log(True, f"skipping {path.name}: {exc}")
-            return None
+        test = load_ppm(path)
         reference = None
         if ref_dir is not None:
             ref_path = ref_dir / f"{stem}.ppm"
@@ -469,21 +448,21 @@ def cmd_evaluate(input_dir, config: PipelineConfig, reference_dir=None,
                 try:
                     reference = load_ppm(ref_path)
                 except AquaClearError as exc:
-                    _log(True, f"unusable reference {ref_path.name}: {exc}")
+                    print(f"unusable reference {ref_path.name}: {exc}", file=sys.stderr)
             else:
-                _log(True, f"no reference for {path.name}")
+                print(f"no reference for {path.name}", file=sys.stderr)
         if reference is not None and reference.data.shape != test.data.shape:
-            _log(True, f"reference shape mismatch for {path.name}, scoring without it")
+            print(f"reference shape mismatch for {path.name}, scoring without it",
+                  file=sys.stderr)
             reference = None
-        return EvalItem(image=stem, method=label, test=test, reference=reference)
+        return stem, label, score_image(test, reference)
 
-    items = [i for i in _pmap(one, files, config.threads) if i is not None]
-    if not items:
+    rows = [r for r in _run(files, one, config.threads) if not _skipped(r)]
+    if not rows:
         print("no images to evaluate", file=sys.stderr)
         return EXIT_EMPTY
-    report = evaluate_batch(items)
-    _write(out / "scores.csv", report_csv(report))
-    print(f"evaluated {len(items)} images")
+    _write(out / "scores.csv", report_csv(aggregate_scores(rows)))
+    print(f"evaluated {len(rows)} images")
     return EXIT_OK
 
 
@@ -503,7 +482,7 @@ def _largest_remainder(total: int, ratios) -> list:
 
 
 def cmd_split(input_dir, config: PipelineConfig, output_dir=None,
-              seed: int | None = None, verbose: bool = False) -> int:
+              seed: int | None = None) -> int:
     """Shuffle the file list and allocate train/val/test by largest remainder."""
     out = Path(output_dir or config.output_dir)
     seed = config.seed if seed is None else seed
@@ -539,7 +518,7 @@ def _augment_rng(seed: int, name: str, sample: int) -> np.random.Generator:
 
 
 def cmd_augment(input_dir, config: PipelineConfig, output_dir=None,
-                seed: int | None = None, verbose: bool = False) -> int:
+                seed: int | None = None) -> int:
     """Seeded random crop + per-channel gain jitter, samples_per_image each.
 
     The per-sample generator is derived from (seed, file name, sample index)
@@ -549,20 +528,13 @@ def cmd_augment(input_dir, config: PipelineConfig, output_dir=None,
     seed = config.seed if seed is None else seed
     aug = config.augment
     files = _list_ppms(input_dir)
-    if not files:
-        print("no input images", file=sys.stderr)
-        return EXIT_EMPTY
 
     def one(path):
-        try:
-            img = load_ppm(path)
-        except AquaClearError as exc:
-            _log(True, f"skipping {path.name}: {exc}")
-            return 0
+        img = load_ppm(path)
         crop_h = int(round(aug.crop_fraction * img.height))
         crop_w = int(round(aug.crop_fraction * img.width))
         if crop_h < 1 or crop_w < 1:
-            return None  # crop smaller than one pixel
+            raise ConfigError("crop_fraction yields an empty crop")
         out.mkdir(parents=True, exist_ok=True)
         for k in range(aug.samples_per_image):
             rng = _augment_rng(seed, path.name, k)
@@ -578,12 +550,15 @@ def cmd_augment(input_dir, config: PipelineConfig, output_dir=None,
             )
         return aug.samples_per_image
 
-    results = _pmap(one, files, config.threads)
-    if any(r is None for r in results):
-        print("crop_fraction yields an empty crop", file=sys.stderr)
+    try:
+        made = [r for r in _run(files, one, config.threads) if not _skipped(r)]
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_BAD_PARAMS
-    made = sum(r for r in results)
-    print(f"augmented {len(files)} images into {made} samples")
+    if not made:
+        print("no input images", file=sys.stderr)
+        return EXIT_EMPTY
+    print(f"augmented {len(made)} images into {sum(made)} samples")
     return EXIT_OK
 
 
@@ -610,8 +585,7 @@ def _markdown_table(header, rows) -> str:
     return "\n".join(lines)
 
 
-def cmd_report(input_dir, config: PipelineConfig, output_dir=None,
-               verbose: bool = False) -> int:
+def cmd_report(input_dir, config: PipelineConfig, output_dir=None) -> int:
     """Combine labels.csv and scores.csv into report.md plus report.csv.
 
     The Markdown carries the category table and the method-by-metric table;

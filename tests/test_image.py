@@ -8,6 +8,7 @@ import pytest
 from aquaclear.errors import (
     EvenKernelError,
     GrayscaleUnsupportedError,
+    IoFailureError,
     MalformedHeaderError,
     NonPositiveSigmaError,
     TruncatedPayloadError,
@@ -152,6 +153,13 @@ class TestPpm:
         path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
         with pytest.raises(TruncatedPayloadError):
             load_ppm(path)
+
+    def test_unreadable_file_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailureError):
+            load_ppm(tmp_path / "missing.ppm")
+        (tmp_path / "dir.ppm").mkdir()
+        with pytest.raises(IoFailureError):
+            load_ppm(tmp_path / "dir.ppm")
 
     def test_save_rejects_grayscale(self, tmp_path):
         gray = ImageF32(np.zeros((1, 2, 2), dtype=np.float32))

@@ -298,8 +298,6 @@ class TestAttention:
         assert np.allclose(fuse_attention(a, b), (a + b) / 2)
         with pytest.raises(DimMismatchError):
             fuse_attention(a, np.zeros((3, 4)))
-        with pytest.raises(ValueError):
-            fuse_attention(a, b, mode="max")
 
     def test_adjust_gain_zero_is_bit_identity(self, rng):
         img = random_image(rng, 8, 8)

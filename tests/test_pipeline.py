@@ -38,6 +38,24 @@ def corpus(directory, count=6, size=32):
     return write_corpus(directory, count=count, seed=0, size=size)
 
 
+def break_manifest(manifest, case):
+    """Damage a saved manifest in one of the ways a user's file can be broken."""
+    if case == "not_json":
+        manifest.write_text("{not json")
+    elif case == "root_not_object":
+        manifest.write_text("[1, 2]")
+    elif case == "no_layers":
+        manifest.write_text(json.dumps({"extractor": "vgg_head"}))
+    elif case == "blob_missing":
+        (manifest.parent / "weights.bin").unlink()
+    elif case == "manifest_missing":
+        manifest.unlink()
+
+
+MANIFEST_DAMAGE = ("not_json", "root_not_object", "no_layers", "blob_missing",
+                   "manifest_missing")
+
+
 class TestConfig:
     def test_defaults(self, config):
         assert config.seed == 7
@@ -62,6 +80,10 @@ class TestConfig:
             PipelineConfig.from_dict({"split": {"ratios": [1, 0, 1]}})
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"split": {"ratios": [1, 1]}})
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict({"split": 5})
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict({"split": {"ratios": [8, 1, 1], "shuffle": True}})
 
     def test_threads_validated(self):
         with pytest.raises(ConfigError):
@@ -203,6 +225,29 @@ class TestEnhance:
         blob.write_bytes(blob.read_bytes()[:-64])
         cfg = PipelineConfig(neural=NeuralConfig(vgg_manifest=str(manifest)))
         assert cmd_enhance(src, cfg, tmp_path / "out", method="vgg") == EXIT_MISSING_WEIGHTS
+
+    @pytest.mark.parametrize("case", MANIFEST_DAMAGE)
+    def test_damaged_manifest_exits_three(self, tmp_path, case):
+        from aquaclear.neural import build_vgg_head, init_weights, save_weights
+
+        src = tmp_path / "in"
+        corpus(src, count=1)
+        manifest = save_weights(init_weights(build_vgg_head(4), seed=1), tmp_path / "w")
+        break_manifest(manifest, case)
+        cfg = PipelineConfig(neural=NeuralConfig(vgg_manifest=str(manifest)))
+        assert cmd_enhance(src, cfg, tmp_path / "out", method="vgg") == EXIT_MISSING_WEIGHTS
+
+    def test_skip_record_holds_base_names_only(self, tmp_path, config, capsys):
+        src = tmp_path / "in"
+        corpus(src, count=2)
+        (src / "broken.ppm").write_bytes(b"P6\n10 10\n255\nshort")
+        out = tmp_path / "out"
+        assert cmd_enhance(src, config, out, method="classic") == EXIT_OK
+        log = (out / "enhance_log.jsonl").read_text()
+        records = [json.loads(line) for line in log.splitlines()]
+        assert [r["file"] for r in records if "error" in r] == ["broken.ppm"]
+        assert str(tmp_path) not in log
+        assert "skipping broken.ppm" in capsys.readouterr().err
 
     def test_unknown_method_exits_four(self, tmp_path, config):
         src = tmp_path / "in"
@@ -405,6 +450,47 @@ class TestAugment:
         src.mkdir()
         assert cmd_augment(src, config, tmp_path / "out") == EXIT_EMPTY
 
+    def test_only_unreadable_exits_two(self, tmp_path, config):
+        src = tmp_path / "in"
+        src.mkdir()
+        (src / "bad.ppm").write_bytes(b"garbage")
+        assert cmd_augment(src, config, tmp_path / "out") == EXIT_EMPTY
+
+
+class TestSkipPolicy:
+    """One bad image is skipped with a stderr line; the rest of the batch runs."""
+
+    # command -> (runner, bad image or None for corrupt bytes, text outputs)
+    CASES = {
+        "classify": (lambda src, out, cfg: cmd_classify(src, cfg, out),
+                     None, ("labels.csv",)),
+        "enhance": (lambda src, out, cfg: cmd_enhance(src, cfg, out, method="classic"),
+                    constant_image(0.5, h=5, w=5), ("enhance_log.jsonl",)),
+        "evaluate": (lambda src, out, cfg: cmd_evaluate(src, cfg, output_dir=out),
+                     constant_image(0.5, h=6, w=6), ("scores.csv",)),
+        "augment": (lambda src, out, cfg: cmd_augment(src, cfg, out), None, ()),
+    }
+    SAMPLES = {"enhance": 1, "augment": 2}  # output PPMs per good image
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_one_bad_image_is_skipped(self, tmp_path, config, capsys, command):
+        run, bad, outputs = self.CASES[command]
+        src = tmp_path / "in"
+        good = corpus(src, count=3)
+        if bad is None:
+            (src / "bad.ppm").write_bytes(b"P6\n10 10\n255\nshort")
+        else:
+            save_ppm(bad, src / "bad.ppm")
+        out = tmp_path / "out"
+        assert run(src, out, config) == EXIT_OK
+        assert "skipping bad.ppm" in capsys.readouterr().err
+        for name in outputs:
+            text = (out / name).read_text()
+            assert all(g.stem in text for g in good)
+        produced = [p.name for p in out.glob("*.ppm")]
+        assert not [n for n in produced if n.startswith("bad.")]
+        assert len(produced) == self.SAMPLES.get(command, 0) * len(good)
+
 
 LABELS_CSV = """file,cast,lowlight,blur,category
 a.ppm,1,0,0,color_bias_only
@@ -513,6 +599,15 @@ class TestCli:
         code = main([
             "split", "--config", self.write_config(tmp_path),
             "--input", str(src), "--seed", "-1",
+        ])
+        assert code == EXIT_BAD_PARAMS
+
+    def test_negative_config_seed_exits_four(self, tmp_path):
+        src = tmp_path / "in"
+        corpus(src, count=3)
+        code = main([
+            "split", "--config", self.write_config(tmp_path, {"seed": -1}),
+            "--input", str(src), "--output", str(tmp_path / "out"),
         ])
         assert code == EXIT_BAD_PARAMS
 
