@@ -120,28 +120,27 @@ def load_ppm(path) -> ImageF32:
 
     Each payload byte v maps to v / 255.0. The header is read tolerantly
     (any whitespace between tokens, exactly one after maxval). Error
-    messages name the file by its base name only.
+    messages do not name the file; callers do.
     """
-    name = Path(path).name
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise IoFailureError(f"{name}: {exc.strerror}") from exc
+        raise IoFailureError(f"cannot read: {exc.strerror}") from exc
     m = _PPM_HEADER.match(raw)
     if m is None:
-        raise MalformedHeaderError(f"{name}: not a binary PPM header")
+        raise MalformedHeaderError("not a binary PPM header")
     if m.group(1) != b"P6":
-        raise MalformedHeaderError(f"{name}: magic is {m.group(1)!r}, expected P6")
+        raise MalformedHeaderError(f"magic is {m.group(1)!r}, expected P6")
     width, height, maxval = (int(m.group(i)) for i in (2, 3, 4))
     if width < 1 or height < 1:
-        raise MalformedHeaderError(f"{name}: dimensions {width}x{height} invalid")
+        raise MalformedHeaderError(f"dimensions {width}x{height} invalid")
     if maxval != 255:
-        raise UnsupportedMaxvalError(f"{name}: maxval {maxval}, only 255 supported")
+        raise UnsupportedMaxvalError(f"maxval {maxval}, only 255 supported")
     need = width * height * 3
     payload = raw[m.end() : m.end() + need]
     if len(payload) < need:
         raise TruncatedPayloadError(
-            f"{name}: payload has {len(payload)} bytes, header promises {need}"
+            f"payload has {len(payload)} bytes, header promises {need}"
         )
     interleaved = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
     planar = interleaved.transpose(2, 0, 1).astype(np.float64) / 255.0
@@ -162,7 +161,7 @@ def save_ppm(img: ImageF32, path) -> None:
     try:
         Path(path).write_bytes(header + bytes_.transpose(1, 2, 0).tobytes())
     except OSError as exc:
-        raise IoFailureError(f"{Path(path).name}: {exc.strerror}") from exc
+        raise IoFailureError(f"cannot write {Path(path).name}: {exc.strerror}") from exc
 
 
 # --------------------------------------------------------- color conversions

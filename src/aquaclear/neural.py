@@ -3,9 +3,10 @@ feature-extraction heads, and attention-guided pixel adjustment.
 
 Tensors are plain numpy arrays of shape (channels, height, width); weights
 are float32 (matching the on-disk manifest format) and promoted to float64
-for arithmetic. Everything is inference-only and deterministic: einsum runs
-with optimize=False so accumulation order is fixed, and seeded initialization
-uses a PCG64 generator.
+for arithmetic. Everything is inference-only and deterministic: each conv
+tap's channel sum is one BLAS matrix product and taps accumulate in a fixed
+order, so the same numpy/BLAS build gives the same bits at any BLAS thread
+count; seeded initialization uses a PCG64 generator.
 """
 
 from __future__ import annotations
@@ -129,12 +130,21 @@ def conv_output_dim(extent: int, kernel: int, stride: int, padding: int) -> int:
     return span // stride + 1
 
 
+# Output rows per matrix product: bounds the GEMM operand OpenBLAS packs
+# (and so peak memory) without slowing the product down.
+_ROW_BLOCK = 16
+
+
 def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """Strided cross-correlation with zero padding, bias, optional ReLU.
 
-    Output spatial dims are floor((H + 2p - k) / s) + 1. Accumulation runs
-    over kernel taps in row-major order with a fixed einsum contraction, so
-    results are bit-reproducible.
+    Output spatial dims are floor((H + 2p - k) / s) + 1. For each block of
+    output rows, each kernel tap (ky, kx) in row-major order adds one matrix
+    product ``w[:, :, ky, kx] @ band`` over the input channels, where band
+    holds the padded input rows the block reads; the kx shift and the column
+    stride are sliced out of the product. Bias and activation are applied to
+    the block before it is stored. The same numpy/BLAS build gives the same
+    bits at any BLAS thread count.
     """
     if x.ndim != 3:
         raise ShapeMismatchError(f"input must be rank 3, got rank {x.ndim}")
@@ -147,20 +157,25 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     h_out = conv_output_dim(h_in, k, s, p)
     w_out = conv_output_dim(w_in, k, s, p)
 
-    xp = np.pad(x.astype(np.float64), ((0, 0), (p, p), (p, p)))
+    xp = np.pad(np.asarray(x, dtype=np.float64), ((0, 0), (p, p), (p, p)))
     w64 = layer.weights.astype(np.float64)
-    out = np.zeros((layer.out_channels, h_out, w_out), dtype=np.float64)
-    for ky in range(k):
-        for kx in range(k):
-            window = xp[
-                :, ky : ky + (h_out - 1) * s + 1 : s, kx : kx + (w_out - 1) * s + 1 : s
-            ]
-            out += np.einsum(
-                "oi,ihw->ohw", w64[:, :, ky, kx], window, optimize=False
-            )
-    out += layer.bias.astype(np.float64)[:, None, None]
-    if layer.activation == "relu":
-        out = np.maximum(out, 0.0)
+    bias = layer.bias.astype(np.float64)[:, None, None]
+    c_out, w_pad = layer.out_channels, xp.shape[2]
+    out = np.empty((c_out, h_out, w_out), dtype=np.float64)
+    for r0 in range(0, h_out, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, h_out)
+        # A dense accumulator: out[:, r0:r1] is strided per channel, and
+        # adding into it k*k times ran ~2x slower than into a dense block.
+        acc = np.zeros((c_out, r1 - r0, w_out), dtype=np.float64)
+        for ky in range(k):
+            band = xp[:, ky + r0 * s : ky + (r1 - 1) * s + 1 : s, :].reshape(c_in, -1)
+            for kx in range(k):
+                prod = (w64[:, :, ky, kx] @ band).reshape(c_out, r1 - r0, w_pad)
+                acc += prod[:, :, kx : kx + (w_out - 1) * s + 1 : s]
+        acc += bias
+        if layer.activation == "relu":
+            np.maximum(acc, 0.0, out=acc)
+        out[:, r0:r1] = acc
     return out
 
 
@@ -183,7 +198,10 @@ def max_pool2(t: np.ndarray) -> np.ndarray:
     c, h, w = t.shape
     if h % 2 or w % 2:
         raise OddSpatialDimError(f"cannot 2x2-pool odd dims {h}x{w}")
-    return t.reshape(c, h // 2, 2, w // 2, 2).max(axis=(2, 4))
+    return np.maximum(
+        np.maximum(t[:, 0::2, 0::2], t[:, 0::2, 1::2]),
+        np.maximum(t[:, 1::2, 0::2], t[:, 1::2, 1::2]),
+    )
 
 
 # ------------------------------------------------------------ head specs
@@ -337,6 +355,13 @@ def save_weights(bound: BoundExtractor, directory) -> Path:
     return manifest_path
 
 
+_ENTRY_KEYS = frozenset({"name", "shape", "byte_offset", "byte_length"})
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
     """Bind a manifest's blob to the spec; shapes must match slot-for-slot."""
     manifest_path = Path(manifest_path)
@@ -354,12 +379,30 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
         raise ShapeMismatchInManifestError(
             f"manifest has {len(entries)} entries, spec needs {len(expected)}"
         )
+    blob_name = doc.get("blob", "weights.bin")
+    if not isinstance(blob_name, str):
+        raise CorruptBlobError(f"blob must be a file name, got {blob_name!r}")
     try:
-        blob = (manifest_path.parent / doc.get("blob", "weights.bin")).read_bytes()
-    except OSError as exc:
+        blob = (manifest_path.parent / blob_name).read_bytes()
+    except (OSError, ValueError) as exc:
         raise CorruptBlobError(f"cannot read weight blob: {exc}") from exc
     weights = {}
     for entry, (name, shape) in zip(entries, expected):
+        if not isinstance(entry, dict) or not _ENTRY_KEYS <= entry.keys():
+            raise ShapeMismatchInManifestError(
+                f"entry for {name} must be an object with keys {sorted(_ENTRY_KEYS)}"
+            )
+        if not isinstance(entry["shape"], list) or not all(
+            _is_count(d) for d in entry["shape"]
+        ):
+            raise ShapeMismatchInManifestError(
+                f"{name}: shape must be a list of non-negative ints, "
+                f"got {entry['shape']!r}"
+            )
+        if not (_is_count(entry["byte_offset"]) and _is_count(entry["byte_length"])):
+            raise CorruptBlobError(
+                f"{name}: byte_offset and byte_length must be non-negative ints"
+            )
         if entry["name"] != name or tuple(entry["shape"]) != shape:
             raise ShapeMismatchInManifestError(
                 f"expected {name} {shape}, manifest has "

@@ -1,10 +1,15 @@
 """Feature extractors, manifest IO, and attention-guided enhancement."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aquaclear
 from aquaclear.classify import ClassifierThresholds, classify
 from aquaclear.enhance import apply_plan, build_plan
 from aquaclear.errors import (
@@ -77,6 +82,9 @@ class TestConvForward:
             dict(out_c=1, in_c=1, k=5, stride=1, padding=0, h=8, w=9),
             dict(out_c=3, in_c=4, k=7, stride=2, padding=3, h=10, w=12),
             dict(out_c=2, in_c=2, k=1, stride=1, padding=0, h=4, w=4),
+            # output heights above the conv row block and not a multiple of it
+            dict(out_c=2, in_c=5, k=3, stride=1, padding=1, h=41, w=23),
+            dict(out_c=2, in_c=2, k=7, stride=2, padding=3, h=70, w=33),
         ]
         for case in cases:
             for activation in ("relu", "none"):
@@ -126,6 +134,15 @@ class TestPoolAndResidual:
         out = max_pool2(t)
         assert out.shape == (1, 2, 2)
         assert np.array_equal(out[0], [[5, 7], [13, 15]])
+
+    def test_max_pool_matches_block_loop(self, rng):
+        t = rng.standard_normal((3, 6, 8))
+        want = np.empty((3, 3, 4))
+        for c in range(3):
+            for y in range(3):
+                for x in range(4):
+                    want[c, y, x] = t[c, 2 * y : 2 * y + 2, 2 * x : 2 * x + 2].max()
+        assert np.array_equal(max_pool2(t), want)
 
     def test_max_pool_odd_dims_rejected(self):
         with pytest.raises(OddSpatialDimError):
@@ -192,6 +209,40 @@ class TestHeadShapes:
         ext = init_weights(build_vgg_head(4), seed=0)
         img = ImageF32(np.full((3, 50, 50), 0.5, dtype=np.float32))
         assert extract_features(img, ext).shape == (128, 25, 25)
+
+
+# Hashes both heads' features on a fixed 64 px image with seeded weights.
+FEATURE_DIGEST = """
+import hashlib
+import numpy as np
+from aquaclear.image import ImageF32
+from aquaclear.neural import build_resnet_head, build_vgg_head, extract_features, init_weights
+rng = np.random.Generator(np.random.PCG64(3))
+img = ImageF32(rng.uniform(0.0, 1.0, size=(3, 64, 64)).astype(np.float32))
+digest = hashlib.sha256()
+for spec, seed in ((build_vgg_head(), 7), (build_resnet_head(), 8)):
+    digest.update(extract_features(img, init_weights(spec, seed)).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def feature_digest(blas_threads):
+    """FEATURE_DIGEST in a fresh interpreter, since BLAS reads its thread
+    count once at load time."""
+    src = str(Path(aquaclear.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", FEATURE_DIGEST],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout.strip()
+
+
+class TestDeterminism:
+    def test_features_same_bits_at_one_and_two_blas_threads(self):
+        one = feature_digest(1)
+        assert len(one) == 64
+        assert feature_digest(2) == one
 
 
 class TestWeights:

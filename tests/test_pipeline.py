@@ -50,10 +50,30 @@ def break_manifest(manifest, case):
         (manifest.parent / "weights.bin").unlink()
     elif case == "manifest_missing":
         manifest.unlink()
+    else:
+        doc = json.loads(manifest.read_text())
+        first = doc["layers"][0]
+        if case == "entries_not_objects":
+            doc["layers"] = [1] * len(doc["layers"])
+        elif case == "entry_lacks_key":
+            del first["byte_length"]
+        elif case == "shape_not_ints":
+            first["shape"] = 64
+        elif case == "negative_offset":
+            first["byte_offset"] = -4
+        elif case == "offset_not_int":
+            first["byte_offset"] = 0.5
+        elif case == "blob_not_string":
+            doc["blob"] = 5
+        elif case == "blob_name_has_nul":
+            doc["blob"] = "weights\u0000.bin"
+        manifest.write_text(json.dumps(doc))
 
 
 MANIFEST_DAMAGE = ("not_json", "root_not_object", "no_layers", "blob_missing",
-                   "manifest_missing")
+                   "manifest_missing", "entries_not_objects", "entry_lacks_key",
+                   "shape_not_ints", "negative_offset", "offset_not_int",
+                   "blob_not_string", "blob_name_has_nul")
 
 
 class TestConfig:
@@ -247,7 +267,13 @@ class TestEnhance:
         records = [json.loads(line) for line in log.splitlines()]
         assert [r["file"] for r in records if "error" in r] == ["broken.ppm"]
         assert str(tmp_path) not in log
-        assert "skipping broken.ppm" in capsys.readouterr().err
+        skip_lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("skipping")
+        ]
+        assert len(skip_lines) == 1
+        assert skip_lines[0].startswith("skipping broken.ppm: ")
+        assert skip_lines[0].count("broken.ppm") == 1
 
     def test_unknown_method_exits_four(self, tmp_path, config):
         src = tmp_path / "in"
