@@ -223,24 +223,46 @@ def sharpen(
     return ImageF32.from_array(out)
 
 
-def _window_sum(a: np.ndarray, size: int) -> np.ndarray:
-    """Valid-mode moving-window sum over both axes of a 2-D array."""
-    c = np.cumsum(a, axis=0, dtype=np.float64)
-    c = np.vstack([np.zeros((1, a.shape[1])), c])
-    rows = c[size:] - c[:-size]
-    c2 = np.cumsum(rows, axis=1, dtype=np.float64)
-    c2 = np.hstack([np.zeros((rows.shape[0], 1)), c2])
-    return c2[:, size:] - c2[:, :-size]
+def _shifted_sum(a: np.ndarray, side: int, step: int, out: np.ndarray) -> np.ndarray:
+    """out[j] = a[j] + a[j + step] + ... + a[j + (side - 1) * step], 1-D.
+
+    The terms are added in that order, so each element is the same sum
+    wherever the arrays start.
+    """
+    n = out.shape[0]
+    if side == 1:
+        np.copyto(out, a[:n])
+        return out
+    np.add(a[:n], a[step : step + n], out=out)
+    for k in range(2, side):
+        np.add(out, a[k * step : k * step + n], out=out)
+    return out
 
 
 def nlm_denoise(img: ImageF32, params: NlmParams = NlmParams()) -> ImageF32:
     """Non-local means: each pixel becomes a patch-similarity-weighted mean.
 
-    For every offset y in the (2w+1)x(2w+1) search window (taken over the
+    For every offset d in the (2w+1)x(2w+1) search window (taken over the
     replicate-padded plane), the weight is exp(-d2/h^2) with d2 the mean
     squared difference of the two (2p+1)x(2p+1) patches; the center offset
     always carries weight 1. Accumulated in difference form so constant
     images are returned bit-identically.
+
+    Only half of the window is visited: the offsets with dy > 0, or dy == 0
+    and dx > 0. One pass per offset serves +d and -d, because -d's patch
+    distance at pixel q is +d's at q - d, and its difference
+    ``padded[q - d] - padded[q]`` is exactly ``-e[q - d]`` with
+    ``e[q] = padded[q + d] - padded[q]``. So e, its box sum and the weights
+    are computed once over the bounding box of the image's patch centres and
+    of the image shifted by -d, (H + |dy|) x (W + |dx|) centres, and both
+    signs read them. The box sum adds 2p+1 row-shifted slices, then 2p+1
+    column-shifted slices, in a fixed order, so it does not depend on where
+    the box starts. Against the per-offset form the float64 sums are
+    reordered; the float32 output is the same.
+
+    Every array is a flat run of the padded plane's rows, so each step is
+    one contiguous 1-D operation; the columns outside the box hold finite
+    values that are never read into the result.
     """
     p = params.patch_radius
     w = params.window_radius
@@ -249,34 +271,51 @@ def nlm_denoise(img: ImageF32, params: NlmParams = NlmParams()) -> ImageF32:
             f"{img.width}x{img.height} image too small for patch radius {p}"
         )
     side = 2 * p + 1
-    area = float(side * side)
-    inv_h2 = 1.0 / (params.h * params.h)
+    scale = -1.0 / (side * side * params.h * params.h)  # box sum -> exponent
     pad = w + p
     h_img, w_img = img.height, img.width
+    stride = w_img + 2 * pad  # row length of the padded plane
+    n_img = (h_img - 1) * stride + w_img  # flat span of the image pixels
+    centre = p * stride + p  # e's offset from a box centre's own index
+
+    size = (h_img + w + 2 * p) * stride
+    e_buf, sq_buf, rows_buf, wgt_buf = (np.empty(size) for _ in range(4))
 
     planes = img.data.astype(np.float64)
     out = np.empty_like(planes)
     for c in range(img.channels):
         plane = planes[c]
-        padded = np.pad(plane, pad, mode="edge")
-        core = padded[pad - p : pad + p + h_img, pad - p : pad + p + w_img]
-        num = np.zeros((h_img, w_img), dtype=np.float64)
-        den = np.ones((h_img, w_img), dtype=np.float64)  # center offset
-        for dy in range(-w, w + 1):
-            for dx in range(-w, w + 1):
-                if dy == 0 and dx == 0:
-                    continue
-                moved = padded[
-                    pad - p + dy : pad + p + h_img + dy,
-                    pad - p + dx : pad + p + w_img + dx,
-                ]
-                d2 = _window_sum((moved - core) ** 2, side) / area
-                weight = np.exp(-d2 * inv_h2)
-                neighbor = padded[
-                    pad + dy : pad + dy + h_img, pad + dx : pad + dx + w_img
-                ]
-                num += weight * (neighbor - plane)
-                den += weight
+        flat = np.pad(plane, pad, mode="edge").ravel()
+        num = np.zeros(h_img * stride)
+        den = np.ones(h_img * stride)  # center offset
+        for dy in range(w + 1):
+            for dx in range(-w if dy else 1, w + 1):
+                box_h, box_w = h_img + dy, w_img + abs(dx)
+                # e covers the box plus a p-wide margin; its first element
+                # sits at padded (w - dy, w - max(dx, 0)).
+                first = (w - dy) * stride + w - max(dx, 0)
+                n_e = (box_h + 2 * p - 1) * stride + box_w + 2 * p
+                n_rows = (box_h - 1) * stride + box_w + 2 * p
+                n_box = (box_h - 1) * stride + box_w
+                shift = first + dy * stride + dx
+                e = e_buf[:n_e]
+                np.subtract(flat[shift : shift + n_e], flat[first : first + n_e], out=e)
+                sq = np.multiply(e, e, out=sq_buf[:n_e])
+                rows = _shifted_sum(sq, side, stride, rows_buf[:n_rows])
+                wgt = _shifted_sum(rows, side, 1, wgt_buf[:n_box])
+                np.multiply(wgt, scale, out=wgt)
+                np.exp(wgt, out=wgt)
+                prod = np.multiply(wgt, e[centre : centre + n_box], out=sq_buf[:n_box])
+                # +d reads the box at the image's own centres, -d at the
+                # image's centres shifted by -d.
+                plus = dy * stride + max(dx, 0)
+                minus = max(-dx, 0)
+                num[:n_img] += prod[plus : plus + n_img]
+                num[:n_img] -= prod[minus : minus + n_img]
+                den[:n_img] += wgt[plus : plus + n_img]
+                den[:n_img] += wgt[minus : minus + n_img]
+        num = num.reshape(h_img, stride)[:, :w_img]
+        den = den.reshape(h_img, stride)[:, :w_img]
         out[c] = plane + num / den
     return ImageF32.from_array(out)
 

@@ -8,7 +8,9 @@ float64 internally and is quantized back to float32 on the way out.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +32,7 @@ __all__ = [
     "ChannelStats",
     "load_ppm",
     "save_ppm",
+    "write_atomic",
     "rgb_to_hsv",
     "hsv_to_rgb",
     "rgb_to_lab",
@@ -112,15 +115,23 @@ class ChannelStats:
 
 # ------------------------------------------------------------------ PPM I/O
 
-_PPM_HEADER = re.compile(rb"^(P.)\s+(\d+)\s+(\d+)\s+(\d+)\s")
+# Between header tokens: whitespace, and "#" comments running to the end of
+# their line (legal netpbm anywhere before maxval).
+_PPM_GAP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_PPM_HEADER = re.compile(
+    rb"^(P.)" + _PPM_GAP + rb"(\d+)" + _PPM_GAP + rb"(\d+)" + _PPM_GAP + rb"(\d+)\s"
+)
+# int() refuses strings over 4300 digits; no real dimension needs 10.
+_PPM_MAX_DIGITS = 9
 
 
 def load_ppm(path) -> ImageF32:
     """Load a binary PPM (P6, maxval 255) as a 3-channel image.
 
     Each payload byte v maps to v / 255.0. The header is read tolerantly
-    (any whitespace between tokens, exactly one after maxval). Error
-    messages do not name the file; callers do.
+    (any whitespace and ``#`` comments between tokens, exactly one
+    whitespace byte after maxval). Error messages do not name the file;
+    callers do.
     """
     try:
         raw = Path(path).read_bytes()
@@ -131,6 +142,10 @@ def load_ppm(path) -> ImageF32:
         raise MalformedHeaderError("not a binary PPM header")
     if m.group(1) != b"P6":
         raise MalformedHeaderError(f"magic is {m.group(1)!r}, expected P6")
+    if any(len(m.group(i)) > _PPM_MAX_DIGITS for i in (2, 3, 4)):
+        raise MalformedHeaderError(
+            f"header number longer than {_PPM_MAX_DIGITS} digits"
+        )
     width, height, maxval = (int(m.group(i)) for i in (2, 3, 4))
     if width < 1 or height < 1:
         raise MalformedHeaderError(f"dimensions {width}x{height} invalid")
@@ -159,9 +174,30 @@ def save_ppm(img: ImageF32, path) -> None:
     bytes_ = np.floor(scaled + 0.5).astype(np.uint8)
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
     try:
-        Path(path).write_bytes(header + bytes_.transpose(1, 2, 0).tobytes())
+        write_atomic(path, header + bytes_.transpose(1, 2, 0).tobytes())
     except OSError as exc:
         raise IoFailureError(f"cannot write {Path(path).name}: {exc.strerror}") from exc
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` so that ``path`` never holds a partial file.
+
+    The bytes go to a new hidden temp file in the same directory, which then
+    replaces ``path`` in one ``os.replace``. On any failure the temp file is
+    removed and ``path`` keeps its old content, if it had any. The file is
+    not fsynced: this guards against an interrupted or failing writer, not
+    against power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 # --------------------------------------------------------- color conversions

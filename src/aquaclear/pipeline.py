@@ -36,7 +36,14 @@ from .classify import (
 )
 from .enhance import ClaheParams, NlmParams, StepKind, apply_plan, build_plan
 from .errors import AquaClearError, ConfigError, CsvParseError, IndivisibleDimsError
-from .image import ImageF32, channel_stats, laplacian_variance, load_ppm, save_ppm
+from .image import (
+    ImageF32,
+    channel_stats,
+    laplacian_variance,
+    load_ppm,
+    save_ppm,
+    write_atomic,
+)
 from .metrics import aggregate_scores, report_csv, score_image
 from .neural import (
     attention_map,
@@ -253,7 +260,7 @@ def _run(files, one, threads: int) -> list:
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    write_atomic(path, text.encode())
 
 
 # ----------------------------------------------------------------- classify

@@ -1,6 +1,10 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 
+import aquaclear.image as image_module
 from aquaclear.image import ImageF32
 
 
@@ -22,3 +26,25 @@ def constant_image(value, h=8, w=8):
     for c, v in enumerate(value):
         data[c] = v
     return ImageF32(data)
+
+
+def fail_writes_midway(monkeypatch):
+    """Make ``write_atomic`` write half its bytes, then fail with ENOSPC."""
+    real_open = open
+
+    class HalfWriter:
+        def __init__(self, file, mode):
+            self.f = real_open(file, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            self.f.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(image_module, "open", HalfWriter, raising=False)

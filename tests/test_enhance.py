@@ -258,6 +258,27 @@ class TestNlm:
             want = nlm_oracle(img.data[c], params)
             assert np.allclose(got.data[c], want, atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "h, w, params",
+        [
+            # the window reaches past the image on every side
+            (6, 11, NlmParams(patch_radius=1, window_radius=7, h=0.3)),
+            (11, 6, NlmParams(patch_radius=1, window_radius=7, h=0.3)),
+            # single-pixel patches
+            (7, 5, NlmParams(patch_radius=0, window_radius=3, h=0.2)),
+        ],
+    )
+    def test_matches_oracle_past_the_image(self, rng, h, w, params):
+        img = random_image(rng, h, w)
+        got = nlm_denoise(img, params)
+        for c in range(3):
+            want = nlm_oracle(img.data[c], params)
+            assert np.allclose(got.data[c], want, atol=1e-6)
+
+    def test_non_square_constant_is_bit_identical(self):
+        img = constant_image((0.2, 0.47, 0.93), h=9, w=14)
+        assert np.array_equal(nlm_denoise(img).data, img.data)
+
     def test_noise_reduction_bound(self):
         # sigma=0.05 fixture; ratio frozen from the oracle run, enforced +/-5%
         rng = np.random.Generator(np.random.PCG64(42))

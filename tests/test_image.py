@@ -1,11 +1,18 @@
 """Image container, PPM I/O, color conversions, and the convolution core."""
 
+import errno
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import aquaclear.image as image_module
 
 from aquaclear.errors import (
+    AquaClearError,
     EvenKernelError,
     GrayscaleUnsupportedError,
     IoFailureError,
@@ -31,7 +38,7 @@ from aquaclear.image import (
     save_ppm,
 )
 
-from conftest import constant_image, random_image
+from conftest import constant_image, fail_writes_midway, random_image
 
 
 def conv_oracle(plane, kernel):
@@ -130,6 +137,42 @@ class TestPpm:
         img = load_ppm(path)
         assert (img.width, img.height) == (2, 1)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"P6\n# c\n2 1\n255\n",  # after the magic
+            b"P6\n2 # width\n1# height\r255\n",  # between tokens
+            b"P6#\n#\n2\n#two\n#lines\n1 255\n",  # empty and stacked
+        ],
+    )
+    def test_header_comments(self, tmp_path, header):
+        path = tmp_path / "c.ppm"
+        path.write_bytes(header + bytes(range(6)))
+        img = load_ppm(path)
+        assert (img.width, img.height) == (2, 1)
+        assert np.array_equal(img.data[:, 0, 1] * 255.0, [3.0, 4.0, 5.0])
+
+    def test_comment_after_maxval_is_payload(self, tmp_path):
+        path = tmp_path / "c.ppm"
+        path.write_bytes(b"P6 1 1 255\n#ab")
+        img = load_ppm(path)
+        assert np.array_equal(np.rint(img.data[:, 0, 0] * 255.0), list(b"#ab"))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"P6\n# no end of line",
+            b"P6 2 1 # comment swallows the maxval 255\n" + bytes(6),
+            b"P6 " + b"9" * 5000 + b" 1 255\n",
+        ],
+        ids=["unterminated_comment", "comment_hides_maxval", "overlong_number"],
+    )
+    def test_bad_header_is_malformed(self, tmp_path, raw):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(raw)
+        with pytest.raises(MalformedHeaderError):
+            load_ppm(path)
+
     def test_malformed_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
@@ -165,6 +208,91 @@ class TestPpm:
         gray = ImageF32(np.zeros((1, 2, 2), dtype=np.float32))
         with pytest.raises(GrayscaleUnsupportedError):
             save_ppm(gray, tmp_path / "g.ppm")
+
+
+class TestAtomicWrite:
+    def test_failed_save_leaves_no_partial_or_temp_file(self, tmp_path, monkeypatch):
+        fail_writes_midway(monkeypatch)
+        with pytest.raises(IoFailureError, match="cannot write new.ppm: No space"):
+            save_ppm(constant_image(0.5), tmp_path / "new.ppm")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "old.ppm"
+        save_ppm(constant_image(0.25), path)
+        before = path.read_bytes()
+        fail_writes_midway(monkeypatch)
+        with pytest.raises(IoFailureError):
+            save_ppm(constant_image(0.75), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["old.ppm"]
+        assert path.read_bytes() == before
+
+    def test_replace_failure_removes_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        monkeypatch.setattr(image_module.os, "replace", refuse)
+        with pytest.raises(IoFailureError):
+            save_ppm(constant_image(0.5), tmp_path / "x.ppm")
+        assert list(tmp_path.iterdir()) == []
+
+
+def valid_ppm(width=3, height=2):
+    header = f"P6\n{width} {height}\n255\n".encode("ascii")
+    return header + bytes(range(width * height * 3))
+
+
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestLoadPpmFuzz:
+    """Whatever the bytes, load_ppm returns an image or raises AquaClearError."""
+
+    @staticmethod
+    def check(path, raw):
+        path.write_bytes(raw)
+        try:
+            img = load_ppm(path)
+        except AquaClearError:
+            return
+        assert img.channels == 3
+        assert img.data.dtype == np.float32
+
+    @FUZZ
+    @given(raw=st.binary(max_size=64))
+    def test_random_bytes(self, tmp_path, raw):
+        self.check(tmp_path / "f.ppm", raw)
+
+    @FUZZ
+    @given(raw=st.binary(max_size=24).map(lambda b: b"P6" + b))
+    def test_random_bytes_after_magic(self, tmp_path, raw):
+        self.check(tmp_path / "f.ppm", raw)
+
+    @FUZZ
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 255), st.sampled_from("sid")),
+            max_size=4,
+        ),
+        cut=st.integers(0, 40),
+    )
+    def test_mutated_valid_ppm(self, tmp_path, edits, cut):
+        raw = bytearray(valid_ppm())
+        for pos, value, op in edits:
+            pos %= len(raw) + 1
+            if op == "s" and pos < len(raw):
+                raw[pos] = value
+            elif op == "i":
+                raw.insert(pos, value)
+            elif op == "d" and pos < len(raw):
+                del raw[pos]
+        self.check(tmp_path / "f.ppm", bytes(raw[: len(raw) - cut % (len(raw) + 1)]))
 
 
 class TestHsv:

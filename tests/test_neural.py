@@ -85,6 +85,10 @@ class TestConvForward:
             # output heights above the conv row block and not a multiple of it
             dict(out_c=2, in_c=5, k=3, stride=1, padding=1, h=41, w=23),
             dict(out_c=2, in_c=2, k=7, stride=2, padding=3, h=70, w=33),
+            # padded widths that are not a multiple of the stride, and a
+            # stride above the kernel side (a phase no tap reads)
+            dict(out_c=2, in_c=3, k=5, stride=3, padding=2, h=11, w=14),
+            dict(out_c=3, in_c=2, k=3, stride=4, padding=1, h=13, w=10),
         ]
         for case in cases:
             for activation in ("relu", "none"):

@@ -25,7 +25,7 @@ from aquaclear.pipeline import (
 )
 from aquaclear.synth import write_corpus
 
-from conftest import constant_image, random_image
+from conftest import constant_image, fail_writes_midway, random_image
 
 
 @pytest.fixture
@@ -585,6 +585,19 @@ class TestReport:
         )
         assert cmd_report(src, config, tmp_path / "out") == EXIT_EMPTY
         assert "line 2" in capsys.readouterr().err
+
+    def test_failed_write_keeps_old_output(self, tmp_path, config, monkeypatch):
+        src = tmp_path / "results"
+        src.mkdir()
+        (src / "labels.csv").write_text(LABELS_CSV)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.md").write_text("old report\n")
+        fail_writes_midway(monkeypatch)
+        with pytest.raises(OSError):
+            cmd_report(src, config, out)
+        assert [p.name for p in out.iterdir()] == ["report.md"]
+        assert (out / "report.md").read_text() == "old report\n"
 
     def test_missing_labels_exits_two(self, tmp_path, config):
         src = tmp_path / "results"
