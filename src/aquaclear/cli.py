@@ -6,7 +6,7 @@
 Commands: classify, enhance, evaluate, split, augment, report. --verbose
 adds per-step traces to enhance's log and affects no other command.
 Exit codes: 0 success, 2 empty input, no image succeeded, or parse failure,
-3 missing weights, 4 bad parameters.
+3 missing weights, 4 bad parameters or an output that cannot be written.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ feature-extraction heads, and attention-guided pixel adjustment.
 Tensors are plain numpy arrays of shape (channels, height, width); weights
 are float32 (matching the on-disk manifest format) and promoted to float64
 for arithmetic. Everything is inference-only and deterministic: each conv
-tap's channel sum is one BLAS matrix product and taps accumulate in a fixed
-order, so the same numpy/BLAS build gives the same bits at any BLAS thread
+layer is one BLAS matrix product per block of output rows, so every output
+value is one BLAS dot product over all (tap, input channel) pairs of its
+window, and the same numpy/BLAS build gives the same bits at any BLAS thread
 count; seeded initialization uses a PCG64 generator.
 """
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classify import ClassifierThresholds, classify
 from .enhance import apply_plan, build_plan
@@ -130,25 +132,22 @@ def conv_output_dim(extent: int, kernel: int, stride: int, padding: int) -> int:
     return span // stride + 1
 
 
-# Output rows per matrix product: bounds the GEMM operand OpenBLAS packs
-# (and so peak memory) without slowing the product down.
-_ROW_BLOCK = 16
+# Bytes of the per-call column buffer. Rows per block are as many as fit,
+# which bounds the GEMM operand (and so peak memory); an 8 MB budget raised
+# the unite workload's peak RSS by about 10% for little speed.
+_COLS_BYTES = 2 << 20
 
 
 def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """Strided cross-correlation with zero padding, bias, optional ReLU.
 
-    Output spatial dims are floor((H + 2p - k) / s) + 1. The padded input's
-    columns are split once into s phase planes, phase j holding columns
-    j, j + s, ...; at s = 1 the single phase is the padded input itself, not
-    a copy. For each block of output rows, each kernel tap (ky, kx) in
-    row-major order adds one matrix product ``w[:, :, ky, kx] @ band`` over
-    the input channels, where band holds the rows of phase kx % s that the
-    block reads, so no product computes a column the stride discards. The
-    products and the block's accumulator share one flat row layout, so the
-    tap's shift kx // s is a flat offset and each add is contiguous per
-    output channel; the columns past the output width are never stored.
-    Bias and activation are applied to the block before it is stored. The
+    Output spatial dims are floor((H + 2p - k) / s) + 1. For each block of
+    output rows, the k*k strided input windows the block reads are copied
+    into one reusable (k*k*c_in, rows*w_out) column buffer, and one matrix
+    product with the weights, reordered to (c_out, k*k*c_in), writes the
+    block's output: every output value is one BLAS dot product over all
+    (tap, channel) pairs. Bias and activation are applied to the block in
+    place. Rows per block are as many as fit in a fixed byte budget. The
     same numpy/BLAS build gives the same bits at any BLAS thread count.
     """
     if x.ndim != 3:
@@ -162,38 +161,26 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     h_out = conv_output_dim(h_in, k, s, p)
     w_out = conv_output_dim(w_in, k, s, p)
 
-    # Zero columns on the right make the padded width a multiple of s, so
-    # every phase has the same width.
-    extra = -(w_in + 2 * p) % s
-    xp = np.pad(np.asarray(x, dtype=np.float64), ((0, 0), (p, p), (p, p + extra)))
-    h_pad, w_phase = xp.shape[1], xp.shape[2] // s
-    phases = np.ascontiguousarray(
-        xp.reshape(c_in, h_pad, w_phase, s).transpose(3, 0, 1, 2)
-    )
-    w64 = layer.weights.astype(np.float64)
-    bias = layer.bias.astype(np.float64)[:, None, None]
+    xp = np.pad(np.asarray(x, dtype=np.float64), ((0, 0), (p, p), (p, p)))
+    # (ky, kx, c_in, h_out, w_out): a no-copy view of every output's window
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+    windows = windows.transpose(3, 4, 0, 1, 2)
     c_out = layer.out_channels
+    wmat = layer.weights.transpose(0, 2, 3, 1).reshape(c_out, -1).astype(np.float64)
+    depth = wmat.shape[1]
+    bias = layer.bias.astype(np.float64)[:, None]
+    rows = max(1, min(h_out, _COLS_BYTES // (8 * depth * w_out)))
+    buf = np.empty(depth * rows * w_out, dtype=np.float64)
     out = np.empty((c_out, h_out, w_out), dtype=np.float64)
-    for r0 in range(0, h_out, _ROW_BLOCK):
-        r1 = min(r0 + _ROW_BLOCK, h_out)
-        n = (r1 - r0) * w_phase
-        # One flat accumulator for the block: adding a shifted product into
-        # a strided 2-D view ran ~4x slower than one contiguous 1-D add. A
-        # shift carries the head of one channel's product into the tail of
-        # the previous channel's last row, past the output width.
-        acc = np.zeros(c_out * n, dtype=np.float64)
-        for ky in range(k):
-            rows = slice(ky + r0 * s, ky + (r1 - 1) * s + 1, s)
-            bands = [phase[:, rows].reshape(c_in, n) for phase in phases]
-            for kx in range(k):
-                shift = kx // s
-                prod = (w64[:, :, ky, kx] @ bands[kx % s]).ravel()
-                acc[: acc.size - shift] += prod[shift:]
-        acc = acc.reshape(c_out, r1 - r0, w_phase)
-        acc += bias
+    for r0 in range(0, h_out, rows):
+        r1 = min(r0 + rows, h_out)
+        cols = buf[: depth * (r1 - r0) * w_out].reshape(k, k, c_in, r1 - r0, w_out)
+        np.copyto(cols, windows[:, :, :, r0:r1])
+        block = out[:, r0:r1].reshape(c_out, -1)
+        np.matmul(wmat, cols.reshape(depth, -1), out=block)
+        block += bias
         if layer.activation == "relu":
-            np.maximum(acc, 0.0, out=acc)
-        out[:, r0:r1] = acc[:, :, :w_out]
+            np.maximum(block, 0.0, out=block)
     return out
 
 

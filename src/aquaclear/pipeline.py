@@ -3,7 +3,8 @@ augment, and report.
 
 Every command is a plain function taking parsed inputs plus a PipelineConfig
 and returning a process exit code (0 ok, 2 empty input, no image succeeded
-or parse failure, 3 missing weights, 4 bad parameters). The per-image
+or parse failure, 3 missing weights, 4 bad parameters); an output directory
+or file that cannot be written raises IoFailureError. The per-image
 commands share one runner: an image that fails is skipped with one stderr
 line, and only a configuration error aborts the batch. All outputs are
 deterministic for a given (input set, config, seed) at any thread count:
@@ -19,8 +20,9 @@ import io
 import json
 import math
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,13 @@ from .classify import (
     summary_csv,
 )
 from .enhance import ClaheParams, NlmParams, StepKind, apply_plan, build_plan
-from .errors import AquaClearError, ConfigError, CsvParseError, IndivisibleDimsError
+from .errors import (
+    AquaClearError,
+    ConfigError,
+    CsvParseError,
+    IndivisibleDimsError,
+    IoFailureError,
+)
 from .image import (
     ImageF32,
     channel_stats,
@@ -84,6 +92,32 @@ METHOD_LABELS = {
     "resnet": "ResNet50",
     "unite": "Unite",
 }
+
+
+def _check_value(where: str, value, hint) -> None:
+    """Raise ConfigError unless a JSON value fits a field annotated ``hint``:
+    an int field takes an integer, a float field a finite number (bools are
+    neither), a str field a string. Other annotations are not checked here.
+    """
+    if hint == (str | None) and value is None:
+        return
+    if hint in (str, str | None):
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string, got {value!r}")
+    elif hint in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where} must be a number, got {value!r}")
+        if hint is int and not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        # also false for NaN and for an int too large for a float
+        if hint is float and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{where} must be finite, got {value!r}")
+
+
+def _split_ratios(ratios=(8, 1, 1)) -> tuple:
+    for r in ratios:
+        _check_value("split.ratios", r, float)
+    return tuple(float(r) for r in ratios)
 
 
 @dataclass(frozen=True)
@@ -161,42 +195,38 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-        def section(name, ctor, **renames):
+        def section(name, ctor):
             sub = doc.get(name, {})
             if not isinstance(sub, dict):
                 raise ConfigError(f"{name} must be an object")
-            kwargs = {renames.get(k, k): v for k, v in sub.items()}
+            hints = typing.get_type_hints(ctor) if is_dataclass(ctor) else {}
+            for key, value in sub.items():
+                _check_value(f"{name}.{key}", value, hints.get(key))
             try:
-                return ctor(**kwargs)
+                return ctor(**sub)
             except ConfigError:
                 raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad {name} section: {exc}") from exc
 
-        try:
-            return cls(
-                thresholds=section("thresholds", ClassifierThresholds),
-                clahe=section("clahe", ClaheParams),
-                nlm=section("nlm", NlmParams),
-                sharpen=section("sharpen", SharpenConfig),
-                neural=section("neural", NeuralConfig),
-                split_ratios=section(
-                    "split", lambda ratios=(8, 1, 1): tuple(float(r) for r in ratios)
-                ),
-                augment=section("augment", AugmentConfig),
-                output_dir=str(doc.get("output_dir", "out")),
-                reference_dir=(
-                    str(doc["reference_dir"])
-                    if doc.get("reference_dir") is not None
-                    else None
-                ),
-                seed=int(doc.get("seed", 7)),
-                threads=int(doc.get("threads", 1)),
-            )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        def scalar(key, default, hint):
+            value = doc.get(key, default)
+            _check_value(key, value, hint)
+            return value
+
+        return cls(
+            thresholds=section("thresholds", ClassifierThresholds),
+            clahe=section("clahe", ClaheParams),
+            nlm=section("nlm", NlmParams),
+            sharpen=section("sharpen", SharpenConfig),
+            neural=section("neural", NeuralConfig),
+            split_ratios=section("split", _split_ratios),
+            augment=section("augment", AugmentConfig),
+            output_dir=scalar("output_dir", "out", str),
+            reference_dir=scalar("reference_dir", None, str | None),
+            seed=scalar("seed", 7, int),
+            threads=scalar("threads", 1, int),
+        )
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
@@ -258,9 +288,19 @@ def _run(files, one, threads: int) -> list:
     return results
 
 
+def _make_dir(directory: Path) -> None:
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailureError(f"cannot create {directory}: {exc.strerror or exc}") from exc
+
+
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, text.encode())
+    _make_dir(path.parent)
+    try:
+        write_atomic(path, text.encode())
+    except OSError as exc:
+        raise IoFailureError(f"cannot write {path.name}: {exc.strerror or exc}") from exc
 
 
 # ----------------------------------------------------------------- classify
@@ -356,6 +396,7 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
         print(f"cannot load weights: {exc}", file=sys.stderr)
         return EXIT_MISSING_WEIGHTS
 
+    _make_dir(out)
     overrides = config.plan_overrides()
     specs = [h.spec for h in heads.values()]
 
@@ -411,7 +452,6 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
         if verbose:
             record["steps"] = steps
         out_path = out / f"{path.stem}.{method}.ppm"
-        out.mkdir(parents=True, exist_ok=True)
         save_ppm(enhanced, out_path)
         record["output"] = out_path.name
         return record
@@ -542,7 +582,6 @@ def cmd_augment(input_dir, config: PipelineConfig, output_dir=None,
         crop_w = int(round(aug.crop_fraction * img.width))
         if crop_h < 1 or crop_w < 1:
             raise ConfigError("crop_fraction yields an empty crop")
-        out.mkdir(parents=True, exist_ok=True)
         for k in range(aug.samples_per_image):
             rng = _augment_rng(seed, path.name, k)
             top = int(rng.integers(0, img.height - crop_h + 1))
@@ -557,6 +596,7 @@ def cmd_augment(input_dir, config: PipelineConfig, output_dir=None,
             )
         return aug.samples_per_image
 
+    _make_dir(out)
     try:
         made = [r for r in _run(files, one, config.threads) if not _skipped(r)]
     except ConfigError as exc:

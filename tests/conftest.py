@@ -3,9 +3,29 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 import aquaclear.image as image_module
 from aquaclear.image import ImageF32
+
+
+# Fuzz tests are derandomized and bounded, so a run is deterministic and fast.
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+# Any value json.loads can return, NaN and infinities included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6,
+)
 
 
 @pytest.fixture

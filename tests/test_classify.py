@@ -17,9 +17,9 @@ from aquaclear.classify import (
     summary_csv,
 )
 from aquaclear.errors import EmptyDatasetError, NearBlackImageWarning
-from aquaclear.image import ImageF32
+from aquaclear.image import ImageF32, rgb_to_hsv
 
-from conftest import constant_image
+from conftest import constant_image, random_image
 
 
 def image_with_means(r, g, b, h=8, w=8):
@@ -89,6 +89,20 @@ class TestLowLightAndBlur:
         # 0.375 is exact in float32, so mean V equals the floor exactly
         th = ClassifierThresholds(brightness_floor=0.375)
         assert not detect_low_light(constant_image(0.375), th)
+
+    def test_mean_value_is_the_hsv_mean(self, rng):
+        """The detector compares rgb_to_hsv's mean V, to the last bit."""
+        images = [random_image(rng, 13, 17, 0.0, 1.0) for _ in range(6)]
+        images += [
+            ImageF32(rng.integers(0, 256, (3, 12, 9)).astype(np.float32) / 255.0)
+            for _ in range(6)
+        ]
+        for img in images:
+            mean_v = float(np.mean(rgb_to_hsv(img).data[2], dtype=np.float64))
+            at = ClassifierThresholds(brightness_floor=mean_v)
+            above = ClassifierThresholds(brightness_floor=np.nextafter(mean_v, 1.0))
+            assert not detect_low_light(img, at)
+            assert detect_low_light(img, above)
 
     def test_constant_image_is_blurred(self):
         assert detect_blur(constant_image(0.5))

@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import aquaclear.image as image_module
@@ -38,7 +38,7 @@ from aquaclear.image import (
     save_ppm,
 )
 
-from conftest import constant_image, fail_writes_midway, random_image
+from conftest import FUZZ, constant_image, fail_writes_midway, random_image
 
 
 def conv_oracle(plane, kernel):
@@ -240,15 +240,6 @@ class TestAtomicWrite:
 def valid_ppm(width=3, height=2):
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     return header + bytes(range(width * height * 3))
-
-
-FUZZ = settings(
-    derandomize=True,
-    database=None,
-    max_examples=300,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
 
 
 class TestLoadPpmFuzz:

@@ -8,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import aquaclear
 from aquaclear.classify import ClassifierThresholds, classify
 from aquaclear.enhance import apply_plan, build_plan
 from aquaclear.errors import (
+    AquaClearError,
     CorruptBlobError,
     DimMismatchError,
     IndivisibleDimsError,
@@ -25,6 +28,8 @@ from aquaclear.image import ImageF32, rgb_to_hsv
 from aquaclear.neural import (
     BoundExtractor,
     ConvLayer,
+    ExtractorSpec,
+    LayerSpec,
     attention_adjust,
     attention_map,
     build_resnet_head,
@@ -42,7 +47,7 @@ from aquaclear.neural import (
     save_weights,
 )
 
-from conftest import random_image
+from conftest import FUZZ, JSON_VALUES, random_image
 
 
 def conv_oracle(x, layer):
@@ -101,6 +106,26 @@ class TestConvForward:
                 want = conv_oracle(x, layer)
                 assert got.shape == want.shape
                 assert np.allclose(got, want, atol=1e-9)
+
+    # Column-buffer budgets that force several row blocks, the last one
+    # partial, and one below a single row (one row per block).
+    @pytest.mark.parametrize("case, rows", [
+        (dict(out_c=3, in_c=2, k=3, stride=1, padding=1, h=11, w=7), 3),
+        (dict(out_c=2, in_c=3, k=5, stride=2, padding=2, h=13, w=9), 2),
+        (dict(out_c=2, in_c=2, k=3, stride=2, padding=1, h=6, w=5), 0),
+    ], ids=["stride1-3rows", "stride2-2rows", "under-one-row"])
+    def test_row_blocks_match_oracle(self, rng, monkeypatch, case, rows):
+        k, s, p = case["k"], case["stride"], case["padding"]
+        h_out = conv_output_dim(case["h"], k, s, p)
+        w_out = conv_output_dim(case["w"], k, s, p)
+        assert h_out > rows and (rows == 0 or h_out % rows)
+        row_bytes = 8 * k * k * case["in_c"] * w_out
+        budget = (rows + 1) * row_bytes - 1 if rows else 1
+        monkeypatch.setattr(aquaclear.neural, "_COLS_BYTES", budget)
+        for activation in ("relu", "none"):
+            layer = make_layer(rng, case["out_c"], case["in_c"], k, s, p, activation)
+            x = rng.standard_normal((case["in_c"], case["h"], case["w"]))
+            assert np.allclose(conv2d_forward(x, layer), conv_oracle(x, layer), atol=1e-9)
 
     def test_output_dim_floor_semantics(self):
         assert conv_output_dim(64, 7, 2, 3) == 32
@@ -394,3 +419,81 @@ class TestAttention:
         want = apply_plan(img, build_plan(flags))
         got = feature_guided_enhance(img, attn, gain=0.0)
         assert np.array_equal(got.data, want.data)
+
+
+# One conv and one residual block: the manifest has every kind of entry
+# and a blob of a few hundred bytes.
+TINY_HEAD = ExtractorSpec(
+    "tiny",
+    (LayerSpec("conv1", "conv", 1, 2, 3, 1, 1), LayerSpec("res1", "res", 2, 2, 3, 1, 1)),
+    "res1",
+)
+
+
+def json_slots(node):
+    """(container, key) for every value nested in a JSON document."""
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list):
+        children = list(enumerate(node))
+    else:
+        children = []
+    slots = []
+    for key, child in children:
+        slots.append((node, key))
+        slots.extend(json_slots(child))
+    return slots
+
+
+class TestLoadWeightsFuzz:
+    """Whatever the manifest and blob, load_weights binds the weights or
+    raises AquaClearError."""
+
+    @staticmethod
+    def check(directory):
+        try:
+            bound = load_weights(TINY_HEAD, directory / "manifest.json")
+        except AquaClearError:
+            return
+        assert set(bound.weights) == {"conv1.weight", "conv1.bias", "res1.a.weight",
+                                      "res1.a.bias", "res1.b.weight", "res1.b.bias"}
+
+    @FUZZ
+    @given(data=st.data(), cut=st.just(0) | st.integers(1, 400))
+    def test_mutated_manifest_document(self, tmp_path, data, cut):
+        manifest = save_weights(init_weights(TINY_HEAD, 0), tmp_path)
+        doc = json.loads(manifest.read_text())
+        for _ in range(data.draw(st.integers(1, 3))):
+            slots = json_slots(doc)
+            if not slots:
+                break
+            container, key = data.draw(st.sampled_from(slots))
+            if data.draw(st.booleans()):
+                del container[key]
+            else:
+                container[key] = data.draw(JSON_VALUES)
+        manifest.write_text(json.dumps(doc))
+        blob = (tmp_path / "weights.bin").read_bytes()
+        (tmp_path / "weights.bin").write_bytes(blob[: len(blob) - cut % (len(blob) + 1)])
+        self.check(tmp_path)
+
+    @FUZZ
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, 2000), st.integers(0, 255), st.sampled_from("sid")),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_mutated_manifest_bytes(self, tmp_path, edits):
+        manifest = save_weights(init_weights(TINY_HEAD, 0), tmp_path)
+        raw = bytearray(manifest.read_bytes())
+        for pos, value, op in edits:
+            pos %= len(raw) + 1
+            if op == "s" and pos < len(raw):
+                raw[pos] = value
+            elif op == "i":
+                raw.insert(pos, value)
+            elif op == "d" and pos < len(raw):
+                del raw[pos]
+        manifest.write_bytes(bytes(raw))
+        self.check(tmp_path)

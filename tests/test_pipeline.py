@@ -1,12 +1,15 @@
 """Batch commands, config handling, and the CLI front end."""
 
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aquaclear.cli import main
-from aquaclear.errors import ConfigError, CsvParseError
+from aquaclear.errors import ConfigError, CsvParseError, IoFailureError
 from aquaclear.enhance import StepKind
 from aquaclear.image import ImageF32, load_ppm, save_ppm
 from aquaclear.pipeline import (
@@ -25,7 +28,7 @@ from aquaclear.pipeline import (
 )
 from aquaclear.synth import write_corpus
 
-from conftest import constant_image, fail_writes_midway, random_image
+from conftest import FUZZ, JSON_VALUES, constant_image, fail_writes_midway, random_image
 
 
 @pytest.fixture
@@ -109,6 +112,38 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"threads": 0})
 
+    # Each used to escape as a traceback, or was accepted and then made
+    # every image fail.
+    @pytest.mark.parametrize("text", [
+        '{"seed": 1e999}',
+        '{"threads": 1e999}',
+        '{"augment": {"samples_per_image": 1.5}}',
+        '{"nlm": {"patch_radius": 2.5}}',
+        '{"clahe": {"tiles_x": 1e999}}',
+        '{"sharpen": {"strength": NaN}}',
+        '{"seed": true}',
+        '{"threads": "2"}',
+        pytest.param('{"thresholds": {"cast_ratio": 1' + "0" * 400 + '}}',
+                     id="int-too-large-for-a-float"),
+        '{"split": {"ratios": [8, NaN, 1]}}',
+        '{"neural": {"vgg_manifest": 5}}',
+        '{"output_dir": 5}',
+        '{"reference_dir": {}}',
+    ])
+    def test_unfit_field_value_exits_four(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            PipelineConfig.load(path)
+        code = main(["classify", "--config", str(path), "--input", str(tmp_path)])
+        assert code == EXIT_BAD_PARAMS
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
+    def test_integers_fill_float_fields(self):
+        cfg = PipelineConfig.from_dict({"nlm": {"h": 1}, "neural": {"gain": 0}})
+        assert cfg.nlm.h == 1 and cfg.neural.gain == 0
+
     def test_load_bad_json_is_parse_error(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json")
@@ -139,6 +174,36 @@ class TestConfig:
         overrides = config.plan_overrides()
         assert set(overrides) == {StepKind.CLAHE, StepKind.DENOISE, StepKind.SHARPEN}
         assert overrides[StepKind.DENOISE]["h"] == 0.1
+
+
+# Keys are mostly real ones, so most documents get past the unknown-key
+# check; "bogus" stands for every unknown key.
+TOP_KEYS = sorted({f.name for f in fields(PipelineConfig)} - {"split_ratios"} | {"split"})
+SECTION_KEYS = sorted(
+    {f.name for sec in vars(PipelineConfig()).values() if is_dataclass(sec)
+     for f in fields(sec)} | {"ratios"}
+)
+CONFIG_DOCS = st.dictionaries(
+    st.sampled_from(TOP_KEYS + ["bogus"]),
+    st.dictionaries(st.sampled_from(SECTION_KEYS + ["bogus"]), JSON_VALUES, max_size=3)
+    | JSON_VALUES,
+    max_size=4,
+)
+
+
+class TestConfigFuzz:
+    """Whatever the JSON document, from_dict builds a config or raises
+    ConfigError. Only the config is built: no command runs with it."""
+
+    @FUZZ
+    @given(doc=CONFIG_DOCS)
+    def test_random_documents(self, doc):
+        try:
+            cfg = PipelineConfig.from_dict(doc)
+        except ConfigError:
+            return
+        assert type(cfg.seed) is int and cfg.seed >= 0
+        assert type(cfg.threads) is int and cfg.threads >= 1
 
 
 class TestClassify:
@@ -594,7 +659,7 @@ class TestReport:
         out.mkdir()
         (out / "report.md").write_text("old report\n")
         fail_writes_midway(monkeypatch)
-        with pytest.raises(OSError):
+        with pytest.raises(IoFailureError):
             cmd_report(src, config, out)
         assert [p.name for p in out.iterdir()] == ["report.md"]
         assert (out / "report.md").read_text() == "old report\n"
@@ -664,6 +729,25 @@ class TestCli:
             "--method", "gan",
         ])
         assert code == EXIT_BAD_PARAMS
+
+    @pytest.mark.parametrize(
+        "command", ["classify", "enhance", "evaluate", "split", "augment", "report"]
+    )
+    def test_unwritable_output_exits_four(self, tmp_path, capsys, command):
+        src = tmp_path / "in"
+        corpus(src, count=3)
+        (src / "labels.csv").write_text(LABELS_CSV)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where a directory is needed\n")
+        argv = [
+            command, "--config", self.write_config(tmp_path),
+            "--input", str(src), "--output", str(blocker / "out"),
+        ]
+        if command == "enhance":
+            argv += ["--method", "classic"]
+        assert main(argv) == EXIT_BAD_PARAMS
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_threads_config_round_trip(self, tmp_path):
         src = tmp_path / "in"
