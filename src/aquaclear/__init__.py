@@ -6,239 +6,22 @@ feature extractors, and scores results with reference and no-reference
 quality metrics. Everything runs on CPU with deterministic outputs.
 """
 
-from .classify import (
-    Category8,
-    CastDiagnostics,
-    ClassifierThresholds,
-    DatasetReport,
-    DegradationFlags,
-    RANK_ORDER,
-    classify,
-    cooccurrence_csv,
-    detect_blur,
-    detect_color_cast,
-    detect_low_light,
-    summarize,
-    summary_csv,
-)
-from .enhance import (
-    ClaheParams,
-    EnhancementPlan,
-    NlmParams,
-    PlanStep,
-    StepKind,
-    apply_plan,
-    build_plan,
-    clahe_v,
-    gray_world_correct,
-    hist_equalize_global,
-    homomorphic_filter,
-    nlm_denoise,
-    sharpen,
-)
-from .errors import (
-    AquaClearError,
-    ConfigError,
-    CorruptBlobError,
-    CsvParseError,
-    DimMismatchError,
-    EmptyBatchError,
-    EmptyDatasetError,
-    EvenKernelError,
-    GrayscaleUnsupportedError,
-    ImageTooSmallError,
-    IndivisibleDimsError,
-    IoFailureError,
-    MalformedHeaderError,
-    NearBlackImageWarning,
-    NegativeStrengthError,
-    NonIntegralOutputDimError,
-    NonPositiveSigmaError,
-    OddSpatialDimError,
-    PlanStepError,
-    ShapeMismatchError,
-    ShapeMismatchInManifestError,
-    TruncatedPayloadError,
-    UnsupportedDepthError,
-    UnsupportedMaxvalError,
-    ZeroChannelMeanWarning,
-)
-from .image import (
-    ChannelStats,
-    ImageF32,
-    channel_stats,
-    convolve2d,
-    gaussian_blur,
-    gaussian_kernel,
-    hsv_to_rgb,
-    laplacian_variance,
-    load_ppm,
-    luminance,
-    rgb_to_hsv,
-    rgb_to_lab,
-    save_ppm,
-)
-from .metrics import (
-    EvalItem,
-    METHOD_ORDER,
-    QualityReport,
-    QualityScores,
-    UCIQE_WEIGHTS,
-    UIQM_WEIGHTS,
-    evaluate_batch,
-    psnr,
-    report_csv,
-    score_image,
-    uciqe,
-    uicm,
-    uiconm,
-    uiqm,
-    uism,
-)
-from .neural import (
-    BoundExtractor,
-    ConvLayer,
-    ExtractorSpec,
-    LayerSpec,
-    ResidualBlock,
-    attention_adjust,
-    attention_map,
-    build_resnet_head,
-    build_vgg_head,
-    conv2d_forward,
-    conv_output_dim,
-    extract_features,
-    feature_guided_enhance,
-    fuse_attention,
-    init_weights,
-    load_weights,
-    max_pool2,
-    residual_forward,
-    save_weights,
-)
-from .pipeline import (
-    METHOD_LABELS,
-    PipelineConfig,
-    cmd_augment,
-    cmd_classify,
-    cmd_enhance,
-    cmd_evaluate,
-    cmd_report,
-    cmd_split,
-)
-from .synth import archetype_for_category, make_archetype, write_corpus
+from . import classify, enhance, errors, image, metrics, neural, pipeline, synth
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AquaClearError",
-    "BoundExtractor",
-    "CastDiagnostics",
-    "Category8",
-    "ChannelStats",
-    "ClaheParams",
-    "ClassifierThresholds",
-    "ConfigError",
-    "ConvLayer",
-    "CorruptBlobError",
-    "CsvParseError",
-    "DatasetReport",
-    "DegradationFlags",
-    "DimMismatchError",
-    "EmptyBatchError",
-    "EmptyDatasetError",
-    "EnhancementPlan",
-    "EvalItem",
-    "EvenKernelError",
-    "ExtractorSpec",
-    "GrayscaleUnsupportedError",
-    "ImageF32",
-    "ImageTooSmallError",
-    "IndivisibleDimsError",
-    "IoFailureError",
-    "LayerSpec",
-    "METHOD_LABELS",
-    "METHOD_ORDER",
-    "MalformedHeaderError",
-    "NearBlackImageWarning",
-    "NegativeStrengthError",
-    "NlmParams",
-    "NonIntegralOutputDimError",
-    "NonPositiveSigmaError",
-    "OddSpatialDimError",
-    "PipelineConfig",
-    "PlanStep",
-    "PlanStepError",
-    "QualityReport",
-    "QualityScores",
-    "RANK_ORDER",
-    "ResidualBlock",
-    "ShapeMismatchError",
-    "ShapeMismatchInManifestError",
-    "StepKind",
-    "TruncatedPayloadError",
-    "UCIQE_WEIGHTS",
-    "UIQM_WEIGHTS",
-    "UnsupportedDepthError",
-    "UnsupportedMaxvalError",
-    "ZeroChannelMeanWarning",
-    "__version__",
-    "apply_plan",
-    "archetype_for_category",
-    "attention_adjust",
-    "attention_map",
-    "build_plan",
-    "build_resnet_head",
-    "build_vgg_head",
-    "channel_stats",
-    "clahe_v",
-    "classify",
-    "cmd_augment",
-    "cmd_classify",
-    "cmd_enhance",
-    "cmd_evaluate",
-    "cmd_report",
-    "cmd_split",
-    "conv2d_forward",
-    "conv_output_dim",
-    "convolve2d",
-    "cooccurrence_csv",
-    "detect_blur",
-    "detect_color_cast",
-    "detect_low_light",
-    "evaluate_batch",
-    "extract_features",
-    "feature_guided_enhance",
-    "fuse_attention",
-    "gaussian_blur",
-    "gaussian_kernel",
-    "gray_world_correct",
-    "hist_equalize_global",
-    "homomorphic_filter",
-    "hsv_to_rgb",
-    "init_weights",
-    "laplacian_variance",
-    "load_ppm",
-    "load_weights",
-    "luminance",
-    "make_archetype",
-    "max_pool2",
-    "nlm_denoise",
-    "psnr",
-    "report_csv",
-    "residual_forward",
-    "rgb_to_hsv",
-    "rgb_to_lab",
-    "save_ppm",
-    "save_weights",
-    "score_image",
-    "sharpen",
-    "summarize",
-    "summary_csv",
-    "uciqe",
-    "uicm",
-    "uiconm",
-    "uiqm",
-    "uism",
-    "write_corpus",
-]
+# The package exports each submodule's public names.
+__all__ = ["__version__"]
+for _module in (classify, enhance, errors, image, metrics, neural, pipeline, synth):
+    __all__ += _module.__all__
+del _module
+
+# Last, because this rebinds ``classify`` from the submodule to its function.
+from .classify import *  # noqa: E402, F403
+from .enhance import *  # noqa: E402, F403
+from .errors import *  # noqa: E402, F403
+from .image import *  # noqa: E402, F403
+from .metrics import *  # noqa: E402, F403
+from .neural import *  # noqa: E402, F403
+from .pipeline import *  # noqa: E402, F403
+from .synth import *  # noqa: E402, F403

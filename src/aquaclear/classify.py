@@ -21,6 +21,7 @@ from .image import ImageF32, _require_rgb, channel_stats, laplacian_variance
 __all__ = [
     "DegradationFlags",
     "Category8",
+    "RANK_ORDER",
     "ClassifierThresholds",
     "CastDiagnostics",
     "DatasetReport",

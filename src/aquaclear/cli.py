@@ -75,9 +75,6 @@ def main(argv=None) -> int:
         if args.command == "augment":
             return cmd_augment(args.input, config, args.output, args.seed)
         return cmd_report(args.input, config, args.output)
-    except CsvParseError as exc:
-        print(f"parse failure at line {exc.line}: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
     except ConfigError as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS

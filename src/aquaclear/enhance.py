@@ -1,14 +1,12 @@
 """Classical enhancement filters and the flag-driven plan machinery.
 
 Four defect-targeted methods (gray-world color balance, CLAHE on V, non-local
-means denoising, Laplacian sharpening) plus two preprocessing filters that no
-plan uses (homomorphic illumination correction, global histogram equalization).
-A plan is an ordered list of steps; build_plan derives one from DegradationFlags.
+means denoising, Laplacian sharpening). A plan is an ordered list of steps;
+build_plan derives one from DegradationFlags.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,7 +20,7 @@ from .errors import (
     PlanStepError,
     ZeroChannelMeanWarning,
 )
-from .image import ImageF32, channel_stats, convolve2d, gaussian_blur, hsv_to_rgb, rgb_to_hsv
+from .image import ImageF32, channel_stats, hsv_to_rgb, rgb_to_hsv
 
 __all__ = [
     "ClaheParams",
@@ -34,8 +32,6 @@ __all__ = [
     "clahe_v",
     "sharpen",
     "nlm_denoise",
-    "homomorphic_filter",
-    "hist_equalize_global",
     "build_plan",
     "apply_plan",
     "SHARPEN_KERNEL_ZERO_SUM",
@@ -318,52 +314,6 @@ def nlm_denoise(img: ImageF32, params: NlmParams = NlmParams()) -> ImageF32:
         den = den.reshape(h_img, stride)[:, :w_img]
         out[c] = plane + num / den
     return ImageF32.from_array(out)
-
-
-def homomorphic_filter(
-    img: ImageF32,
-    gamma_low: float = 0.7,
-    gamma_high: float = 1.3,
-    sigma: float = 15.0,
-) -> ImageF32:
-    """Log-domain illumination/reflectance rebalance on the V plane.
-
-    The log of V splits into a Gaussian lowpass (illumination) and the
-    remainder (reflectance); each gets its own gain. Unit gains reproduce
-    the input to within rounding.
-    """
-    hsv = rgb_to_hsv(img).data.astype(np.float64)
-    eps = 1e-3
-    v_log = np.log(hsv[2] + eps)
-    lowpass = gaussian_blur(v_log, sigma)
-    v_new = np.exp(gamma_low * lowpass + gamma_high * (v_log - lowpass)) - eps
-    return hsv_to_rgb(
-        ImageF32.from_array(np.stack([hsv[0], hsv[1], np.clip(v_new, 0.0, 1.0)]))
-    )
-
-
-def hist_equalize_global(img: ImageF32) -> ImageF32:
-    """Plain histogram equalization of V over 256 bins.
-
-    Uses the (cdf - cdf_min) / (N - cdf_min) mapping; a constant V plane
-    degenerates to all zeros, so callers should plan this step only for
-    images with spread.
-    """
-    hsv = rgb_to_hsv(img).data.astype(np.float64)
-    v = hsv[2]
-    bins = 256
-    bin_idx = np.minimum((v * bins).astype(np.int64), bins - 1)
-    hist = np.bincount(bin_idx.ravel(), minlength=bins).astype(np.float64)
-    cdf = np.cumsum(hist)
-    n = float(v.size)
-    first = int(np.flatnonzero(hist)[0])
-    cdf_min = float(cdf[first])
-    if n - cdf_min <= 0.0:
-        v_new = np.zeros_like(v)
-    else:
-        lut = np.clip((cdf - cdf_min) / (n - cdf_min), 0.0, 1.0)
-        v_new = lut[bin_idx]
-    return hsv_to_rgb(ImageF32.from_array(np.stack([hsv[0], hsv[1], v_new])))
 
 
 # -------------------------------------------------------------------- plans

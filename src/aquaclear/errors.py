@@ -33,10 +33,6 @@ class EvenKernelError(AquaClearError):
     """Convolution kernels must have an odd side length."""
 
 
-class NonPositiveSigmaError(AquaClearError):
-    """Gaussian sigma must be strictly positive."""
-
-
 class NegativeStrengthError(AquaClearError):
     """Sharpening strength must be non-negative."""
 
@@ -99,10 +95,11 @@ class PlanStepError(AquaClearError):
 
 
 class CsvParseError(AquaClearError):
-    """A CSV input failed to parse; carries the 1-based line number."""
+    """A CSV input failed to parse; carries the 1-based line number, or 0
+    when the failure belongs to no one line."""
 
     def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(f"line {line}: {message}" if line else message)
         self.line = line
 
 
@@ -118,3 +115,9 @@ class NearBlackImageWarning(UserWarning):
 
 class ZeroChannelMeanWarning(UserWarning):
     """Gray-world left a channel unscaled because its mean is near zero."""
+
+
+__all__ = [
+    name for name, value in list(globals().items())
+    if isinstance(value, type) and issubclass(value, (AquaClearError, Warning))
+]

@@ -9,7 +9,6 @@ float64 internally and is quantized back to float32 on the way out.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import re
 from dataclasses import dataclass
@@ -22,7 +21,6 @@ from .errors import (
     GrayscaleUnsupportedError,
     IoFailureError,
     MalformedHeaderError,
-    NonPositiveSigmaError,
     TruncatedPayloadError,
     UnsupportedMaxvalError,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "hsv_to_rgb",
     "rgb_to_lab",
     "convolve2d",
-    "gaussian_kernel",
-    "gaussian_blur",
     "channel_stats",
     "laplacian_variance",
     "luminance",
@@ -313,21 +309,6 @@ def convolve2d(plane, kernel) -> np.ndarray:
             if weight != 0.0:
                 out += weight * padded[dy : dy + h, dx : dx + w]
     return out
-
-
-def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Normalized 2-D Gaussian, radius ceil(3 sigma)."""
-    if sigma <= 0.0:
-        raise NonPositiveSigmaError(f"sigma must be > 0, got {sigma}")
-    radius = math.ceil(3.0 * sigma)
-    ax = np.arange(-radius, radius + 1, dtype=np.float64)
-    g = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / (2.0 * sigma * sigma))
-    return g / g.sum()
-
-
-def gaussian_blur(plane, sigma: float) -> np.ndarray:
-    """Gaussian lowpass with replicate borders; preserves constants."""
-    return convolve2d(plane, gaussian_kernel(sigma))
 
 
 def channel_stats(img: ImageF32) -> ChannelStats:

@@ -4,7 +4,9 @@ UCIQE is a weighted sum of chroma spread, luminance contrast, and mean
 saturation computed in CIELab; UIQM combines colorfulness (UICM), sharpness
 (UISM, Sobel + block EME), and block contrast (UIConM). Components are kept
 in normalized units (L and chroma divided by 100) so scores land in a small
-dimensionless range.
+dimensionless range. score_image scores one image; aggregate_scores takes
+the per-method means of scored rows and report_csv lays them out as
+scores.csv.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "UIQM_WEIGHTS",
     "METHOD_ORDER",
     "QualityScores",
-    "EvalItem",
     "QualityReport",
     "psnr",
     "uciqe",
@@ -31,7 +32,6 @@ __all__ = [
     "uiconm",
     "uiqm",
     "score_image",
-    "evaluate_batch",
     "aggregate_scores",
     "report_csv",
 ]
@@ -202,14 +202,6 @@ def score_image(img: ImageF32, reference: ImageF32 | None = None) -> QualityScor
 # ------------------------------------------------------------- batch report
 
 @dataclass(frozen=True)
-class EvalItem:
-    image: str
-    method: str
-    test: ImageF32
-    reference: ImageF32 | None = None
-
-
-@dataclass(frozen=True)
 class QualityReport:
     """Per-image rows plus per-method aggregate means.
 
@@ -233,14 +225,6 @@ def _method_sort_key(method: str):
         return (0, METHOD_ORDER.index(method))
     except ValueError:
         return (1, method)
-
-
-def evaluate_batch(items) -> QualityReport:
-    """Score every item and aggregate per-method means in canonical order."""
-    return aggregate_scores(
-        (item.image, item.method, score_image(item.test, item.reference))
-        for item in items
-    )
 
 
 def aggregate_scores(rows) -> QualityReport:

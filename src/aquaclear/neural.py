@@ -41,6 +41,7 @@ __all__ = [
     "LayerSpec",
     "ExtractorSpec",
     "BoundExtractor",
+    "conv_output_dim",
     "conv2d_forward",
     "relu",
     "residual_forward",

@@ -129,7 +129,7 @@ class NeuralConfig:
     resnet_manifest: str | None = None
 
     def __post_init__(self):
-        if self.method not in ("classic", "vgg", "resnet", "unite"):
+        if self.method not in METHOD_LABELS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.gain < 0.0:
             raise ConfigError("gain must be >= 0")
@@ -231,8 +231,10 @@ class PipelineConfig:
     @classmethod
     def load(cls, path) -> "PipelineConfig":
         try:
-            doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integers
+        # past the digit limit; RecursionError, nesting too deep to parse.
+        except (OSError, ValueError, RecursionError) as exc:
             raise CsvParseError(0, f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
@@ -383,7 +385,7 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
     out = Path(output_dir or config.output_dir)
     method = method or config.neural.method
     seed = config.seed if seed is None else seed
-    if method not in ("classic", "vgg", "resnet", "unite"):
+    if method not in METHOD_LABELS:
         print(f"unknown method {method!r}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     files = _list_ppms(input_dir)
@@ -612,16 +614,30 @@ def cmd_augment(input_dir, config: PipelineConfig, output_dir=None,
 # ------------------------------------------------------------------- report
 
 def _read_csv(path: Path) -> list:
+    """(line number, row) for every non-empty row of a UTF-8 CSV file."""
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CsvParseError(0, f"cannot read {path.name}: {exc}") from exc
     rows = []
     reader = csv.reader(io.StringIO(text))
-    for lineno, row in enumerate(reader, start=1):
-        if row:
-            rows.append((lineno, row))
+    try:
+        for row in reader:
+            if row:
+                rows.append((reader.line_num, row))
+    except csv.Error as exc:
+        raise CsvParseError(reader.line_num, f"{path.name}: {exc}") from exc
     return rows
+
+
+def _metric_cells_ok(row) -> bool:
+    """True when a scores row's metric cells are all finite numbers; the
+    psnr cell may also be empty or inf."""
+    cells = row[3:] if row[2] in ("", "inf") else row[2:]
+    try:
+        return all(math.isfinite(float(c)) for c in cells)
+    except ValueError:
+        return False
 
 
 def _markdown_table(header, rows) -> str:
@@ -636,7 +652,8 @@ def cmd_report(input_dir, config: PipelineConfig, output_dir=None) -> int:
     """Combine labels.csv and scores.csv into report.md plus report.csv.
 
     The Markdown carries the category table and the method-by-metric table;
-    the CSV holds the compact method summary (method,psnr,uciqe,uiqm).
+    the CSV holds the compact method summary (method,psnr,uciqe,uiqm), taken
+    from the mean rows that evaluate writes to scores.csv.
     """
     src = Path(input_dir)
     out = Path(output_dir or config.output_dir)
@@ -651,26 +668,27 @@ def cmd_report(input_dir, config: PipelineConfig, output_dir=None) -> int:
         labels = []
         for lineno, row in label_rows[1:]:
             if len(row) != 5 or row[4] not in by_name:
-                raise CsvParseError(lineno, f"bad labels row: {','.join(row)}")
+                raise CsvParseError(lineno, f"bad labels row: {','.join(row)!r}")
             labels.append(by_name[row[4]])
         if not labels:
             raise CsvParseError(1, "labels.csv has no data rows")
         summary = summarize(labels)
 
-        score_rows = []
-        have_scores = scores_path.exists()
-        if have_scores:
-            parsed = _read_csv(scores_path)
-            if parsed:
-                expected = "image,method,psnr,uciqe,uiqm,sigma_c,con_l,mu_s,uicm,uism,uiconm"
-                if parsed[0][1] != expected.split(","):
-                    raise CsvParseError(1, "scores.csv missing expected header")
-                for lineno, row in parsed[1:]:
-                    if len(row) != 11:
-                        raise CsvParseError(lineno, f"bad scores row: {','.join(row)}")
-                    score_rows.append(row)
+        mean_rows = []
+        parsed = _read_csv(scores_path) if scores_path.exists() else []
+        if parsed:
+            expected = "image,method,psnr,uciqe,uiqm,sigma_c,con_l,mu_s,uicm,uism,uiconm"
+            if parsed[0][1] != expected.split(","):
+                raise CsvParseError(1, "scores.csv missing expected header")
+            for lineno, row in parsed[1:]:
+                if len(row) != 11 or (row[0] == "mean" and not _metric_cells_ok(row)):
+                    raise CsvParseError(lineno, f"bad scores row: {','.join(row)!r}")
+                if row[0] == "mean":
+                    mean_rows.append(row)
+            if len(parsed) > 1 and not mean_rows:
+                raise CsvParseError(0, "scores.csv has no mean rows")
     except CsvParseError as exc:
-        print(f"parse failure at line {exc.line}: {exc}", file=sys.stderr)
+        print(f"parse failure: {exc}", file=sys.stderr)
         return EXIT_EMPTY
 
     cat_rows = [
@@ -680,23 +698,7 @@ def cmd_report(input_dir, config: PipelineConfig, output_dir=None) -> int:
     md = ["# Batch report", "", "## Degradation categories", ""]
     md.append(_markdown_table(("Rank", "Description", "Count", "Proportion"), cat_rows))
 
-    method_rows = []
-    mean_rows = [r for r in score_rows if r[0] == "mean"]
-    if not mean_rows and score_rows:
-        # scores.csv without aggregate rows: average the per-image rows here
-        by_method: dict = {}
-        for row in score_rows:
-            by_method.setdefault(row[1], []).append(row)
-        for method in by_method:
-            rows = by_method[method]
-
-            def col_mean(idx):
-                vals = [float(r[idx]) for r in rows if r[idx] not in ("", "inf")]
-                return f"{sum(vals) / len(vals):.6f}" if vals else ""
-
-            mean_rows.append(["mean", method, col_mean(2), col_mean(3), col_mean(4)])
-    for row in mean_rows:
-        method_rows.append((row[1], row[2] or "-", row[3], row[4]))
+    method_rows = [(row[1], row[2] or "-", row[3], row[4]) for row in mean_rows]
 
     md += ["", "## Method quality summary", ""]
     if method_rows:

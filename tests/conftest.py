@@ -28,6 +28,29 @@ JSON_VALUES = st.recursive(
 )
 
 
+def byte_edits(span: int):
+    """Up to four (position, byte, op) edits for ``mutate``, at positions
+    0..span; op is s(ubstitute), i(nsert) or d(elete)."""
+    return st.lists(
+        st.tuples(st.integers(0, span), st.integers(0, 255), st.sampled_from("sid")),
+        max_size=4,
+    )
+
+
+def mutate(raw: bytes, edits) -> bytes:
+    """Apply ``byte_edits`` to ``raw``; positions wrap at its length."""
+    raw = bytearray(raw)
+    for pos, value, op in edits:
+        pos %= len(raw) + 1
+        if op == "s" and pos < len(raw):
+            raw[pos] = value
+        elif op == "i":
+            raw.insert(pos, value)
+        elif op == "d" and pos < len(raw):
+            del raw[pos]
+    return bytes(raw)
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(20240817))

@@ -17,8 +17,6 @@ from aquaclear.enhance import (
     build_plan,
     clahe_v,
     gray_world_correct,
-    hist_equalize_global,
-    homomorphic_filter,
     nlm_denoise,
     sharpen,
 )
@@ -298,40 +296,6 @@ class TestNlm:
     def test_window_must_cover_patch(self):
         with pytest.raises(ValueError):
             NlmParams(patch_radius=3, window_radius=2, h=0.1)
-
-
-class TestHomomorphic:
-    def test_brightens_dark_constant(self):
-        img = constant_image(0.1, h=16, w=16)
-        out = homomorphic_filter(img)
-        assert out.data.mean() > img.data.mean()
-
-    def test_preserves_hue_and_saturation(self, rng):
-        img = random_image(rng, 16, 16, lo=0.2, hi=0.8)
-        before = rgb_to_hsv(img).data
-        after = rgb_to_hsv(homomorphic_filter(img)).data
-        mask = before[1] > 1e-3
-        assert np.allclose(after[0][mask], before[0][mask], atol=1e-4)
-
-    def test_output_in_range(self, rng):
-        img = random_image(rng, 12, 12, lo=0.0, hi=1.0)
-        out = homomorphic_filter(img)
-        assert out.data.min() >= 0.0 and out.data.max() <= 1.0
-
-
-class TestHistEq:
-    def test_constant_maps_to_zero(self):
-        out = hist_equalize_global(constant_image(0.5))
-        v = rgb_to_hsv(out).data[2]
-        assert np.all(v == 0.0)
-
-    def test_two_level_image_spreads_to_full_range(self):
-        v = np.zeros((4, 4), dtype=np.float64)
-        v[:2] = 0.25
-        v[2:] = 0.75
-        img = ImageF32.from_array(np.stack([v, v, v]))
-        out_v = rgb_to_hsv(hist_equalize_global(img)).data[2]
-        assert np.allclose(np.unique(np.round(out_v, 6)), [0.0, 1.0])
 
 
 class TestPlans:

@@ -17,7 +17,6 @@ from aquaclear.errors import (
     GrayscaleUnsupportedError,
     IoFailureError,
     MalformedHeaderError,
-    NonPositiveSigmaError,
     TruncatedPayloadError,
     UnsupportedMaxvalError,
 )
@@ -27,8 +26,6 @@ from aquaclear.image import (
     ImageF32,
     channel_stats,
     convolve2d,
-    gaussian_blur,
-    gaussian_kernel,
     hsv_to_rgb,
     laplacian_variance,
     load_ppm,
@@ -38,7 +35,7 @@ from aquaclear.image import (
     save_ppm,
 )
 
-from conftest import FUZZ, constant_image, fail_writes_midway, random_image
+from conftest import FUZZ, byte_edits, constant_image, fail_writes_midway, mutate, random_image
 
 
 def conv_oracle(plane, kernel):
@@ -266,24 +263,10 @@ class TestLoadPpmFuzz:
         self.check(tmp_path / "f.ppm", raw)
 
     @FUZZ
-    @given(
-        edits=st.lists(
-            st.tuples(st.integers(0, 40), st.integers(0, 255), st.sampled_from("sid")),
-            max_size=4,
-        ),
-        cut=st.integers(0, 40),
-    )
+    @given(edits=byte_edits(40), cut=st.integers(0, 40))
     def test_mutated_valid_ppm(self, tmp_path, edits, cut):
-        raw = bytearray(valid_ppm())
-        for pos, value, op in edits:
-            pos %= len(raw) + 1
-            if op == "s" and pos < len(raw):
-                raw[pos] = value
-            elif op == "i":
-                raw.insert(pos, value)
-            elif op == "d" and pos < len(raw):
-                del raw[pos]
-        self.check(tmp_path / "f.ppm", bytes(raw[: len(raw) - cut % (len(raw) + 1)]))
+        raw = mutate(valid_ppm(), edits)
+        self.check(tmp_path / "f.ppm", raw[: len(raw) - cut % (len(raw) + 1)])
 
 
 class TestHsv:
@@ -409,26 +392,6 @@ class TestConvolve2d:
     def test_constant_zero_sum_response_is_zero(self):
         out = convolve2d(np.full((5, 5), 0.7), LAPLACIAN_KERNEL)
         assert np.allclose(out, 0.0, atol=1e-15)
-
-
-class TestGaussian:
-    def test_kernel_normalized_and_sized(self):
-        k = gaussian_kernel(1.0)
-        assert k.shape == (7, 7)  # radius ceil(3*1) = 3
-        assert k.sum() == pytest.approx(1.0, abs=1e-12)
-        assert k[3, 3] == k.max()
-
-    def test_kernel_symmetric(self):
-        k = gaussian_kernel(2.3)
-        assert np.allclose(k, k[::-1, :]) and np.allclose(k, k[:, ::-1])
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(NonPositiveSigmaError):
-            gaussian_kernel(0.0)
-
-    def test_blur_preserves_constant(self):
-        out = gaussian_blur(np.full((8, 8), 0.25), 1.5)
-        assert np.allclose(out, 0.25, atol=1e-12)
 
 
 class TestStatsAndSharpness:

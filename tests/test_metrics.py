@@ -13,8 +13,7 @@ from aquaclear.metrics import (
     METHOD_ORDER,
     UCIQE_WEIGHTS,
     UIQM_WEIGHTS,
-    EvalItem,
-    evaluate_batch,
+    aggregate_scores,
     psnr,
     report_csv,
     score_image,
@@ -203,17 +202,17 @@ class TestScoreImage:
 class TestEvaluateBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(EmptyBatchError):
-            evaluate_batch([])
+            aggregate_scores([])
 
     def test_method_order_is_canonical_then_alphabetical(self, rng):
         img = random_image(rng, 8, 8)
         items = [
-            EvalItem("a.ppm", "Classic", img),
-            EvalItem("a.ppm", "Zeta", img),
-            EvalItem("a.ppm", "Original", img),
-            EvalItem("a.ppm", "VGG19", img),
+            ("a.ppm", "Classic", score_image(img)),
+            ("a.ppm", "Zeta", score_image(img)),
+            ("a.ppm", "Original", score_image(img)),
+            ("a.ppm", "VGG19", score_image(img)),
         ]
-        report = evaluate_batch(items)
+        report = aggregate_scores(items)
         assert list(report.aggregates) == ["Original", "VGG19", "Classic", "Zeta"]
         assert METHOD_ORDER[0] == "Original"
 
@@ -221,18 +220,18 @@ class TestEvaluateBatch:
         ref = random_image(rng, 8, 8)
         other = random_image(rng, 8, 8)
         items = [
-            EvalItem("a.ppm", "Classic", ref, reference=ref),
-            EvalItem("b.ppm", "Classic", other, reference=ref),
+            ("a.ppm", "Classic", score_image(ref, ref)),
+            ("b.ppm", "Classic", score_image(other, ref)),
         ]
-        report = evaluate_batch(items)
+        report = aggregate_scores(items)
         agg = report.aggregates["Classic"]
         assert report.inf_psnr_counts["Classic"] == 1
         assert agg["psnr"] == pytest.approx(psnr(ref, other), abs=1e-12)
 
     def test_aggregate_is_column_mean(self, rng):
         a, b = random_image(rng, 8, 8), random_image(rng, 8, 8)
-        report = evaluate_batch(
-            [EvalItem("a.ppm", "Classic", a), EvalItem("b.ppm", "Classic", b)]
+        report = aggregate_scores(
+            [("a.ppm", "Classic", score_image(a)), ("b.ppm", "Classic", score_image(b))]
         )
         want = (score_image(a).uciqe + score_image(b).uciqe) / 2.0
         assert report.aggregates["Classic"]["uciqe"] == pytest.approx(want, abs=1e-12)
@@ -243,10 +242,10 @@ class TestReportCsv:
 
     def test_layout(self, rng):
         img = random_image(rng, 8, 8)
-        report = evaluate_batch(
+        report = aggregate_scores(
             [
-                EvalItem("a.ppm", "Classic", img, reference=img),
-                EvalItem("a.ppm", "Original", img),
+                ("a.ppm", "Classic", score_image(img, img)),
+                ("a.ppm", "Original", score_image(img)),
             ]
         )
         text = report_csv(report)
@@ -258,21 +257,21 @@ class TestReportCsv:
 
     def test_infinite_psnr_cell(self, rng):
         img = random_image(rng, 8, 8)
-        report = evaluate_batch([EvalItem("a.ppm", "Classic", img, reference=img)])
+        report = aggregate_scores([("a.ppm", "Classic", score_image(img, img))])
         rows = list(csv.reader(io.StringIO(report_csv(report))))
         assert rows[1][2] == "inf"
         assert rows[2][2] == "inf"  # mean row falls back to inf when all rows are
 
     def test_missing_reference_leaves_empty_cell(self, rng):
         img = random_image(rng, 8, 8)
-        report = evaluate_batch([EvalItem("a.ppm", "Original", img)])
+        report = aggregate_scores([("a.ppm", "Original", score_image(img))])
         rows = list(csv.reader(io.StringIO(report_csv(report))))
         assert rows[1][2] == ""
         assert rows[2][2] == ""
 
     def test_cells_are_six_decimal_floats(self, rng):
         img = random_image(rng, 8, 8)
-        report = evaluate_batch([EvalItem("a.ppm", "Original", img)])
+        report = aggregate_scores([("a.ppm", "Original", score_image(img))])
         rows = list(csv.reader(io.StringIO(report_csv(report))))
         for cell in rows[1][3:]:
             float(cell)

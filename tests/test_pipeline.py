@@ -28,7 +28,15 @@ from aquaclear.pipeline import (
 )
 from aquaclear.synth import write_corpus
 
-from conftest import FUZZ, JSON_VALUES, constant_image, fail_writes_midway, random_image
+from conftest import (
+    FUZZ,
+    JSON_VALUES,
+    byte_edits,
+    constant_image,
+    fail_writes_midway,
+    mutate,
+    random_image,
+)
 
 
 @pytest.fixture
@@ -150,6 +158,22 @@ class TestConfig:
         with pytest.raises(CsvParseError):
             PipelineConfig.load(path)
 
+    # Each used to escape as a traceback with exit 1.
+    @pytest.mark.parametrize("raw", [
+        pytest.param(b"\xff\xfe{}", id="not-utf-8"),
+        pytest.param(b"[" * 100000, id="deep-array"),
+        pytest.param(b'{"a":' * 100000, id="deep-object"),
+        pytest.param(b'{"seed": ' + b"1" * 5000 + b"}", id="integer-past-digit-limit"),
+    ])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, raw):
+        path = tmp_path / "config.json"
+        path.write_bytes(raw)
+        with pytest.raises(CsvParseError):
+            PipelineConfig.load(path)
+        assert main(["classify", "--config", str(path)]) == EXIT_EMPTY
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
     def test_load_non_object_root(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")
@@ -204,6 +228,38 @@ class TestConfigFuzz:
             return
         assert type(cfg.seed) is int and cfg.seed >= 0
         assert type(cfg.threads) is int and cfg.threads >= 1
+
+
+VALID_CONFIG = json.dumps({
+    "thresholds": {"cast_ratio": 0.3},
+    "neural": {"method": "vgg", "gain": 0.25},
+    "split": {"ratios": [6, 2, 2]},
+    "augment": {"samples_per_image": 3},
+    "seed": 11,
+}).encode()
+
+
+class TestConfigLoadFuzz:
+    """Whatever the bytes of the config file, load builds a config or raises
+    ConfigError or CsvParseError."""
+
+    @staticmethod
+    def check(path, raw):
+        path.write_bytes(raw)
+        try:
+            PipelineConfig.load(path)
+        except (ConfigError, CsvParseError):
+            pass
+
+    @FUZZ
+    @given(raw=st.binary(max_size=64))
+    def test_random_bytes(self, tmp_path, raw):
+        self.check(tmp_path / "config.json", raw)
+
+    @FUZZ
+    @given(edits=byte_edits(len(VALID_CONFIG)))
+    def test_mutated_valid_config(self, tmp_path, edits):
+        self.check(tmp_path / "config.json", mutate(VALID_CONFIG, edits))
 
 
 class TestClassify:
@@ -596,6 +652,17 @@ mean,Classic,21.000000,0.550000,1.100000,0.1,0.2,0.3,0.1,0.2,0.3
 """
 
 
+def run_report(tmp_path, capsys, labels, scores=None):
+    """Run report on the given file bytes; return (exit code, stderr lines)."""
+    src = tmp_path / "results"
+    src.mkdir(exist_ok=True)
+    (src / "labels.csv").write_bytes(labels)
+    if scores is not None:
+        (src / "scores.csv").write_bytes(scores)
+    code = cmd_report(src, PipelineConfig(), tmp_path / "out")
+    return code, capsys.readouterr().err.splitlines()
+
+
 class TestReport:
     def test_report_md_and_csv(self, tmp_path, config):
         src = tmp_path / "results"
@@ -611,16 +678,57 @@ class TestReport:
         assert csv_lines[0] == "method,psnr,uciqe,uiqm"
         assert csv_lines[1] == "Classic,21.000000,0.550000,1.100000"
 
-    def test_means_recomputed_when_absent(self, tmp_path, config):
-        src = tmp_path / "results"
-        src.mkdir()
-        (src / "labels.csv").write_text(LABELS_CSV)
-        (src / "scores.csv").write_text(
-            "\n".join(SCORES_CSV.splitlines()[:3]) + "\n"
+    # evaluate always writes mean rows, so a scores.csv without them is
+    # not one of its outputs.
+    def test_scores_without_mean_rows_exits_two(self, tmp_path, capsys):
+        scores = "\n".join(SCORES_CSV.splitlines()[:3]) + "\n"
+        code, err = run_report(tmp_path, capsys, LABELS_CSV.encode(), scores.encode())
+        assert code == EXIT_EMPTY
+        assert err == ["parse failure: scores.csv has no mean rows"]
+        assert not (tmp_path / "out").exists()
+
+    # Each used to escape as a traceback, or was copied into report.csv.
+    @pytest.mark.parametrize("labels, scores", [
+        pytest.param(b"\xff" + LABELS_CSV.encode(), None, id="labels-not-utf-8"),
+        pytest.param(LABELS_CSV.encode(), b"\xff" + SCORES_CSV.encode(),
+                     id="scores-not-utf-8"),
+        pytest.param(LABELS_CSV.encode(),
+                     (SCORES_CSV + "mean,Classic,abc,x,y,1,1,1,1,1,1\n").encode(),
+                     id="mean-cells-not-numbers"),
+        pytest.param(LABELS_CSV.encode(),
+                     (SCORES_CSV + "mean,VGG19,20,0.5,nan,1,1,1,1,1,1\n").encode(),
+                     id="mean-cell-nan"),
+        pytest.param(LABELS_CSV.encode(),
+                     (SCORES_CSV + "mean,VGG19,20,inf,1,1,1,1,1,1,1\n").encode(),
+                     id="mean-uciqe-inf"),
+        pytest.param(LABELS_CSV.encode(),
+                     (SCORES_CSV + "mean,VGG19,20,,1,1,1,1,1,1,1\n").encode(),
+                     id="mean-uciqe-empty"),
+        pytest.param(LABELS_CSV.encode() + b'"' + b"x" * 200000 + b'"\n', None,
+                     id="field-past-csv-limit"),
+        pytest.param(LABELS_CSV.encode() + b'd.ppm,1,0,0,"no\nsuch"\n', None,
+                     id="row-with-quoted-newline"),
+    ])
+    def test_unusable_input_exits_two_with_one_line(self, tmp_path, capsys, labels, scores):
+        code, err = run_report(tmp_path, capsys, labels, scores)
+        assert code == EXIT_EMPTY
+        assert len(err) == 1 and err[0].startswith("parse failure: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("psnr", ["", "inf"])
+    def test_mean_psnr_may_be_empty_or_inf(self, tmp_path, capsys, psnr):
+        scores = SCORES_CSV.replace("mean,Classic,21.000000", f"mean,Classic,{psnr}")
+        code, _ = run_report(tmp_path, capsys, LABELS_CSV.encode(), scores.encode())
+        assert code == EXIT_OK
+        assert (tmp_path / "out" / "report.csv").read_text().splitlines()[1] == (
+            f"Classic,{psnr},0.550000,1.100000"
         )
-        out = tmp_path / "out"
-        assert cmd_report(src, config, out) == EXIT_OK
-        assert "Classic,21.000000,0.550000,1.100000" in (out / "report.csv").read_text()
+
+    def test_parse_message_names_line_once(self, tmp_path, capsys):
+        labels = LABELS_CSV + "x\n"
+        code, err = run_report(tmp_path, capsys, labels.encode())
+        assert code == EXIT_EMPTY
+        assert err == ["parse failure: line 5: bad labels row: 'x'"]
 
     def test_missing_scores_still_reports_categories(self, tmp_path, config):
         src = tmp_path / "results"
@@ -668,6 +776,32 @@ class TestReport:
         src = tmp_path / "results"
         src.mkdir()
         assert cmd_report(src, config, tmp_path / "out") == EXIT_EMPTY
+
+
+class TestReportFuzz:
+    """Whatever the bytes of labels.csv and scores.csv, report exits 0, or 2
+    with one stderr line."""
+
+    @staticmethod
+    def check(tmp_path, capsys, labels, scores):
+        code, err = run_report(tmp_path, capsys, labels, scores)
+        assert (code, err) == (EXIT_OK, []) or (code == EXIT_EMPTY and len(err) == 1)
+
+    @FUZZ
+    @given(labels=st.binary(max_size=64), scores=st.binary(max_size=64))
+    def test_random_bytes(self, tmp_path, capsys, labels, scores):
+        self.check(tmp_path, capsys, labels, scores)
+
+    @FUZZ
+    @given(scores=st.binary(max_size=64))
+    def test_random_scores_bytes(self, tmp_path, capsys, scores):
+        self.check(tmp_path, capsys, LABELS_CSV.encode(), scores)
+
+    @FUZZ
+    @given(label_edits=byte_edits(len(LABELS_CSV)), score_edits=byte_edits(len(SCORES_CSV)))
+    def test_mutated_valid_files(self, tmp_path, capsys, label_edits, score_edits):
+        self.check(tmp_path, capsys, mutate(LABELS_CSV.encode(), label_edits),
+                   mutate(SCORES_CSV.encode(), score_edits))
 
 
 class TestCli:
