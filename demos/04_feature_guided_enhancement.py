@@ -27,7 +27,7 @@ from aquaclear import (
 img = make_archetype(DegradationFlags(True, True, True), seed=7, size=64)
 
 # Two small heads: a plain conv stack and a strided stem with residual blocks.
-vgg = init_weights(build_vgg_head(depth=4), seed=7)
+vgg = init_weights(build_vgg_head(), seed=7)
 resnet = init_weights(build_resnet_head(), seed=8)
 
 feats_v = extract_features(img, vgg)
@@ -50,7 +50,7 @@ for name, attn in (("vgg", attn_v), ("resnet", attn_r), ("fused", fused)):
 # Weights persist as a JSON manifest plus a float32 blob.
 out_dir = Path(tempfile.mkdtemp(prefix="aquaclear_demo_"))
 manifest = save_weights(vgg, out_dir / "vgg")
-reloaded = load_weights(build_vgg_head(depth=4), manifest)
+reloaded = load_weights(build_vgg_head(), manifest)
 same = all(
     (reloaded.weights[k] == vgg.weights[k]).all() for k in vgg.weights
 )

@@ -186,22 +186,18 @@ def classify(
 class DatasetReport:
     """Aggregate label statistics for a batch of classified images.
 
-    counts/proportions are keyed by Category8; marginals give the fraction
-    of images carrying each individual degradation; cooccurrence counts the
+    counts/proportions are keyed by Category8; cooccurrence counts the
     images in each (low_light, cast, blur) cell.
     """
 
     total: int
     counts: dict
     proportions: dict
-    marginal_cast: float
-    marginal_low_light: float
-    marginal_blur: float
     cooccurrence: dict
 
 
 def summarize(labels) -> DatasetReport:
-    """Tally categories, single-degradation marginals, and the co-occurrence grid."""
+    """Tally categories and the co-occurrence grid."""
     labels = list(labels)
     if not labels:
         raise EmptyDatasetError("no labels to summarize")
@@ -209,9 +205,6 @@ def summarize(labels) -> DatasetReport:
     tally = Counter(labels)
     counts = {cat: tally.get(cat, 0) for cat in RANK_ORDER}
     proportions = {cat: counts[cat] / total for cat in RANK_ORDER}
-
-    def marginal(pick):
-        return sum(counts[c] for c in RANK_ORDER if pick(c.flags)) / total
 
     cooc = {}
     for low in (False, True):
@@ -225,9 +218,6 @@ def summarize(labels) -> DatasetReport:
         total=total,
         counts=counts,
         proportions=proportions,
-        marginal_cast=marginal(lambda f: f.color_cast),
-        marginal_low_light=marginal(lambda f: f.low_light),
-        marginal_blur=marginal(lambda f: f.blurred),
         cooccurrence=cooc,
     )
 

@@ -69,7 +69,7 @@ def main(argv=None) -> int:
                 args.input, config, args.output, args.method, args.seed, args.verbose
             )
         if args.command == "evaluate":
-            return cmd_evaluate(args.input, config, None, args.output)
+            return cmd_evaluate(args.input, config, args.output)
         if args.command == "split":
             return cmd_split(args.input, config, args.output, args.seed)
         if args.command == "augment":

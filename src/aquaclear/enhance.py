@@ -44,7 +44,8 @@ SHARPEN_KERNEL_ZERO_SUM = np.array(
     [[-1.0, -1.0, -1.0], [-1.0, 8.0, -1.0], [-1.0, -1.0, -1.0]]
 )
 # Alternate kernel with center -9: sums to -17, so it drives constant regions
-# to hard clamp. Kept selectable for side-by-side comparisons; never planned.
+# to hard clamp. Planned when the config sets sharpen.kernel_mode "paper";
+# sharpen applies it as the zero-sum response minus 17 times the pixel.
 SHARPEN_KERNEL_PAPER_MODE = np.array(
     [[-1.0, -1.0, -1.0], [-1.0, -9.0, -1.0], [-1.0, -1.0, -1.0]]
 )
@@ -57,13 +58,14 @@ class ClaheParams:
     clip_limit: float = 2.0
     bins: int = 256
 
+    # The upper bounds keep the per-tile LUTs under 135 MB.
     def __post_init__(self):
-        if self.tiles_x < 1 or self.tiles_y < 1:
-            raise ValueError("tile counts must be >= 1")
+        if not (1 <= self.tiles_x <= 64 and 1 <= self.tiles_y <= 64):
+            raise ValueError("tile counts must lie in [1, 64]")
         if self.clip_limit < 1.0:
             raise ValueError("clip_limit must be >= 1.0")
-        if self.bins < 2:
-            raise ValueError("bins must be >= 2")
+        if not 2 <= self.bins <= 4096:
+            raise ValueError("bins must lie in [2, 4096]")
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,13 @@ class NlmParams:
     window_radius: int = 10
     h: float = 0.1
 
+    # The upper bounds cap the work: a window of radius 32 searches about 10x
+    # the default's offsets.
     def __post_init__(self):
-        if self.patch_radius < 0:
-            raise ValueError("patch_radius must be >= 0")
-        if self.window_radius < self.patch_radius:
-            raise ValueError("window_radius must be >= patch_radius")
+        if not 0 <= self.patch_radius <= 10:
+            raise ValueError("patch_radius must lie in [0, 10]")
+        if not self.patch_radius <= self.window_radius <= 32:
+            raise ValueError("window_radius must lie in [patch_radius, 32]")
         if self.h <= 0.0:
             raise ValueError("h must be > 0")
 
@@ -171,10 +175,11 @@ def clahe_v(img: ImageF32, params: ClaheParams = ClaheParams()) -> ImageF32:
 
     luts, identity, centers_y, centers_x = _clahe_luts(v, bin_idx, params)
 
-    rows = np.arange(h_img, dtype=np.float64)[:, None] * np.ones((1, w_img))
-    cols = np.ones((h_img, 1)) * np.arange(w_img, dtype=np.float64)[None, :]
-    y0, y1, wy = _blend_axis(rows, centers_y)
-    x0, x1, wx = _blend_axis(cols, centers_x)
+    # Blend terms depend on the row or the column alone: per-axis vectors,
+    # broadcast against each other.
+    rows = np.arange(h_img, dtype=np.float64)
+    y0, y1, wy = (t[:, None] for t in _blend_axis(rows, centers_y))
+    x0, x1, wx = _blend_axis(np.arange(w_img, dtype=np.float64), centers_x)
 
     def tile_value(iy, ix):
         mapped = luts[iy, ix, bin_idx]
@@ -342,9 +347,6 @@ class EnhancementPlan:
 
     def __iter__(self):
         return iter(self.steps)
-
-    def __len__(self):
-        return len(self.steps)
 
     def kinds(self) -> list[str]:
         return [s.kind.value for s in self.steps]

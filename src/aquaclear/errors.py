@@ -55,10 +55,6 @@ class OddSpatialDimError(AquaClearError):
     """2x2 pooling needs even spatial dimensions."""
 
 
-class UnsupportedDepthError(AquaClearError):
-    """Requested head depth is outside the supported range."""
-
-
 class ShapeMismatchInManifestError(AquaClearError):
     """Weight manifest is malformed or disagrees with the extractor layout."""
 

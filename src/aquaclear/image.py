@@ -79,14 +79,13 @@ class ImageF32:
         arr.setflags(write=False)
 
     @classmethod
-    def from_array(cls, arr, clamp: bool = True) -> "ImageF32":
-        """Build an image from any (c, h, w) float array, clamping by default."""
+    def from_array(cls, arr) -> "ImageF32":
+        """Build an image from any (c, h, w) or (h, w) float array, clamped
+        to [0, 1]."""
         a = np.asarray(arr, dtype=np.float64)
         if a.ndim == 2:
             a = a[np.newaxis, :, :]
-        if clamp:
-            a = np.clip(a, 0.0, 1.0)
-        return cls(a.astype(np.float32))
+        return cls(np.clip(a, 0.0, 1.0).astype(np.float32))
 
     @property
     def channels(self) -> int:

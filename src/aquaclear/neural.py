@@ -5,9 +5,9 @@ Tensors are plain numpy arrays of shape (channels, height, width); weights
 are float32 (matching the on-disk manifest format) and promoted to float64
 for arithmetic. Everything is inference-only and deterministic: each conv
 layer is one BLAS matrix product per block of output rows, so every output
-value is one BLAS dot product over all (tap, input channel) pairs of its
-window, and the same numpy/BLAS build gives the same bits at any BLAS thread
-count; seeded initialization uses a PCG64 generator.
+value is one BLAS dot product over all (kernel position, input channel)
+pairs of its window, and the same numpy/BLAS build gives the same bits at
+any BLAS thread count; seeded initialization uses a PCG64 generator.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     OddSpatialDimError,
     ShapeMismatchError,
     ShapeMismatchInManifestError,
-    UnsupportedDepthError,
 )
 from .image import ImageF32
 
@@ -147,9 +146,10 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     into one reusable (k*k*c_in, rows*w_out) column buffer, and one matrix
     product with the weights, reordered to (c_out, k*k*c_in), writes the
     block's output: every output value is one BLAS dot product over all
-    (tap, channel) pairs. Bias and activation are applied to the block in
-    place. Rows per block are as many as fit in a fixed byte budget. The
-    same numpy/BLAS build gives the same bits at any BLAS thread count.
+    (kernel position, channel) pairs. Bias and activation are applied to the
+    block in place. Rows per block are as many as fit in a fixed byte
+    budget. The same numpy/BLAS build gives the same bits at any BLAS
+    thread count.
     """
     if x.ndim != 3:
         raise ShapeMismatchError(f"input must be rank 3, got rank {x.ndim}")
@@ -223,28 +223,20 @@ class LayerSpec:
     kernel: int = 0
     stride: int = 1
     padding: int = 0
-    activation: str = "relu"
 
 
 @dataclass(frozen=True)
 class ExtractorSpec:
+    """A head's layers in execution order; its features are the last
+    layer's output."""
+
     name: str
     layers: tuple
-    tap: str
-
-    def __post_init__(self):
-        if self.tap not in {l.name for l in self.layers}:
-            raise ValueError(f"tap {self.tap!r} names no layer")
 
 
-def build_vgg_head(depth: int = 4) -> ExtractorSpec:
-    """Stacked 3x3 conv/ReLU head with one mid-stack pooling.
-
-    conv1(3->64), conv2(64->64), pool, conv3(64->128), conv4(128->128);
-    the feature tap sits after the depth-th conv (1 <= depth <= 4).
-    """
-    if not 1 <= depth <= 4:
-        raise UnsupportedDepthError(f"depth must be in 1..4, got {depth}")
+def build_vgg_head() -> ExtractorSpec:
+    """Stacked 3x3 conv/ReLU head with one mid-stack pooling:
+    conv1(3->64), conv2(64->64), pool, conv3(64->128), conv4(128->128)."""
     layers = (
         LayerSpec("conv1", "conv", 3, 64, 3, 1, 1),
         LayerSpec("conv2", "conv", 64, 64, 3, 1, 1),
@@ -252,7 +244,7 @@ def build_vgg_head(depth: int = 4) -> ExtractorSpec:
         LayerSpec("conv3", "conv", 64, 128, 3, 1, 1),
         LayerSpec("conv4", "conv", 128, 128, 3, 1, 1),
     )
-    return ExtractorSpec("vgg_head", layers, f"conv{depth}")
+    return ExtractorSpec("vgg_head", layers)
 
 
 def build_resnet_head() -> ExtractorSpec:
@@ -263,7 +255,7 @@ def build_resnet_head() -> ExtractorSpec:
         LayerSpec("res1", "res", 64, 64, 3, 1, 1),
         LayerSpec("res2", "res", 64, 64, 3, 1, 1),
     )
-    return ExtractorSpec("resnet_head", layers, "res2")
+    return ExtractorSpec("resnet_head", layers)
 
 
 def _weight_slots(spec: ExtractorSpec):
@@ -303,11 +295,11 @@ class BoundExtractor:
         )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run layers in order, returning the tap layer's output."""
+        """Run the layers in order, returning the last one's output."""
         t = x
         for layer in self.spec.layers:
             if layer.kind == "conv":
-                t = conv2d_forward(t, self._conv(layer.name, layer, layer.activation))
+                t = conv2d_forward(t, self._conv(layer.name, layer, "relu"))
             elif layer.kind == "pool":
                 t = max_pool2(t)
             elif layer.kind == "res":
@@ -316,9 +308,7 @@ class BoundExtractor:
                     conv_b=self._conv(f"{layer.name}.b", layer, "none"),
                 )
                 t = residual_forward(t, block)
-            if layer.name == self.spec.tap:
-                return t
-        raise ValueError(f"tap {self.spec.tap!r} never reached")
+        return t
 
 
 def init_weights(spec: ExtractorSpec, seed: int) -> BoundExtractor:
@@ -436,7 +426,7 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
 
 def validate_dims(spec: ExtractorSpec, h: int, w: int) -> None:
     """Raise IndivisibleDims unless an h x w input survives the head's convs
-    and poolings up to its tap."""
+    and poolings."""
     for layer in spec.layers:
         if layer.kind == "conv":
             try:
@@ -450,13 +440,11 @@ def validate_dims(spec: ExtractorSpec, h: int, w: int) -> None:
                     f"{spec.name}: {layer.name} needs even dims, got {h}x{w}"
                 )
             h, w = h // 2, w // 2
-        if layer.name == spec.tap:
-            return
 
 
 def extract_features(img: ImageF32, extractor: BoundExtractor) -> np.ndarray:
-    """Forward an RGB image (values in [0,1], no mean normalization) to the
-    extractor's tap layer. Dims that break a pooling or stride raise
+    """Forward an RGB image (values in [0,1], no mean normalization) through
+    the extractor's layers. Dims that break a pooling or stride raise
     IndivisibleDims before any arithmetic runs."""
     if img.channels != 3:
         raise ShapeMismatchError("extractor input must be 3-channel")
@@ -467,8 +455,6 @@ def extract_features(img: ImageF32, extractor: BoundExtractor) -> np.ndarray:
 def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Half-pixel-center bilinear resampling with clamped borders."""
     in_h, in_w = plane.shape
-    if (in_h, in_w) == (out_h, out_w):
-        return plane.copy()
     ys = (np.arange(out_h, dtype=np.float64) + 0.5) * in_h / out_h - 0.5
     xs = (np.arange(out_w, dtype=np.float64) + 0.5) * in_w / out_w - 0.5
     y0f, x0f = np.floor(ys), np.floor(xs)

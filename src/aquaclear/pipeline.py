@@ -94,13 +94,14 @@ METHOD_LABELS = {
 }
 
 
-def _check_value(where: str, value, hint) -> None:
-    """Raise ConfigError unless a JSON value fits a field annotated ``hint``:
-    an int field takes an integer, a float field a finite number (bools are
-    neither), a str field a string. Other annotations are not checked here.
+def _check_value(where: str, value, hint):
+    """Return a JSON value as a field annotated ``hint`` holds it, or raise
+    ConfigError: an int field takes an integer, a float field a finite
+    number (bools are neither), a str field a string, and a tuple field a
+    list of finite numbers, held as a tuple of floats.
     """
     if hint == (str | None) and value is None:
-        return
+        return value
     if hint in (str, str | None):
         if not isinstance(value, str):
             raise ConfigError(f"{where} must be a string, got {value!r}")
@@ -112,19 +113,40 @@ def _check_value(where: str, value, hint) -> None:
         # also false for NaN and for an int too large for a float
         if hint is float and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{where} must be finite, got {value!r}")
+    elif typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return tuple(float(_check_value(where, v, float)) for v in value)
+    return value
 
 
-def _split_ratios(ratios=(8, 1, 1)) -> tuple:
-    for r in ratios:
-        _check_value("split.ratios", r, float)
-    return tuple(float(r) for r in ratios)
+def _from_json(cls, doc: dict, prefix: str = ""):
+    """Build dataclass ``cls`` from a JSON object by walking its annotated
+    fields: a dataclass field takes a nested object, any other field a value
+    _check_value accepts, and an absent key keeps the field's default."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(prefix + key for key in doc.keys() - hints.keys())
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    kwargs = {}
+    for key, value in doc.items():
+        hint = hints[key]
+        if is_dataclass(hint):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{prefix}{key} must be an object")
+            kwargs[key] = _from_json(hint, value, f"{prefix}{key}.")
+        else:
+            kwargs[key] = _check_value(prefix + key, value, hint)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad {prefix[:-1]} section: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class NeuralConfig:
     method: str = "classic"
     gain: float = 0.5
-    seed: int = 7
     vgg_manifest: str | None = None
     resnet_manifest: str | None = None
 
@@ -148,6 +170,15 @@ class SharpenConfig:
 
 
 @dataclass(frozen=True)
+class SplitConfig:
+    ratios: tuple[float, ...] = (8.0, 1.0, 1.0)
+
+    def __post_init__(self):
+        if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
+            raise ConfigError("split ratios must be three positive numbers")
+
+
+@dataclass(frozen=True)
 class AugmentConfig:
     crop_fraction: float = 0.8
     jitter_amplitude: float = 0.1
@@ -158,8 +189,8 @@ class AugmentConfig:
             raise ConfigError("crop_fraction must lie in (0, 1]")
         if not 0.0 <= self.jitter_amplitude < 1.0:
             raise ConfigError("jitter_amplitude must lie in [0, 1)")
-        if self.samples_per_image < 1:
-            raise ConfigError("samples_per_image must be >= 1")
+        if not 1 <= self.samples_per_image <= 100:
+            raise ConfigError("samples_per_image must lie in [1, 100]")
 
 
 @dataclass(frozen=True)
@@ -169,7 +200,7 @@ class PipelineConfig:
     nlm: NlmParams = field(default_factory=NlmParams)
     sharpen: SharpenConfig = field(default_factory=SharpenConfig)
     neural: NeuralConfig = field(default_factory=NeuralConfig)
-    split_ratios: tuple = (8.0, 1.0, 1.0)
+    split: SplitConfig = field(default_factory=SplitConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     output_dir: str = "out"
     reference_dir: str | None = None
@@ -177,8 +208,6 @@ class PipelineConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if len(self.split_ratios) != 3 or any(r <= 0 for r in self.split_ratios):
-            raise ConfigError("split ratios must be three positive numbers")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.seed < 0:
@@ -187,46 +216,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         """Build from a JSON document, validating every section."""
-        known = {
-            "thresholds", "clahe", "nlm", "sharpen", "neural", "split",
-            "augment", "output_dir", "reference_dir", "seed", "threads",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-        def section(name, ctor):
-            sub = doc.get(name, {})
-            if not isinstance(sub, dict):
-                raise ConfigError(f"{name} must be an object")
-            hints = typing.get_type_hints(ctor) if is_dataclass(ctor) else {}
-            for key, value in sub.items():
-                _check_value(f"{name}.{key}", value, hints.get(key))
-            try:
-                return ctor(**sub)
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad {name} section: {exc}") from exc
-
-        def scalar(key, default, hint):
-            value = doc.get(key, default)
-            _check_value(key, value, hint)
-            return value
-
-        return cls(
-            thresholds=section("thresholds", ClassifierThresholds),
-            clahe=section("clahe", ClaheParams),
-            nlm=section("nlm", NlmParams),
-            sharpen=section("sharpen", SharpenConfig),
-            neural=section("neural", NeuralConfig),
-            split_ratios=section("split", _split_ratios),
-            augment=section("augment", AugmentConfig),
-            output_dir=scalar("output_dir", "out", str),
-            reference_dir=scalar("reference_dir", None, str | None),
-            seed=scalar("seed", 7, int),
-            threads=scalar("threads", 1, int),
-        )
+        return _from_json(cls, doc)
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
@@ -478,14 +468,12 @@ def _parse_enhanced_name(name: str):
     return base, "Original"
 
 
-def cmd_evaluate(input_dir, config: PipelineConfig, reference_dir=None,
-                 output_dir=None) -> int:
-    """Score each enhanced image and write scores.csv (fixed header)."""
+def cmd_evaluate(input_dir, config: PipelineConfig, output_dir=None) -> int:
+    """Score each enhanced image and write scores.csv (fixed header); PSNR
+    needs a same-named image in config.reference_dir."""
     out = Path(output_dir or config.output_dir)
     files = _list_ppms(input_dir)
-    if reference_dir is None:
-        reference_dir = config.reference_dir
-    ref_dir = Path(reference_dir) if reference_dir else None
+    ref_dir = Path(config.reference_dir) if config.reference_dir else None
 
     def one(path):
         stem, label = _parse_enhanced_name(path.name)
@@ -539,7 +527,7 @@ def cmd_split(input_dir, config: PipelineConfig, output_dir=None,
     if len(files) < 3:
         print("need at least 3 files to split", file=sys.stderr)
         return EXIT_EMPTY
-    counts = _largest_remainder(len(files), config.split_ratios)
+    counts = _largest_remainder(len(files), config.split.ratios)
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(files))
     buckets = {}
@@ -684,6 +672,8 @@ def cmd_report(input_dir, config: PipelineConfig, output_dir=None) -> int:
                 if len(row) != 11 or (row[0] == "mean" and not _metric_cells_ok(row)):
                     raise CsvParseError(lineno, f"bad scores row: {','.join(row)!r}")
                 if row[0] == "mean":
+                    if any(m[1] == row[1] for m in mean_rows):
+                        raise CsvParseError(lineno, f"second mean row for {row[1]!r}")
                     mean_rows.append(row)
             if len(parsed) > 1 and not mean_rows:
                 raise CsvParseError(0, "scores.csv has no mean rows")

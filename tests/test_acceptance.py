@@ -4,13 +4,11 @@ Run with `pytest -s tests/test_acceptance.py` to see the verdict lines as
 they complete. Every criterion carries its own runtime ceiling.
 """
 
-import json
 import math
 import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from aquaclear.classify import (
     RANK_ORDER,
@@ -23,8 +21,6 @@ from aquaclear.classify import (
 from aquaclear.enhance import (
     SHARPEN_KERNEL_PAPER_MODE,
     NlmParams,
-    apply_plan,
-    build_plan,
     gray_world_correct,
     nlm_denoise,
     sharpen,
@@ -346,11 +342,11 @@ def test_criterion_08_directional_quality_gains(tmp_path):
 
 
 def run_stage_chain(src, work, threads):
-    config = PipelineConfig(threads=threads)  # seed 7 default
+    config = PipelineConfig(reference_dir=str(src), threads=threads)  # seed 7 default
     assert cmd_classify(src, config, work) == EXIT_OK
     enhanced = work / "enhanced"
     assert cmd_enhance(src, config, enhanced, method="unite", seed=7) == EXIT_OK
-    assert cmd_evaluate(enhanced, config, reference_dir=src, output_dir=work) == EXIT_OK
+    assert cmd_evaluate(enhanced, config, output_dir=work) == EXIT_OK
     assert cmd_report(work, config, work) == EXIT_OK
 
 

@@ -1,7 +1,6 @@
 """Image container, PPM I/O, color conversions, and the convolution core."""
 
 import errno
-import math
 import os
 
 import numpy as np

@@ -3,7 +3,6 @@
 import json
 from dataclasses import fields, is_dataclass
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from aquaclear.cli import main
 from aquaclear.errors import ConfigError, CsvParseError, IoFailureError
 from aquaclear.enhance import StepKind
-from aquaclear.image import ImageF32, load_ppm, save_ppm
+from aquaclear.image import load_ppm, save_ppm
 from aquaclear.pipeline import (
     EXIT_BAD_PARAMS,
     EXIT_EMPTY,
@@ -91,12 +90,14 @@ class TestConfig:
     def test_defaults(self, config):
         assert config.seed == 7
         assert config.threads == 1
-        assert config.split_ratios == (8.0, 1.0, 1.0)
+        assert config.split.ratios == (8.0, 1.0, 1.0)
         assert config.neural.method == "classic"
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"colour": {}})
+        with pytest.raises(ConfigError, match=r"\['neural.seed'\]"):
+            PipelineConfig.from_dict({"neural": {"seed": 7}})
 
     def test_from_dict_rejects_bad_section_values(self):
         with pytest.raises(ConfigError):
@@ -115,6 +116,26 @@ class TestConfig:
             PipelineConfig.from_dict({"split": 5})
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"split": {"ratios": [8, 1, 1], "shuffle": True}})
+
+    # Each bound keeps one number from asking for a huge allocation or
+    # hours of work; from_dict builds the config and allocates nothing.
+    @pytest.mark.parametrize("section, key, bound", [
+        ("nlm", "patch_radius", 10),
+        ("nlm", "window_radius", 32),
+        ("clahe", "tiles_x", 64),
+        ("clahe", "tiles_y", 64),
+        ("clahe", "bins", 4096),
+        ("augment", "samples_per_image", 100),
+    ])
+    def test_size_bounds(self, section, key, bound):
+        doc = {section: {key: bound}}
+        if key == "patch_radius":
+            doc["nlm"]["window_radius"] = 32
+        cfg = PipelineConfig.from_dict(doc)
+        assert getattr(getattr(cfg, section), key) == bound
+        doc[section][key] = bound + 1
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict(doc)
 
     def test_threads_validated(self):
         with pytest.raises(ConfigError):
@@ -137,6 +158,7 @@ class TestConfig:
         '{"neural": {"vgg_manifest": 5}}',
         '{"output_dir": 5}',
         '{"reference_dir": {}}',
+        '{"nlm": {"window_radius": 2000000000}}',
     ])
     def test_unfit_field_value_exits_four(self, tmp_path, capsys, text):
         path = tmp_path / "config.json"
@@ -191,7 +213,7 @@ class TestConfig:
         cfg = PipelineConfig.load(path)
         assert cfg.thresholds.cast_ratio == 0.3
         assert cfg.neural.method == "vgg"
-        assert cfg.split_ratios == (6.0, 2.0, 2.0)
+        assert cfg.split.ratios == (6.0, 2.0, 2.0)
         assert cfg.seed == 11
 
     def test_plan_overrides_cover_tunable_steps(self, config):
@@ -202,10 +224,10 @@ class TestConfig:
 
 # Keys are mostly real ones, so most documents get past the unknown-key
 # check; "bogus" stands for every unknown key.
-TOP_KEYS = sorted({f.name for f in fields(PipelineConfig)} - {"split_ratios"} | {"split"})
+TOP_KEYS = sorted(f.name for f in fields(PipelineConfig))
 SECTION_KEYS = sorted(
     {f.name for sec in vars(PipelineConfig()).values() if is_dataclass(sec)
-     for f in fields(sec)} | {"ratios"}
+     for f in fields(sec)}
 )
 CONFIG_DOCS = st.dictionaries(
     st.sampled_from(TOP_KEYS + ["bogus"]),
@@ -361,7 +383,7 @@ class TestEnhance:
 
         src = tmp_path / "in"
         corpus(src, count=1)
-        manifest = save_weights(init_weights(build_vgg_head(4), seed=1), tmp_path / "w")
+        manifest = save_weights(init_weights(build_vgg_head(), seed=1), tmp_path / "w")
         blob = manifest.parent / "weights.bin"
         blob.write_bytes(blob.read_bytes()[:-64])
         cfg = PipelineConfig(neural=NeuralConfig(vgg_manifest=str(manifest)))
@@ -373,7 +395,7 @@ class TestEnhance:
 
         src = tmp_path / "in"
         corpus(src, count=1)
-        manifest = save_weights(init_weights(build_vgg_head(4), seed=1), tmp_path / "w")
+        manifest = save_weights(init_weights(build_vgg_head(), seed=1), tmp_path / "w")
         break_manifest(manifest, case)
         cfg = PipelineConfig(neural=NeuralConfig(vgg_manifest=str(manifest)))
         assert cmd_enhance(src, cfg, tmp_path / "out", method="vgg") == EXIT_MISSING_WEIGHTS
@@ -436,7 +458,7 @@ class TestEvaluate:
     def test_scores_with_references(self, tmp_path, config):
         src, enhanced = self.build_eval_dir(tmp_path, config)
         out = tmp_path / "out"
-        assert cmd_evaluate(enhanced, config, reference_dir=src, output_dir=out) == EXIT_OK
+        assert cmd_evaluate(enhanced, PipelineConfig(reference_dir=str(src)), output_dir=out) == EXIT_OK
         lines = (out / "scores.csv").read_text().splitlines()
         assert lines[0].startswith("image,method,psnr")
         data = [l.split(",") for l in lines[1:]]
@@ -468,7 +490,7 @@ class TestEvaluate:
         refs.mkdir()
         save_ppm(random_image(rng, 8, 8), refs / "a.ppm")
         out = tmp_path / "out"
-        assert cmd_evaluate(enhanced, config, reference_dir=refs, output_dir=out) == EXIT_OK
+        assert cmd_evaluate(enhanced, PipelineConfig(reference_dir=str(refs)), output_dir=out) == EXIT_OK
         row = (out / "scores.csv").read_text().splitlines()[1]
         assert row.split(",")[2] == ""
 
@@ -708,6 +730,8 @@ class TestReport:
                      id="field-past-csv-limit"),
         pytest.param(LABELS_CSV.encode() + b'd.ppm,1,0,0,"no\nsuch"\n', None,
                      id="row-with-quoted-newline"),
+        pytest.param(LABELS_CSV.encode(), (SCORES_CSV + SCORES_CSV.splitlines()[3]).encode(),
+                     id="two-mean-rows-one-method"),
     ])
     def test_unusable_input_exits_two_with_one_line(self, tmp_path, capsys, labels, scores):
         code, err = run_report(tmp_path, capsys, labels, scores)
@@ -723,6 +747,22 @@ class TestReport:
         assert (tmp_path / "out" / "report.csv").read_text().splitlines()[1] == (
             f"Classic,{psnr},0.550000,1.100000"
         )
+
+    # Used to exit 0 and write the method twice into report.csv.
+    def test_second_mean_row_for_a_method_exits_two(self, tmp_path, capsys):
+        scores = SCORES_CSV + "mean,Classic,25,0.6,1.2,0.1,0.2,0.3,0.1,0.2,0.3\n"
+        code, err = run_report(tmp_path, capsys, LABELS_CSV.encode(), scores.encode())
+        assert code == EXIT_EMPTY
+        assert err == ["parse failure: line 5: second mean row for 'Classic'"]
+        assert not (tmp_path / "out").exists()
+
+    def test_mean_rows_of_different_methods_are_kept(self, tmp_path, capsys):
+        scores = SCORES_CSV + "mean,VGG19,25,0.6,1.2,0.1,0.2,0.3,0.1,0.2,0.3\n"
+        code, _ = run_report(tmp_path, capsys, LABELS_CSV.encode(), scores.encode())
+        assert code == EXIT_OK
+        assert (tmp_path / "out" / "report.csv").read_text().splitlines()[1:] == [
+            "Classic,21.000000,0.550000,1.100000", "VGG19,25,0.6,1.2",
+        ]
 
     def test_parse_message_names_line_once(self, tmp_path, capsys):
         labels = LABELS_CSV + "x\n"
