@@ -1,9 +1,10 @@
 """Planar float image type, PPM I/O, color conversions, and spatial filters.
 
 Images are wrapped numpy arrays of shape (channels, height, width) with
-float32 samples in [0, 1], channel order RGB. All operations are pure: they
-return new values and never mutate their inputs. Heavier arithmetic runs in
-float64 internally and is quantized back to float32 on the way out.
+float32 samples in [0, 1], channel order RGB; the memory layout behind that
+shape is free (see ImageF32). All operations are pure: they return new
+values and never mutate their inputs. Heavier arithmetic runs in float64
+internally and is quantized back to float32 on the way out.
 """
 
 from __future__ import annotations
@@ -52,12 +53,16 @@ _LUMA = (0.299, 0.587, 0.114)
 
 @dataclass(frozen=True)
 class ImageF32:
-    """Planar image: ``data`` has shape (channels, height, width).
+    """Image whose ``data`` has shape (channels, height, width).
 
     Samples are float32 in [0, 1]; channels is 1 (gray) or 3 (RGB, or any
     other 3-plane space such as HSV during a conversion round trip). The
-    backing array is frozen after validation, so instances are safe to share
-    between threads.
+    shape fixes the indexing, not the memory layout: load_ppm returns a
+    pixel-interleaved view (strides (4, 12 * width, 12)), and other code
+    may build planar (C-contiguous) arrays. No numeric result may depend on
+    the layout: a planar copy of an image must give the same bits.
+    The backing array is frozen after validation, so instances are safe to
+    share between threads.
     """
 
     data: np.ndarray
@@ -123,7 +128,9 @@ _PPM_MAX_DIGITS = 9
 def load_ppm(path) -> ImageF32:
     """Load a binary PPM (P6, maxval 255) as a 3-channel image.
 
-    Each payload byte v maps to v / 255.0. The header is read tolerantly
+    Each payload byte v maps to v / 255.0. The image has shape (3, h, w)
+    but keeps the file's pixel-interleaved memory order: ``data`` is a
+    transposed view of an (h, w, 3) array. The header is read tolerantly
     (any whitespace and ``#`` comments between tokens, exactly one
     whitespace byte after maxval). Error messages do not name the file;
     callers do.
@@ -153,8 +160,8 @@ def load_ppm(path) -> ImageF32:
             f"payload has {len(payload)} bytes, header promises {need}"
         )
     interleaved = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    planar = interleaved.transpose(2, 0, 1).astype(np.float64) / 255.0
-    return ImageF32(planar.astype(np.float32))
+    samples = interleaved.transpose(2, 0, 1).astype(np.float64) / 255.0
+    return ImageF32(samples.astype(np.float32))
 
 
 def save_ppm(img: ImageF32, path) -> None:
@@ -260,21 +267,32 @@ def rgb_to_lab(img: ImageF32) -> np.ndarray:
     (2.4-gamma segment) and the 6/29 linear-segment cube root.
     """
     _require_rgb(img)
-    srgb = img.data.astype(np.float64)
+    return np.stack(_srgb_to_lab(img.data.astype(np.float64)))
+
+
+def _srgb_to_lab(srgb: np.ndarray) -> tuple:
+    """L, a and b planes of float64 sRGB planes (3, ...), as rgb_to_lab.
+
+    Every step is elementwise, so the result does not depend on the memory
+    layout of ``srgb``. XYZ is summed in the fixed order (R + B) + G, the
+    order ``np.einsum`` picks on load_ppm's pixel-interleaved arrays, so
+    loaded images get the same bits as from an einsum.
+    """
     linear = np.where(
         srgb <= 0.04045, srgb / 12.92, ((srgb + 0.055) / 1.055) ** 2.4
     )
-    xyz = np.einsum("ij,jhw->ihw", _SRGB_TO_XYZ, linear)
-    ratio = xyz / _WHITE[:, np.newaxis, np.newaxis]
-    fx, fy, fz = np.where(
-        ratio > _LAB_DELTA**3,
-        np.cbrt(ratio),
-        ratio / (3.0 * _LAB_DELTA**2) + 4.0 / 29.0,
-    )
-    lum = 116.0 * fy - 16.0
-    a = 500.0 * (fx - fy)
-    b = 200.0 * (fy - fz)
-    return np.stack([lum, a, b])
+    r, g, b = linear
+    m = _SRGB_TO_XYZ
+    f = []
+    for i in range(3):
+        ratio = ((m[i, 0] * r + m[i, 2] * b) + m[i, 1] * g) / _WHITE[i]
+        f.append(np.where(
+            ratio > _LAB_DELTA**3,
+            np.cbrt(ratio),
+            ratio / (3.0 * _LAB_DELTA**2) + 4.0 / 29.0,
+        ))
+    fx, fy, fz = f
+    return 116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)
 
 
 # ------------------------------------------------------------------ filters
@@ -319,8 +337,12 @@ def channel_stats(img: ImageF32) -> ChannelStats:
 
 def luminance(img: ImageF32) -> np.ndarray:
     """BT.601 luma plane (float64); identity on single-channel images."""
-    planes = img.data.astype(np.float64)
-    if img.channels == 1:
+    return _luma(img.data.astype(np.float64))
+
+
+def _luma(planes: np.ndarray) -> np.ndarray:
+    """BT.601 luma of float64 planes (c, ...); the plane itself when c is 1."""
+    if len(planes) == 1:
         return planes[0]
     return _LUMA[0] * planes[0] + _LUMA[1] * planes[1] + _LUMA[2] * planes[2]
 

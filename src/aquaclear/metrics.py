@@ -1,12 +1,21 @@
 """Image quality scoring: PSNR plus the two no-reference underwater metrics.
 
-UCIQE is a weighted sum of chroma spread, luminance contrast, and mean
-saturation computed in CIELab; UIQM combines colorfulness (UICM), sharpness
-(UISM, Sobel + block EME), and block contrast (UIConM). Components are kept
-in normalized units (L and chroma divided by 100) so scores land in a small
-dimensionless range. score_image scores one image; aggregate_scores takes
-the per-method means of scored rows and report_csv lays them out as
-scores.csv.
+UCIQE (Yang & Sowmya 2015) is a weighted sum of chroma spread, luminance
+contrast, and mean saturation computed in CIELab; UIQM (Panetta et al.
+2016) combines colorfulness (UICM), sharpness (UISM, Sobel + block EME),
+and block contrast (UIConM). Components are kept in normalized units (L and
+chroma divided by 100) so scores land in a small dimensionless range.
+
+score_image scores one image in a single pass: it converts the image to
+float64 once, in strips of 16 rows with a one-pixel edge-replicated border,
+and hands each strip to every metric. Each metric keeps only what its final
+reduction needs: full-size L, chroma and saturation planes for UCIQE, RG
+and YB planes for UICM (whose sums and sorts run over whole planes, in row
+order), and per-block maxima and minima for UISM and UIConM. The public
+per-metric functions run the same pass with only their own metric, so the
+scores do not depend on which function computed them, nor on the memory
+layout of the image. aggregate_scores takes the per-method means of scored
+rows and report_csv lays them out as scores.csv.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatchError, EmptyBatchError, ImageTooSmallError
-from .image import ImageF32, convolve2d, luminance, rgb_to_lab
+from .image import ImageF32, _luma, _require_rgb, _srgb_to_lab
 
 __all__ = [
     "UCIQE_WEIGHTS",
@@ -40,9 +49,10 @@ UCIQE_WEIGHTS = (0.4680, 0.2745, 0.2576)
 UIQM_WEIGHTS = (0.0282, 0.2953, 3.5753)
 METHOD_ORDER = ("Original", "Unite", "VGG19", "ResNet50", "Classic")
 
-_SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
-_SOBEL_Y = np.array([[-1.0, -2.0, -1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]])
 _BLOCK = 8
+# Rows per strip of the scoring pass; a multiple of _BLOCK, so every strip
+# but the last holds whole block rows.
+_STRIP = 16
 
 
 @dataclass(frozen=True)
@@ -71,76 +81,36 @@ def psnr(reference: ImageF32, test: ImageF32) -> float:
     return 10.0 * math.log10(1.0 / mse)
 
 
-def uciqe(img: ImageF32) -> tuple[float, dict]:
-    """Chroma spread + luminance contrast + mean saturation, in CIELab.
+# ------------------------------------------------------------ scoring pass
 
-    sigma_c: population std of chroma / 100. con_l: mean of the top 1% of L
-    minus mean of the bottom 1% (ceil(0.01 N) pixels each), / 100. mu_s: mean
-    of c/sqrt(c^2+L^2), with near-zero pixels contributing 0.
+def _strips(data: np.ndarray):
+    """Yield (rows, strip) for each run of _STRIP rows of a (c, h, w) image.
+
+    ``strip`` is float64 of shape (c, len(rows) + 2, w + 2): those rows with
+    a one-pixel edge-replicated border. One buffer serves every strip, so a
+    consumer copies out what it keeps before the next one.
     """
-    lab = rgb_to_lab(img)
-    lum = lab[0].ravel()
-    chroma = np.hypot(lab[1], lab[2]).ravel()
-
-    sigma_c = float(np.std(chroma)) / 100.0
-
-    n = lum.size
-    k = math.ceil(0.01 * n)
-    l_sorted = np.sort(lum)
-    con_l = float(np.mean(l_sorted[n - k :]) - np.mean(l_sorted[:k])) / 100.0
-
-    norm_sq = chroma * chroma + lum * lum
-    sat = np.where(norm_sq < 1e-9, 0.0, chroma / np.sqrt(np.maximum(norm_sq, 1e-300)))
-    mu_s = float(np.mean(sat))
-
-    score = (
-        UCIQE_WEIGHTS[0] * sigma_c
-        + UCIQE_WEIGHTS[1] * con_l
-        + UCIQE_WEIGHTS[2] * mu_s
-    )
-    return score, {"sigma_c": sigma_c, "con_l": con_l, "mu_s": mu_s}
+    c, h, w = data.shape
+    buf = np.empty((c, min(_STRIP, h) + 2, w + 2))
+    for y0 in range(0, h, _STRIP):
+        y1 = min(y0 + _STRIP, h)
+        strip = buf[:, : y1 - y0 + 2]
+        strip[:, 1:-1, 1:-1] = data[:, y0:y1]
+        strip[:, 0, 1:-1] = data[:, max(y0 - 1, 0)]
+        strip[:, -1, 1:-1] = data[:, min(y1, h - 1)]
+        strip[:, :, 0] = strip[:, :, 1]
+        strip[:, :, -1] = strip[:, :, -2]
+        yield slice(y0, y1), strip
 
 
-def _trimmed_mean(values: np.ndarray) -> float:
-    """Mean after dropping the lowest and highest floor(0.1 N) values."""
-    flat = np.sort(values.ravel())
-    drop = int(math.floor(0.1 * flat.size))
-    kept = flat[drop : flat.size - drop] if drop > 0 else flat
-    return float(np.mean(kept))
-
-
-def uicm(img: ImageF32) -> float:
-    """Colorfulness from the RG and YB opponent channels.
-
-    Asymmetric alpha-trimmed means (10% per side) penalize a strong overall
-    shift; population variances about those means reward spread.
-    """
-    r, g, b = img.data.astype(np.float64)
-    rg = (r - g).ravel()
-    yb = ((r + g) / 2.0 - b).ravel()
-    mu_rg, mu_yb = _trimmed_mean(rg), _trimmed_mean(yb)
-    var_rg = float(np.mean((rg - mu_rg) ** 2))
-    var_yb = float(np.mean((yb - mu_yb) ** 2))
-    return -0.0268 * math.hypot(mu_rg, mu_yb) + 0.1586 * math.sqrt(var_rg + var_yb)
-
-
-def _block_view(plane: np.ndarray) -> np.ndarray:
-    """Full 8x8 blocks of a plane as shape (by, bx, 8, 8); partials dropped."""
-    h, w = plane.shape
-    by, bx = h // _BLOCK, w // _BLOCK
-    cropped = plane[: by * _BLOCK, : bx * _BLOCK]
-    return cropped.reshape(by, _BLOCK, bx, _BLOCK).transpose(0, 2, 1, 3)
-
-
-def _eme(plane: np.ndarray) -> float:
-    """(2/K) sum of ln(max/min) over 8x8 blocks; near-zero-min blocks add 0."""
-    blocks = _block_view(plane)
-    k = blocks.shape[0] * blocks.shape[1]
-    mx = blocks.max(axis=(2, 3))
-    mn = blocks.min(axis=(2, 3))
-    valid = mn >= 1e-6
-    ratios = np.where(valid, mx / np.where(valid, mn, 1.0), 1.0)
-    return (2.0 / k) * float(np.sum(np.log(ratios)))
+def _measure(img: ImageF32, *metrics) -> list:
+    """Run the scoring pass for the given metric classes; their results in
+    order. Each class checks that it can score ``img`` before any strip."""
+    parts = [metric(img) for metric in metrics]
+    for rows, strip in _strips(img.data):
+        for part in parts:
+            part.add(rows, strip)
+    return [part.result() for part in parts]
 
 
 def _require_blocks(img: ImageF32) -> None:
@@ -150,42 +120,197 @@ def _require_blocks(img: ImageF32) -> None:
         )
 
 
+def _block_extrema(plane: np.ndarray, mx: np.ndarray, mn: np.ndarray) -> None:
+    """Write the max and min of each full 8x8 block of ``plane`` (partial
+    blocks dropped) to ``mx`` and ``mn``: over the 8 rows, then the 8
+    columns."""
+    by, bx = mx.shape
+    rows = plane[: by * _BLOCK, : bx * _BLOCK].reshape(by, _BLOCK, bx * _BLOCK)
+    rows.max(axis=1).reshape(by, bx, _BLOCK).max(axis=2, out=mx)
+    rows.min(axis=1).reshape(by, bx, _BLOCK).min(axis=2, out=mn)
+
+
+def _block_rows(rows: slice) -> slice:
+    """Block rows whose 8 pixel rows all lie in a strip's ``rows``."""
+    return slice(rows.start // _BLOCK, rows.stop // _BLOCK)
+
+
+def _sobel_magnitude(padded: np.ndarray) -> np.ndarray:
+    """Sobel gradient magnitude inside the one-pixel border of ``padded``.
+
+    The taps are added in convolve2d's flipped-kernel order, starting from
+    the first tap, and the weights are +-1 or +-2, so each gradient has the
+    bits convolve2d gives with the 3x3 Sobel kernels.
+    """
+    top, mid, bot = padded[:-2], padded[1:-1], padded[2:]
+    gx = top[:, :-2] - top[:, 2:]
+    gx += 2.0 * mid[:, :-2]
+    gx -= 2.0 * mid[:, 2:]
+    gx += bot[:, :-2]
+    gx -= bot[:, 2:]
+    gy = top[:, :-2] + 2.0 * top[:, 1:-1]
+    gy += top[:, 2:]
+    gy -= bot[:, :-2]
+    gy -= 2.0 * bot[:, 1:-1]
+    gy -= bot[:, 2:]
+    return np.hypot(gx, gy, out=gx)
+
+
+class _Uciqe:
+    """Keeps full-size L, chroma and saturation for the final reductions."""
+
+    def __init__(self, img: ImageF32):
+        _require_rgb(img)
+        self.lum, self.chroma, self.sat = np.empty((3, img.height, img.width))
+
+    def add(self, rows: slice, strip: np.ndarray) -> None:
+        lum, a, b = _srgb_to_lab(strip[:, 1:-1, 1:-1])
+        self.lum[rows] = lum
+        chroma = np.hypot(a, b, out=self.chroma[rows])
+        norm_sq = chroma * chroma + lum * lum
+        self.sat[rows] = np.where(
+            norm_sq < 1e-9, 0.0, chroma / np.sqrt(np.maximum(norm_sq, 1e-300))
+        )
+
+    def result(self) -> tuple[float, dict]:
+        lum = self.lum.ravel()
+        sigma_c = float(np.std(self.chroma.ravel())) / 100.0
+        n = lum.size
+        k = math.ceil(0.01 * n)
+        lum.sort()
+        con_l = float(np.mean(lum[n - k :]) - np.mean(lum[:k])) / 100.0
+        mu_s = float(np.mean(self.sat.ravel()))
+        score = (
+            UCIQE_WEIGHTS[0] * sigma_c
+            + UCIQE_WEIGHTS[1] * con_l
+            + UCIQE_WEIGHTS[2] * mu_s
+        )
+        return score, {"sigma_c": sigma_c, "con_l": con_l, "mu_s": mu_s}
+
+
+def _trimmed_mean(values: np.ndarray) -> float:
+    """Mean after dropping the lowest and highest floor(0.1 N) values."""
+    flat = np.sort(values)
+    drop = int(math.floor(0.1 * flat.size))
+    kept = flat[drop : flat.size - drop] if drop > 0 else flat
+    return float(np.mean(kept))
+
+
+class _Uicm:
+    """Keeps the full-size RG and YB opponent planes."""
+
+    def __init__(self, img: ImageF32):
+        _require_rgb(img)
+        self.rg, self.yb = np.empty((2, img.height, img.width))
+
+    def add(self, rows: slice, strip: np.ndarray) -> None:
+        r, g, b = strip[:, 1:-1, 1:-1]
+        np.subtract(r, g, out=self.rg[rows])
+        yb = np.add(r, g, out=self.yb[rows])
+        yb /= 2.0
+        yb -= b
+
+    def result(self) -> float:
+        rg, yb = self.rg.ravel(), self.yb.ravel()
+        mu_rg, mu_yb = _trimmed_mean(rg), _trimmed_mean(yb)
+        var_rg = float(np.mean((rg - mu_rg) ** 2))
+        var_yb = float(np.mean((yb - mu_yb) ** 2))
+        return -0.0268 * math.hypot(mu_rg, mu_yb) + 0.1586 * math.sqrt(var_rg + var_yb)
+
+
+def _eme(mx: np.ndarray, mn: np.ndarray) -> float:
+    """(2/K) sum of ln(max/min) over K blocks; near-zero-min blocks add 0."""
+    valid = mn >= 1e-6
+    ratios = np.where(valid, mx / np.where(valid, mn, 1.0), 1.0)
+    return (2.0 / mx.size) * float(np.sum(np.log(ratios)))
+
+
+class _Uism:
+    """Keeps each channel's Sobel-magnitude block extrema."""
+
+    def __init__(self, img: ImageF32):
+        _require_rgb(img)
+        _require_blocks(img)
+        self.mx, self.mn = np.empty((2, 3, img.height // _BLOCK, img.width // _BLOCK))
+
+    def add(self, rows: slice, strip: np.ndarray) -> None:
+        blocks = _block_rows(rows)
+        # Only full blocks count: skip the rows and columns past them.
+        h = (blocks.stop - blocks.start) * _BLOCK + 2
+        w = self.mx.shape[2] * _BLOCK + 2
+        for c in range(3):
+            mag = _sobel_magnitude(strip[c, :h, :w])
+            _block_extrema(mag, self.mx[c, blocks], self.mn[c, blocks])
+
+    def result(self) -> float:
+        emes = [_eme(self.mx[c], self.mn[c]) for c in range(3)]
+        return 0.299 * emes[0] + 0.587 * emes[1] + 0.114 * emes[2]
+
+
+class _Uiconm:
+    """Keeps the luma block extrema."""
+
+    def __init__(self, img: ImageF32):
+        _require_blocks(img)
+        self.mx, self.mn = np.empty((2, img.height // _BLOCK, img.width // _BLOCK))
+
+    def add(self, rows: slice, strip: np.ndarray) -> None:
+        blocks = _block_rows(rows)
+        luma = _luma(strip[:, 1:-1, 1:-1])
+        _block_extrema(luma, self.mx[blocks], self.mn[blocks])
+
+    def result(self) -> float:
+        mx, mn = self.mx, self.mn
+        t = (mx - mn) / (mx + mn + 1e-12)
+        nonzero = t > 0.0
+        contrib = np.where(nonzero, t * np.abs(np.log(np.where(nonzero, t, 1.0))), 0.0)
+        return float(np.sum(contrib)) / mx.size
+
+
+def uciqe(img: ImageF32) -> tuple[float, dict]:
+    """Chroma spread + luminance contrast + mean saturation, in CIELab.
+
+    sigma_c: population std of chroma / 100. con_l: mean of the top 1% of L
+    minus mean of the bottom 1% (ceil(0.01 N) pixels each), / 100. mu_s: mean
+    of c/sqrt(c^2+L^2), with near-zero pixels contributing 0.
+    """
+    return _measure(img, _Uciqe)[0]
+
+
+def uicm(img: ImageF32) -> float:
+    """Colorfulness from the RG and YB opponent channels.
+
+    Asymmetric alpha-trimmed means (10% per side) penalize a strong overall
+    shift; population variances about those means reward spread.
+    """
+    return _measure(img, _Uicm)[0]
+
+
 def uism(img: ImageF32) -> float:
     """Sharpness: per-channel Sobel gradient magnitude scored by block EME,
     combined with luma weights."""
-    _require_blocks(img)
-    planes = img.data.astype(np.float64)
-    emes = []
-    for c in range(3):
-        gx = convolve2d(planes[c], _SOBEL_X)
-        gy = convolve2d(planes[c], _SOBEL_Y)
-        emes.append(_eme(np.hypot(gx, gy)))
-    return 0.299 * emes[0] + 0.587 * emes[1] + 0.114 * emes[2]
+    return _measure(img, _Uism)[0]
 
 
 def uiconm(img: ImageF32) -> float:
     """Block contrast on luma: mean of t*|ln t| with t the Michelson ratio."""
-    _require_blocks(img)
-    blocks = _block_view(luminance(img))
-    k = blocks.shape[0] * blocks.shape[1]
-    mx = blocks.max(axis=(2, 3))
-    mn = blocks.min(axis=(2, 3))
-    t = (mx - mn) / (mx + mn + 1e-12)
-    nonzero = t > 0.0
-    contrib = np.where(nonzero, t * np.abs(np.log(np.where(nonzero, t, 1.0))), 0.0)
-    return float(np.sum(contrib)) / k
+    return _measure(img, _Uiconm)[0]
 
 
-def uiqm(img: ImageF32) -> tuple[float, dict]:
-    c, s, con = uicm(img), uism(img), uiconm(img)
+def _uiqm(c: float, s: float, con: float) -> tuple[float, dict]:
     score = UIQM_WEIGHTS[0] * c + UIQM_WEIGHTS[1] * s + UIQM_WEIGHTS[2] * con
     return score, {"uicm": c, "uism": s, "uiconm": con}
 
 
+def uiqm(img: ImageF32) -> tuple[float, dict]:
+    return _uiqm(*_measure(img, _Uicm, _Uism, _Uiconm))
+
+
 def score_image(img: ImageF32, reference: ImageF32 | None = None) -> QualityScores:
-    """All metrics for one image; PSNR only when a reference is supplied."""
-    uciqe_score, uc = uciqe(img)
-    uiqm_score, uq = uiqm(img)
+    """All metrics for one image, in one pass; PSNR only when a reference is
+    supplied."""
+    (uciqe_score, uc), *uiqm_parts = _measure(img, _Uciqe, _Uicm, _Uism, _Uiconm)
+    uiqm_score, uq = _uiqm(*uiqm_parts)
     return QualityScores(
         psnr=None if reference is None else psnr(reference, img),
         uciqe=uciqe_score,

@@ -97,14 +97,17 @@ METHOD_LABELS = {
 def _check_value(where: str, value, hint):
     """Return a JSON value as a field annotated ``hint`` holds it, or raise
     ConfigError: an int field takes an integer, a float field a finite
-    number (bools are neither), a str field a string, and a tuple field a
-    list of finite numbers, held as a tuple of floats.
+    number (bools are neither), a str field a string with no NUL character
+    (no path can hold one), and a tuple field a list of finite numbers, held
+    as a tuple of floats.
     """
     if hint == (str | None) and value is None:
         return value
     if hint in (str, str | None):
         if not isinstance(value, str):
             raise ConfigError(f"{where} must be a string, got {value!r}")
+        if "\0" in value:
+            raise ConfigError(f"{where} must not contain a NUL character")
     elif hint in (int, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where} must be a number, got {value!r}")

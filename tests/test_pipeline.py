@@ -170,6 +170,23 @@ class TestConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
 
+    # A NUL used to reach the file system: a traceback with exit 1 for
+    # output_dir, and "no reference" for reference_dir.
+    @pytest.mark.parametrize("doc", [
+        {"output_dir": "a\0b"},
+        {"reference_dir": "refs\0"},
+        {"neural": {"vgg_manifest": "\0vgg.json"}},
+        {"neural": {"resnet_manifest": "res\0net.json"}},
+    ])
+    def test_nul_in_path_exits_four(self, tmp_path, capsys, doc):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        corpus(tmp_path / "in", count=2)
+        code = main(["classify", "--config", str(path), "--input", str(tmp_path / "in")])
+        assert code == EXIT_BAD_PARAMS
+        err = capsys.readouterr().err.splitlines()
+        assert err == [err[0]] and "NUL" in err[0] and err[0].startswith("config error:")
+
     def test_integers_fill_float_fields(self):
         cfg = PipelineConfig.from_dict({"nlm": {"h": 1}, "neural": {"gain": 0}})
         assert cfg.nlm.h == 1 and cfg.neural.gain == 0
