@@ -66,16 +66,17 @@ class DegradationFlags:
 
 
 class Category8(Enum):
-    """The eight flag combinations, in report rank order."""
+    """The eight flag combinations, in report rank order. Each value is
+    (rank, description, color_cast, low_light, blurred)."""
 
-    COLOR_BIAS_ONLY = (1, "Color bias only")
-    COLOR_BIAS_BLUR = (2, "Color bias and blur")
-    COLOR_BIAS_LOW_LIGHT = (3, "Color bias and low light")
-    COLOR_BIAS_LOW_LIGHT_BLUR = (4, "Color bias with low light and blur")
-    NO_ISSUES = (5, "No issues")
-    BLUR_ONLY = (6, "Blur only")
-    LOW_LIGHT_BLUR = (7, "Low light and blur")
-    LOW_LIGHT_ONLY = (8, "Low light only")
+    COLOR_BIAS_ONLY = (1, "Color bias only", True, False, False)
+    COLOR_BIAS_BLUR = (2, "Color bias and blur", True, False, True)
+    COLOR_BIAS_LOW_LIGHT = (3, "Color bias and low light", True, True, False)
+    COLOR_BIAS_LOW_LIGHT_BLUR = (4, "Color bias with low light and blur", True, True, True)
+    NO_ISSUES = (5, "No issues", False, False, False)
+    BLUR_ONLY = (6, "Blur only", False, False, True)
+    LOW_LIGHT_BLUR = (7, "Low light and blur", False, True, True)
+    LOW_LIGHT_ONLY = (8, "Low light only", False, True, False)
 
     @property
     def rank(self) -> int:
@@ -87,22 +88,10 @@ class Category8(Enum):
 
     @property
     def flags(self) -> DegradationFlags:
-        return _CATEGORY_TO_FLAGS[self]
+        return DegradationFlags(*self.value[2:])
 
 
-_FLAGS_TO_CATEGORY = {
-    (True, False, False): Category8.COLOR_BIAS_ONLY,
-    (True, False, True): Category8.COLOR_BIAS_BLUR,
-    (True, True, False): Category8.COLOR_BIAS_LOW_LIGHT,
-    (True, True, True): Category8.COLOR_BIAS_LOW_LIGHT_BLUR,
-    (False, False, False): Category8.NO_ISSUES,
-    (False, False, True): Category8.BLUR_ONLY,
-    (False, True, True): Category8.LOW_LIGHT_BLUR,
-    (False, True, False): Category8.LOW_LIGHT_ONLY,
-}
-_CATEGORY_TO_FLAGS = {
-    cat: DegradationFlags(*key) for key, cat in _FLAGS_TO_CATEGORY.items()
-}
+_BY_FLAGS = {cat.flags: cat for cat in Category8}
 
 RANK_ORDER = sorted(Category8, key=lambda c: c.rank)
 
@@ -179,25 +168,21 @@ def classify(
     low = detect_low_light(img, thresholds)
     blur = detect_blur(img, thresholds)
     flags = DegradationFlags(cast, low, blur)
-    return flags, _FLAGS_TO_CATEGORY[(cast, low, blur)]
+    return flags, _BY_FLAGS[flags]
 
 
 @dataclass(frozen=True)
 class DatasetReport:
-    """Aggregate label statistics for a batch of classified images.
-
-    counts/proportions are keyed by Category8; cooccurrence counts the
-    images in each (low_light, cast, blur) cell.
-    """
+    """Aggregate label statistics for a batch of classified images;
+    counts/proportions are keyed by Category8."""
 
     total: int
     counts: dict
     proportions: dict
-    cooccurrence: dict
 
 
 def summarize(labels) -> DatasetReport:
-    """Tally categories and the co-occurrence grid."""
+    """Tally categories."""
     labels = list(labels)
     if not labels:
         raise EmptyDatasetError("no labels to summarize")
@@ -205,21 +190,7 @@ def summarize(labels) -> DatasetReport:
     tally = Counter(labels)
     counts = {cat: tally.get(cat, 0) for cat in RANK_ORDER}
     proportions = {cat: counts[cat] / total for cat in RANK_ORDER}
-
-    cooc = {}
-    for low in (False, True):
-        for cast in (False, True):
-            for blur in (False, True):
-                key = (low, cast, blur)
-                cat = _FLAGS_TO_CATEGORY[(cast, low, blur)]
-                cooc[key] = counts[cat]
-
-    return DatasetReport(
-        total=total,
-        counts=counts,
-        proportions=proportions,
-        cooccurrence=cooc,
-    )
+    return DatasetReport(total=total, counts=counts, proportions=proportions)
 
 
 def summary_csv(report: DatasetReport) -> str:
@@ -234,11 +205,12 @@ def summary_csv(report: DatasetReport) -> str:
 
 
 def cooccurrence_csv(report: DatasetReport) -> str:
-    """Co-occurrence grid as CSV: lowlight,cast,blur,count (flags as 0/1)."""
+    """Co-occurrence grid as CSV: lowlight,cast,blur,count (flags as 0/1),
+    one row per category."""
     lines = ["lowlight,cast,blur,count"]
     for low in (False, True):
         for cast in (False, True):
             for blur in (False, True):
-                n = report.cooccurrence[(low, cast, blur)]
+                n = report.counts[_BY_FLAGS[DegradationFlags(cast, low, blur)]]
                 lines.append(f"{int(low)},{int(cast)},{int(blur)},{n}")
     return "\n".join(lines) + "\n"

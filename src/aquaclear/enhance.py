@@ -25,6 +25,7 @@ from .image import ImageF32, channel_stats, hsv_to_rgb, rgb_to_hsv
 __all__ = [
     "ClaheParams",
     "NlmParams",
+    "SharpenParams",
     "StepKind",
     "PlanStep",
     "EnhancementPlan",
@@ -75,14 +76,29 @@ class NlmParams:
     h: float = 0.1
 
     # The upper bounds cap the work: a window of radius 32 searches about 10x
-    # the default's offsets.
+    # the default's offsets. Two different 8-bit patches differ by a mean
+    # square of at least (1/255)^2 / 21^2, so below h = 6.8e-6 every weight
+    # between them underflows to 0 and NLM on 8-bit input is the identity;
+    # a smaller h only nears h*h underflowing and the weights turning nan.
     def __post_init__(self):
         if not 0 <= self.patch_radius <= 10:
             raise ValueError("patch_radius must lie in [0, 10]")
         if not self.patch_radius <= self.window_radius <= 32:
             raise ValueError("window_radius must lie in [patch_radius, 32]")
-        if self.h <= 0.0:
-            raise ValueError("h must be > 0")
+        if self.h < 1e-6:
+            raise ValueError("h must be >= 1e-6")
+
+
+@dataclass(frozen=True)
+class SharpenParams:
+    strength: float = 1.0
+    kernel_mode: str = "zero_sum"
+
+    def __post_init__(self):
+        if self.strength < 0.0:
+            raise NegativeStrengthError(f"strength must be >= 0, got {self.strength}")
+        if self.kernel_mode not in ("zero_sum", "paper"):
+            raise ValueError(f"unknown kernel_mode {self.kernel_mode!r}")
 
 
 # ------------------------------------------------------------- single steps
@@ -202,10 +218,7 @@ def sharpen(
     zero_sum mode computes the response as a sum of neighbor differences, so
     constant images pass through bit-identically.
     """
-    if strength < 0.0:
-        raise NegativeStrengthError(f"strength must be >= 0, got {strength}")
-    if kernel_mode not in ("zero_sum", "paper"):
-        raise ValueError(f"unknown kernel_mode {kernel_mode!r}")
+    params = SharpenParams(strength, kernel_mode)
     planes = img.data.astype(np.float64)
     out = np.empty_like(planes)
     for c in range(img.channels):
@@ -218,9 +231,9 @@ def sharpen(
                 if dy == 1 and dx == 1:
                     continue
                 response += plane - padded[dy : dy + h_img, dx : dx + w_img]
-        if kernel_mode == "paper":
+        if params.kernel_mode == "paper":
             response -= 17.0 * plane
-        out[c] = plane + strength * response
+        out[c] = plane + params.strength * response
     return ImageF32.from_array(out)
 
 

@@ -33,7 +33,7 @@ class EvenKernelError(AquaClearError):
     """Convolution kernels must have an odd side length."""
 
 
-class NegativeStrengthError(AquaClearError):
+class NegativeStrengthError(AquaClearError, ValueError):
     """Sharpening strength must be non-negative."""
 
 

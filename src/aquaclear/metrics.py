@@ -31,7 +31,9 @@ from .image import ImageF32, _luma, _require_rgb, _srgb_to_lab
 __all__ = [
     "UCIQE_WEIGHTS",
     "UIQM_WEIGHTS",
+    "METHOD_LABELS",
     "METHOD_ORDER",
+    "SCORES_HEADER",
     "QualityScores",
     "QualityReport",
     "psnr",
@@ -47,7 +49,10 @@ __all__ = [
 
 UCIQE_WEIGHTS = (0.4680, 0.2745, 0.2576)
 UIQM_WEIGHTS = (0.0282, 0.2953, 3.5753)
-METHOD_ORDER = ("Original", "Unite", "VGG19", "ResNet50", "Classic")
+# enhanced-file name token -> method label, in report order after Original
+METHOD_LABELS = {"unite": "Unite", "vgg": "VGG19", "resnet": "ResNet50",
+                 "classic": "Classic"}
+METHOD_ORDER = ("Original", *METHOD_LABELS.values())
 
 _BLOCK = 8
 # Rows per strip of the scoring pass; a multiple of _BLOCK, so every strip
@@ -340,9 +345,11 @@ class QualityReport:
     inf_psnr_counts: dict
 
 
-_COLUMNS = (
-    "psnr", "uciqe", "uiqm", "sigma_c", "con_l", "mu_s", "uicm", "uism", "uiconm"
+SCORES_HEADER = (
+    "image", "method",
+    "psnr", "uciqe", "uiqm", "sigma_c", "con_l", "mu_s", "uicm", "uism", "uiconm",
 )
+_COLUMNS = SCORES_HEADER[2:]
 
 
 def _method_sort_key(method: str):
@@ -384,7 +391,7 @@ def _cell(value: float | None) -> str:
 
 def report_csv(report: QualityReport) -> str:
     """Fixed-header CSV: one row per image, then one mean row per method."""
-    lines = ["image,method,psnr,uciqe,uiqm,sigma_c,con_l,mu_s,uicm,uism,uiconm"]
+    lines = [",".join(SCORES_HEADER)]
     for image, method, s in report.rows:
         cells = [_cell(getattr(s, col)) for col in _COLUMNS]
         lines.append(",".join([image, method] + cells))

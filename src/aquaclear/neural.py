@@ -192,10 +192,6 @@ def relu(t: np.ndarray) -> np.ndarray:
 def residual_forward(x: np.ndarray, block: ResidualBlock) -> np.ndarray:
     inner = conv2d_forward(x, block.conv_a)
     outer = conv2d_forward(inner, block.conv_b)
-    if outer.shape != x.shape:
-        raise ShapeMismatchError(
-            f"shortcut shape {x.shape} vs conv output {outer.shape}"
-        )
     return np.maximum(x + outer, 0.0)
 
 
@@ -262,19 +258,13 @@ def _weight_slots(spec: ExtractorSpec):
     """Manifest entries in execution order: (entry name, shape)."""
     slots = []
     for layer in spec.layers:
-        if layer.kind == "conv":
+        convs = {"conv": [layer.name], "res": [f"{layer.name}.a", f"{layer.name}.b"]}
+        for prefix in convs.get(layer.kind, []):
             slots.append(
-                (f"{layer.name}.weight",
+                (f"{prefix}.weight",
                  (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel))
             )
-            slots.append((f"{layer.name}.bias", (layer.out_channels,)))
-        elif layer.kind == "res":
-            for half in ("a", "b"):
-                slots.append(
-                    (f"{layer.name}.{half}.weight",
-                     (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel))
-                )
-                slots.append((f"{layer.name}.{half}.bias", (layer.out_channels,)))
+            slots.append((f"{prefix}.bias", (layer.out_channels,)))
     return slots
 
 
@@ -365,7 +355,8 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
         doc = json.loads(manifest_path.read_text())
     except OSError as exc:
         raise IoFailureError(f"cannot read manifest: {exc}") from exc
-    except ValueError as exc:
+    # RecursionError: nesting too deep to parse
+    except (ValueError, RecursionError) as exc:
         raise ShapeMismatchInManifestError(f"manifest is not JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
         raise ShapeMismatchInManifestError("manifest needs an object with a layers list")

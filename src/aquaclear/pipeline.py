@@ -36,7 +36,14 @@ from .classify import (
     summarize,
     summary_csv,
 )
-from .enhance import ClaheParams, NlmParams, StepKind, apply_plan, build_plan
+from .enhance import (
+    ClaheParams,
+    NlmParams,
+    SharpenParams,
+    StepKind,
+    apply_plan,
+    build_plan,
+)
 from .errors import (
     AquaClearError,
     ConfigError,
@@ -52,7 +59,13 @@ from .image import (
     save_ppm,
     write_atomic,
 )
-from .metrics import aggregate_scores, report_csv, score_image
+from .metrics import (
+    METHOD_LABELS,
+    SCORES_HEADER,
+    aggregate_scores,
+    report_csv,
+    score_image,
+)
 from .neural import (
     attention_map,
     build_resnet_head,
@@ -71,7 +84,6 @@ __all__ = [
     "EXIT_EMPTY",
     "EXIT_MISSING_WEIGHTS",
     "EXIT_BAD_PARAMS",
-    "METHOD_LABELS",
     "cmd_classify",
     "cmd_enhance",
     "cmd_evaluate",
@@ -85,13 +97,7 @@ EXIT_EMPTY = 2
 EXIT_MISSING_WEIGHTS = 3
 EXIT_BAD_PARAMS = 4
 
-# filename method token -> report label
-METHOD_LABELS = {
-    "classic": "Classic",
-    "vgg": "VGG19",
-    "resnet": "ResNet50",
-    "unite": "Unite",
-}
+_LABELS_HEADER = ("file", "cast", "lowlight", "blur", "category")
 
 
 def _check_value(where: str, value, hint):
@@ -161,18 +167,6 @@ class NeuralConfig:
 
 
 @dataclass(frozen=True)
-class SharpenConfig:
-    strength: float = 1.0
-    kernel_mode: str = "zero_sum"
-
-    def __post_init__(self):
-        if self.strength < 0.0:
-            raise ConfigError("sharpen strength must be >= 0")
-        if self.kernel_mode not in ("zero_sum", "paper"):
-            raise ConfigError(f"unknown kernel_mode {self.kernel_mode!r}")
-
-
-@dataclass(frozen=True)
 class SplitConfig:
     ratios: tuple[float, ...] = (8.0, 1.0, 1.0)
 
@@ -201,7 +195,7 @@ class PipelineConfig:
     thresholds: ClassifierThresholds = field(default_factory=ClassifierThresholds)
     clahe: ClaheParams = field(default_factory=ClaheParams)
     nlm: NlmParams = field(default_factory=NlmParams)
-    sharpen: SharpenConfig = field(default_factory=SharpenConfig)
+    sharpen: SharpenParams = field(default_factory=SharpenParams)
     neural: NeuralConfig = field(default_factory=NeuralConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
@@ -319,7 +313,7 @@ def cmd_classify(input_dir, config: PipelineConfig, output_dir=None) -> int:
         return EXIT_EMPTY
     rows = [row for row, _ in done]
     labels = [category for _, category in done]
-    _write(out / "labels.csv", "file,cast,lowlight,blur,category\n" + "\n".join(rows) + "\n")
+    _write(out / "labels.csv", "\n".join([",".join(_LABELS_HEADER), *rows]) + "\n")
     report = summarize(labels)
     _write(out / "summary.csv", summary_csv(report))
     _write(out / "cooccurrence.csv", cooccurrence_csv(report))
@@ -653,12 +647,12 @@ def cmd_report(input_dir, config: PipelineConfig, output_dir=None) -> int:
 
     try:
         label_rows = _read_csv(labels_path)
-        if not label_rows or label_rows[0][1] != ["file", "cast", "lowlight", "blur", "category"]:
+        if not label_rows or label_rows[0][1] != list(_LABELS_HEADER):
             raise CsvParseError(1, "labels.csv missing expected header")
         by_name = {c.name.lower(): c for c in Category8}
         labels = []
         for lineno, row in label_rows[1:]:
-            if len(row) != 5 or row[4] not in by_name:
+            if len(row) != len(_LABELS_HEADER) or row[4] not in by_name:
                 raise CsvParseError(lineno, f"bad labels row: {','.join(row)!r}")
             labels.append(by_name[row[4]])
         if not labels:
@@ -668,11 +662,12 @@ def cmd_report(input_dir, config: PipelineConfig, output_dir=None) -> int:
         mean_rows = []
         parsed = _read_csv(scores_path) if scores_path.exists() else []
         if parsed:
-            expected = "image,method,psnr,uciqe,uiqm,sigma_c,con_l,mu_s,uicm,uism,uiconm"
-            if parsed[0][1] != expected.split(","):
+            if parsed[0][1] != list(SCORES_HEADER):
                 raise CsvParseError(1, "scores.csv missing expected header")
             for lineno, row in parsed[1:]:
-                if len(row) != 11 or (row[0] == "mean" and not _metric_cells_ok(row)):
+                if len(row) != len(SCORES_HEADER) or (
+                    row[0] == "mean" and not _metric_cells_ok(row)
+                ):
                     raise CsvParseError(lineno, f"bad scores row: {','.join(row)!r}")
                 if row[0] == "mean":
                     if any(m[1] == row[1] for m in mean_rows):
@@ -700,9 +695,8 @@ def cmd_report(input_dir, config: PipelineConfig, output_dir=None) -> int:
         md.append("No quality scores were provided; category table only.")
     _write(out / "report.md", "\n".join(md) + "\n")
 
-    csv_lines = ["method,psnr,uciqe,uiqm"]
-    for method, p, uc, uq in method_rows:
-        csv_lines.append(f"{method},{'' if p == '-' else p},{uc},{uq}")
+    # method, psnr, uciqe, uiqm, as the mean rows hold them
+    csv_lines = ["method,psnr,uciqe,uiqm"] + [",".join(row[1:5]) for row in mean_rows]
     _write(out / "report.csv", "\n".join(csv_lines) + "\n")
     print("report written")
     return EXIT_OK

@@ -1,4 +1,5 @@
 import errno
+import math
 import os
 
 import numpy as np
@@ -91,3 +92,76 @@ def fail_writes_midway(monkeypatch):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.setattr(image_module, "open", HalfWriter, raising=False)
+
+
+# Reference implementations the numeric tests compare against.
+
+def plane_conv_oracle(plane, kernel):
+    """Quadruple-loop true convolution with replicate padding."""
+    h, w = plane.shape
+    k = kernel.shape[0]
+    r = k // 2
+    out = np.zeros((h, w), dtype=np.float64)
+    for y in range(h):
+        for x in range(w):
+            acc = 0.0
+            for dy in range(k):
+                for dx in range(k):
+                    sy = min(max(y + r - dy, 0), h - 1)
+                    sx = min(max(x + r - dx, 0), w - 1)
+                    acc += float(kernel[dy, dx]) * float(plane[sy, sx])
+            out[y, x] = acc
+    return out
+
+
+def cnn_conv_oracle(x, layer):
+    """Six-loop strided cross-correlation with zero padding."""
+    c_in, h, w = x.shape
+    k, s, p = layer.kernel, layer.stride, layer.padding
+    h_out = (h + 2 * p - k) // s + 1
+    w_out = (w + 2 * p - k) // s + 1
+    xp = np.pad(x.astype(np.float64), ((0, 0), (p, p), (p, p)))
+    wt = layer.weights.astype(np.float64)
+    out = np.zeros((layer.out_channels, h_out, w_out))
+    for oc in range(layer.out_channels):
+        for y in range(h_out):
+            for xx in range(w_out):
+                acc = 0.0
+                for ic in range(c_in):
+                    for ky in range(k):
+                        for kx in range(k):
+                            acc += wt[oc, ic, ky, kx] * xp[ic, y * s + ky, xx * s + kx]
+                out[oc, y, xx] = acc + float(layer.bias[oc])
+    if layer.activation == "relu":
+        out = np.maximum(out, 0.0)
+    return out
+
+
+def nlm_oracle(plane, params):
+    """Five-loop non-local means on one plane, replicate padding."""
+    h, w = plane.shape
+    p, win, inv_h2 = params.patch_radius, params.window_radius, 1.0 / params.h**2
+    pad = win + p
+    padded = np.pad(plane.astype(np.float64), pad, mode="edge")
+    area = (2 * p + 1) ** 2
+    out = np.zeros_like(plane, dtype=np.float64)
+    for y in range(h):
+        for x in range(w):
+            cy, cx = y + pad, x + pad
+            num, den = 0.0, 1.0
+            for dy in range(-win, win + 1):
+                for dx in range(-win, win + 1):
+                    if dy == 0 and dx == 0:
+                        continue
+                    d2 = 0.0
+                    for py in range(-p, p + 1):
+                        for px in range(-p, p + 1):
+                            a = padded[cy + dy + py, cx + dx + px]
+                            b = padded[cy + py, cx + px]
+                            d2 += (a - b) ** 2
+                    d2 /= area
+                    wgt = math.exp(-d2 * inv_h2)
+                    num += wgt * (padded[cy + dy, cx + dx] - padded[cy, cx])
+                    den += wgt
+            out[y, x] = padded[cy, cx] + num / den
+    return out

@@ -47,6 +47,8 @@ from aquaclear.pipeline import (
 )
 from aquaclear.synth import archetype_for_category, make_archetype, write_corpus
 
+from conftest import cnn_conv_oracle, nlm_oracle, plane_conv_oracle
+
 
 @contextmanager
 def criterion(num, name, limit_s):
@@ -64,47 +66,6 @@ def criterion(num, name, limit_s):
         flush=True,
     )
     assert elapsed < limit_s, f"runtime {elapsed:.2f}s exceeds {limit_s}s"
-
-
-def plane_conv_oracle(plane, kernel):
-    """Quadruple-loop true convolution with replicate padding."""
-    h, w = plane.shape
-    k = kernel.shape[0]
-    r = k // 2
-    out = np.zeros((h, w))
-    for y in range(h):
-        for x in range(w):
-            acc = 0.0
-            for ky in range(k):
-                for kx in range(k):
-                    sy = min(max(y + r - ky, 0), h - 1)
-                    sx = min(max(x + r - kx, 0), w - 1)
-                    acc += kernel[ky, kx] * plane[sy, sx]
-            out[y, x] = acc
-    return out
-
-
-def cnn_conv_oracle(x, layer):
-    """Six-loop strided cross-correlation with zero padding."""
-    c_in, h, w = x.shape
-    k, s, p = layer.kernel, layer.stride, layer.padding
-    h_out = (h + 2 * p - k) // s + 1
-    w_out = (w + 2 * p - k) // s + 1
-    xp = np.pad(x.astype(np.float64), ((0, 0), (p, p), (p, p)))
-    wt = layer.weights.astype(np.float64)
-    out = np.zeros((layer.out_channels, h_out, w_out))
-    for oc in range(layer.out_channels):
-        for y in range(h_out):
-            for xx in range(w_out):
-                acc = 0.0
-                for ic in range(c_in):
-                    for ky in range(k):
-                        for kx in range(k):
-                            acc += wt[oc, ic, ky, kx] * xp[ic, y * s + ky, xx * s + kx]
-                out[oc, y, xx] = acc + float(layer.bias[oc])
-    if layer.activation == "relu":
-        out = np.maximum(out, 0.0)
-    return out
 
 
 def test_criterion_01_convolution_oracles():
@@ -174,36 +135,6 @@ def test_criterion_03_sharpening_contract():
             assert np.array_equal(got.data[c], predicted.astype(np.float32))
 
 
-def nlm_brute_force(plane, params):
-    h, w = plane.shape
-    p, win, inv_h2 = params.patch_radius, params.window_radius, 1.0 / params.h**2
-    pad = win + p
-    padded = np.pad(plane.astype(np.float64), pad, mode="edge")
-    area = (2 * p + 1) ** 2
-    out = np.zeros_like(plane, dtype=np.float64)
-    for y in range(h):
-        for x in range(w):
-            cy, cx = y + pad, x + pad
-            num, den = 0.0, 1.0
-            for dy in range(-win, win + 1):
-                for dx in range(-win, win + 1):
-                    if dy == 0 and dx == 0:
-                        continue
-                    d2 = 0.0
-                    for py in range(-p, p + 1):
-                        for px in range(-p, p + 1):
-                            diff = (
-                                padded[cy + dy + py, cx + dx + px]
-                                - padded[cy + py, cx + px]
-                            )
-                            d2 += diff * diff
-                    wgt = math.exp(-d2 / area * inv_h2)
-                    num += wgt * (padded[cy + dy, cx + dx] - padded[cy, cx])
-                    den += wgt
-            out[y, x] = padded[cy, cx] + num / den
-    return out
-
-
 def test_criterion_04_nlm_oracle_and_regression():
     rng = np.random.Generator(np.random.PCG64(104))
     with criterion(4, "non-local means", 10.0):
@@ -214,7 +145,7 @@ def test_criterion_04_nlm_oracle_and_regression():
         params = NlmParams(patch_radius=1, window_radius=2, h=0.3)
         got = nlm_denoise(img, params)
         for c in range(3):
-            want = nlm_brute_force(img.data[c], params)
+            want = nlm_oracle(img.data[c], params)
             assert np.allclose(got.data[c], want, atol=1e-6)
 
         noise_rng = np.random.Generator(np.random.PCG64(42))

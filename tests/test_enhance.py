@@ -1,7 +1,5 @@
 """Classical enhancement: gray-world, CLAHE, sharpening, NLM, plans."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -29,7 +27,7 @@ from aquaclear.errors import (
 )
 from aquaclear.image import ImageF32, channel_stats, convolve2d, rgb_to_hsv
 
-from conftest import constant_image, random_image
+from conftest import constant_image, nlm_oracle, random_image
 
 
 class TestGrayWorld:
@@ -212,36 +210,6 @@ class TestSharpen:
             sharpen(constant_image(0.5), strength=-1.0)
 
 
-def nlm_oracle(plane, params):
-    """Five-loop non-local means on one plane, replicate padding."""
-    h, w = plane.shape
-    p, win, inv_h2 = params.patch_radius, params.window_radius, 1.0 / params.h**2
-    pad = win + p
-    padded = np.pad(plane.astype(np.float64), pad, mode="edge")
-    area = (2 * p + 1) ** 2
-    out = np.zeros_like(plane, dtype=np.float64)
-    for y in range(h):
-        for x in range(w):
-            cy, cx = y + pad, x + pad
-            num, den = 0.0, 1.0
-            for dy in range(-win, win + 1):
-                for dx in range(-win, win + 1):
-                    if dy == 0 and dx == 0:
-                        continue
-                    d2 = 0.0
-                    for py in range(-p, p + 1):
-                        for px in range(-p, p + 1):
-                            a = padded[cy + dy + py, cx + dx + px]
-                            b = padded[cy + py, cx + px]
-                            d2 += (a - b) ** 2
-                    d2 /= area
-                    wgt = math.exp(-d2 * inv_h2)
-                    num += wgt * (padded[cy + dy, cx + dx] - padded[cy, cx])
-                    den += wgt
-            out[y, x] = padded[cy, cx] + num / den
-    return out
-
-
 class TestNlm:
     def test_constant_is_bit_identical(self):
         img = constant_image(0.61, h=8, w=8)
@@ -287,6 +255,16 @@ class TestNlm:
         ratio = float(out.data.std()) / float(img.data.std())
         frozen = 0.102779
         assert frozen * 0.95 <= ratio <= frozen * 1.05
+
+    # At the smallest h every weight between two different 8-bit patches
+    # underflows to 0, so the output is the input, and numpy warns of nothing.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("patch_radius", [0, 3, 10])
+    def test_smallest_h_is_identity_on_8_bit_input(self, rng, patch_radius):
+        levels = rng.integers(0, 256, size=(3, 24, 24))
+        img = ImageF32((levels / 255.0).astype(np.float32))
+        params = NlmParams(patch_radius=patch_radius, window_radius=10, h=1e-6)
+        assert np.array_equal(nlm_denoise(img, params).data, img.data)
 
     def test_too_small_image_rejected(self):
         img = constant_image(0.5, h=4, w=4)

@@ -34,25 +34,15 @@ from aquaclear.image import (
     save_ppm,
 )
 
-from conftest import FUZZ, byte_edits, constant_image, fail_writes_midway, mutate, random_image
-
-
-def conv_oracle(plane, kernel):
-    """Quadruple-loop true convolution with replicate padding."""
-    h, w = plane.shape
-    k = kernel.shape[0]
-    r = k // 2
-    out = np.zeros((h, w), dtype=np.float64)
-    for y in range(h):
-        for x in range(w):
-            acc = 0.0
-            for dy in range(k):
-                for dx in range(k):
-                    sy = min(max(y + r - dy, 0), h - 1)
-                    sx = min(max(x + r - dx, 0), w - 1)
-                    acc += float(kernel[dy, dx]) * float(plane[sy, sx])
-            out[y, x] = acc
-    return out
+from conftest import (
+    FUZZ,
+    byte_edits,
+    constant_image,
+    fail_writes_midway,
+    mutate,
+    plane_conv_oracle,
+    random_image,
+)
 
 
 class TestImageF32:
@@ -360,7 +350,7 @@ class TestConvolve2d:
             plane = rng.uniform(-1.0, 1.0, size=(h, w))
             kernel = rng.uniform(-2.0, 2.0, size=(k, k))
             got = convolve2d(plane, kernel)
-            assert np.allclose(got, conv_oracle(plane, kernel), atol=1e-6)
+            assert np.allclose(got, plane_conv_oracle(plane, kernel), atol=1e-6)
 
     def test_flips_kernel(self):
         # true convolution: a tap above center reads the pixel below, so the

@@ -45,30 +45,7 @@ from aquaclear.neural import (
     save_weights,
 )
 
-from conftest import FUZZ, JSON_VALUES, random_image
-
-
-def conv_oracle(x, layer):
-    """Six-loop strided cross-correlation with zero padding."""
-    c_in, h, w = x.shape
-    k, s, p = layer.kernel, layer.stride, layer.padding
-    h_out = (h + 2 * p - k) // s + 1
-    w_out = (w + 2 * p - k) // s + 1
-    xp = np.pad(x.astype(np.float64), ((0, 0), (p, p), (p, p)))
-    wt = layer.weights.astype(np.float64)
-    out = np.zeros((layer.out_channels, h_out, w_out))
-    for oc in range(layer.out_channels):
-        for y in range(h_out):
-            for xx in range(w_out):
-                acc = 0.0
-                for ic in range(c_in):
-                    for ky in range(k):
-                        for kx in range(k):
-                            acc += wt[oc, ic, ky, kx] * xp[ic, y * s + ky, xx * s + kx]
-                out[oc, y, xx] = acc + float(layer.bias[oc])
-    if layer.activation == "relu":
-        out = np.maximum(out, 0.0)
-    return out
+from conftest import FUZZ, JSON_VALUES, cnn_conv_oracle, random_image
 
 
 def make_layer(rng, out_c, in_c, k, stride=1, padding=0, activation="relu"):
@@ -101,7 +78,7 @@ class TestConvForward:
                 )
                 x = rng.standard_normal((case["in_c"], case["h"], case["w"]))
                 got = conv2d_forward(x, layer)
-                want = conv_oracle(x, layer)
+                want = cnn_conv_oracle(x, layer)
                 assert got.shape == want.shape
                 assert np.allclose(got, want, atol=1e-9)
 
@@ -123,7 +100,7 @@ class TestConvForward:
         for activation in ("relu", "none"):
             layer = make_layer(rng, case["out_c"], case["in_c"], k, s, p, activation)
             x = rng.standard_normal((case["in_c"], case["h"], case["w"]))
-            assert np.allclose(conv2d_forward(x, layer), conv_oracle(x, layer), atol=1e-9)
+            assert np.allclose(conv2d_forward(x, layer), cnn_conv_oracle(x, layer), atol=1e-9)
 
     def test_output_dim_floor_semantics(self):
         assert conv_output_dim(64, 7, 2, 3) == 32

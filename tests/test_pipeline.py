@@ -3,6 +3,7 @@
 import json
 from dataclasses import fields, is_dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,6 +61,8 @@ def break_manifest(manifest, case):
         (manifest.parent / "weights.bin").unlink()
     elif case == "manifest_missing":
         manifest.unlink()
+    elif case == "deep_nesting":
+        manifest.write_text("[" * 200000 + "]" * 200000)
     else:
         doc = json.loads(manifest.read_text())
         first = doc["layers"][0]
@@ -83,7 +86,7 @@ def break_manifest(manifest, case):
 MANIFEST_DAMAGE = ("not_json", "root_not_object", "no_layers", "blob_missing",
                    "manifest_missing", "entries_not_objects", "entry_lacks_key",
                    "shape_not_ints", "negative_offset", "offset_not_int",
-                   "blob_not_string", "blob_name_has_nul")
+                   "blob_not_string", "blob_name_has_nul", "deep_nesting")
 
 
 class TestConfig:
@@ -186,6 +189,39 @@ class TestConfig:
         assert code == EXIT_BAD_PARAMS
         err = capsys.readouterr().err.splitlines()
         assert err == [err[0]] and "NUL" in err[0] and err[0].startswith("config error:")
+
+    # A bad sharpen section used to read "config error: sharpen strength
+    # must be >= 0", worded unlike every other section.
+    @pytest.mark.parametrize("section, reason", [
+        ({"strength": -1}, "strength must be >= 0, got -1"),
+        ({"kernel_mode": "box"}, "unknown kernel_mode 'box'"),
+    ], ids=["negative-strength", "unknown-kernel-mode"])
+    def test_bad_sharpen_section_exits_four(self, tmp_path, capsys, section, reason):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"sharpen": section}))
+        code = main(["classify", "--config", str(path), "--input", str(tmp_path)])
+        assert code == EXIT_BAD_PARAMS
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: bad sharpen section: {reason}"]
+
+    # A tiny h used to make NLM fail on every blurred image ("float division
+    # by zero", or non-finite samples after a numpy warning), each skipped,
+    # with exit 0. Every h under the bound is now rejected before any image
+    # is read.
+    @pytest.mark.parametrize("h", [float(np.nextafter(1e-6, 0.0)), 1e-160, 1e-200],
+                             ids=["just-below", "1e-160", "1e-200"])
+    def test_nlm_h_below_bound_exits_four(self, tmp_path, capsys, h):
+        assert PipelineConfig.from_dict({"nlm": {"h": 1e-6}}).nlm.h == 1e-6
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"nlm": {"h": h}}))
+        corpus(tmp_path / "in", count=2)
+        out = tmp_path / "out"
+        code = main(["enhance", "--config", str(path), "--input", str(tmp_path / "in"),
+                     "--output", str(out)])
+        assert code == EXIT_BAD_PARAMS
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: bad nlm section: h must be >= 1e-6"]
+        assert not out.exists()
 
     def test_integers_fill_float_fields(self):
         cfg = PipelineConfig.from_dict({"nlm": {"h": 1}, "neural": {"gain": 0}})
@@ -407,7 +443,7 @@ class TestEnhance:
         assert cmd_enhance(src, cfg, tmp_path / "out", method="vgg") == EXIT_MISSING_WEIGHTS
 
     @pytest.mark.parametrize("case", MANIFEST_DAMAGE)
-    def test_damaged_manifest_exits_three(self, tmp_path, case):
+    def test_damaged_manifest_exits_three(self, tmp_path, capsys, case):
         from aquaclear.neural import build_vgg_head, init_weights, save_weights
 
         src = tmp_path / "in"
@@ -416,6 +452,8 @@ class TestEnhance:
         break_manifest(manifest, case)
         cfg = PipelineConfig(neural=NeuralConfig(vgg_manifest=str(manifest)))
         assert cmd_enhance(src, cfg, tmp_path / "out", method="vgg") == EXIT_MISSING_WEIGHTS
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot load weights:")
 
     def test_skip_record_holds_base_names_only(self, tmp_path, config, capsys):
         src = tmp_path / "in"
