@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyDatasetError, NearBlackImageWarning
-from .image import ImageF32, _require_rgb, channel_stats, laplacian_variance
+from .image import ImageF32, channel_stats, laplacian_variance
 
 __all__ = [
     "DegradationFlags",
@@ -144,7 +144,6 @@ def detect_low_light(
     V is the per-pixel channel maximum, the same float32 values rgb_to_hsv
     stores, without building the hue and saturation planes.
     """
-    _require_rgb(img)
     r, g, b = img.data
     v = np.maximum(np.maximum(r, g), b)
     return float(np.mean(v, dtype=np.float64)) < thresholds.brightness_floor

@@ -7,12 +7,14 @@ Commands: classify, enhance, evaluate, split, augment, report. --verbose
 adds per-step traces to enhance's log and affects no other command.
 Exit codes: 0 success, 2 empty input, no image succeeded, or parse failure,
 3 missing weights, 4 bad parameters or an output that cannot be written.
+A warning raised while a command runs prints as one ``warning:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .errors import AquaClearError, ConfigError, CsvParseError
 from .pipeline import (
@@ -47,6 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.seed is not None and args.seed < 0:
@@ -61,6 +67,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
 
+    shown, warnings.showwarning = warnings.showwarning, _warning_line
     try:
         if args.command == "classify":
             return cmd_classify(args.input, config, args.output)
@@ -75,12 +82,11 @@ def main(argv=None) -> int:
         if args.command == "augment":
             return cmd_augment(args.input, config, args.output, args.seed)
         return cmd_report(args.input, config, args.output)
-    except ConfigError as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
     except AquaClearError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
+    finally:
+        warnings.showwarning = shown
 
 
 if __name__ == "__main__":

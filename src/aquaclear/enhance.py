@@ -94,9 +94,14 @@ class SharpenParams:
     strength: float = 1.0
     kernel_mode: str = "zero_sum"
 
+    # |response| is at most 25 ("paper" mode), so strength * response stays
+    # finite; at the bound an edge of one 8-bit level already moves a sample
+    # by more than full scale.
     def __post_init__(self):
         if self.strength < 0.0:
             raise NegativeStrengthError(f"strength must be >= 0, got {self.strength}")
+        if self.strength > 1000.0:
+            raise ValueError(f"strength must be <= 1000, got {self.strength}")
         if self.kernel_mode not in ("zero_sum", "paper"):
             raise ValueError(f"unknown kernel_mode {self.kernel_mode!r}")
 

@@ -23,10 +23,6 @@ class IoFailureError(AquaClearError):
     """Underlying file read or write failed."""
 
 
-class GrayscaleUnsupportedError(AquaClearError):
-    """Operation needs a 3-channel image but got a single-channel one."""
-
-
 # ------------------------------------------------------------------ filters
 
 class EvenKernelError(AquaClearError):

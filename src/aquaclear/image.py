@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     EvenKernelError,
-    GrayscaleUnsupportedError,
     IoFailureError,
     MalformedHeaderError,
     TruncatedPayloadError,
@@ -55,7 +54,7 @@ _LUMA = (0.299, 0.587, 0.114)
 class ImageF32:
     """Image whose ``data`` has shape (channels, height, width).
 
-    Samples are float32 in [0, 1]; channels is 1 (gray) or 3 (RGB, or any
+    Samples are float32 in [0, 1]; there are exactly 3 planes (RGB, or any
     other 3-plane space such as HSV during a conversion round trip). The
     shape fixes the indexing, not the memory layout: load_ppm returns a
     pixel-interleaved view (strides (4, 12 * width, 12)), and other code
@@ -71,8 +70,8 @@ class ImageF32:
         arr = self.data
         if not isinstance(arr, np.ndarray) or arr.ndim != 3:
             raise ValueError("image data must be a (channels, height, width) array")
-        if arr.shape[0] not in (1, 3):
-            raise ValueError(f"channels must be 1 or 3, got {arr.shape[0]}")
+        if arr.shape[0] != 3:
+            raise ValueError(f"image needs 3 channels, got {arr.shape[0]}")
         if arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ValueError("image dimensions must be at least 1x1")
         if arr.dtype != np.float32:
@@ -85,11 +84,8 @@ class ImageF32:
 
     @classmethod
     def from_array(cls, arr) -> "ImageF32":
-        """Build an image from any (c, h, w) or (h, w) float array, clamped
-        to [0, 1]."""
+        """Build an image from any (3, h, w) float array, clamped to [0, 1]."""
         a = np.asarray(arr, dtype=np.float64)
-        if a.ndim == 2:
-            a = a[np.newaxis, :, :]
         return cls(np.clip(a, 0.0, 1.0).astype(np.float32))
 
     @property
@@ -165,13 +161,11 @@ def load_ppm(path) -> ImageF32:
 
 
 def save_ppm(img: ImageF32, path) -> None:
-    """Write a 3-channel image as canonical binary PPM.
+    """Write an image as canonical binary PPM.
 
     Quantizes with round-half-away-from-zero; loading the result back differs
     from the original by at most 1/510 per sample.
     """
-    if img.channels != 3:
-        raise GrayscaleUnsupportedError("PPM P6 needs 3 channels")
     scaled = img.data.astype(np.float64) * 255.0
     bytes_ = np.floor(scaled + 0.5).astype(np.uint8)
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
@@ -209,7 +203,6 @@ def rgb_to_hsv(img: ImageF32) -> ImageF32:
 
     Achromatic pixels get H = 0 by convention, and S = 0 where V = 0.
     """
-    _require_rgb(img)
     r, g, b = img.data.astype(np.float64)
     maxc = np.maximum(np.maximum(r, g), b)
     minc = np.minimum(np.minimum(r, g), b)
@@ -232,7 +225,6 @@ def rgb_to_hsv(img: ImageF32) -> ImageF32:
 
 def hsv_to_rgb(img: ImageF32) -> ImageF32:
     """Inverse hexcone conversion; round-trips with rgb_to_hsv to ~1e-7."""
-    _require_rgb(img)
     h, s, v = img.data.astype(np.float64)
     h6 = h * 6.0
     sector = np.floor(h6).astype(np.int64) % 6
@@ -266,7 +258,6 @@ def rgb_to_lab(img: ImageF32) -> np.ndarray:
     L spans [0, 100] for in-range sRGB input. Uses the piecewise sRGB EOTF
     (2.4-gamma segment) and the 6/29 linear-segment cube root.
     """
-    _require_rgb(img)
     return np.stack(_srgb_to_lab(img.data.astype(np.float64)))
 
 
@@ -330,20 +321,17 @@ def convolve2d(plane, kernel) -> np.ndarray:
 
 def channel_stats(img: ImageF32) -> ChannelStats:
     """Per-channel means plus their cross-channel average."""
-    _require_rgb(img)
     means = [float(np.mean(img.data[c], dtype=np.float64)) for c in range(3)]
     return ChannelStats(*means, mean_avg=sum(means) / 3.0)
 
 
 def luminance(img: ImageF32) -> np.ndarray:
-    """BT.601 luma plane (float64); identity on single-channel images."""
+    """BT.601 luma plane (float64)."""
     return _luma(img.data.astype(np.float64))
 
 
 def _luma(planes: np.ndarray) -> np.ndarray:
-    """BT.601 luma of float64 planes (c, ...); the plane itself when c is 1."""
-    if len(planes) == 1:
-        return planes[0]
+    """BT.601 luma of float64 RGB planes (3, ...)."""
     return _LUMA[0] * planes[0] + _LUMA[1] * planes[1] + _LUMA[2] * planes[2]
 
 
@@ -354,8 +342,3 @@ def laplacian_variance(img: ImageF32) -> float:
     """
     response = convolve2d(luminance(img), LAPLACIAN_KERNEL)
     return float(np.var(response))
-
-
-def _require_rgb(img: ImageF32) -> None:
-    if img.channels != 3:
-        raise GrayscaleUnsupportedError("operation needs a 3-channel image")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatchError, EmptyBatchError, ImageTooSmallError
-from .image import ImageF32, _luma, _require_rgb, _srgb_to_lab
+from .image import ImageF32, _luma, _srgb_to_lab
 
 __all__ = [
     "UCIQE_WEIGHTS",
@@ -165,7 +165,6 @@ class _Uciqe:
     """Keeps full-size L, chroma and saturation for the final reductions."""
 
     def __init__(self, img: ImageF32):
-        _require_rgb(img)
         self.lum, self.chroma, self.sat = np.empty((3, img.height, img.width))
 
     def add(self, rows: slice, strip: np.ndarray) -> None:
@@ -205,7 +204,6 @@ class _Uicm:
     """Keeps the full-size RG and YB opponent planes."""
 
     def __init__(self, img: ImageF32):
-        _require_rgb(img)
         self.rg, self.yb = np.empty((2, img.height, img.width))
 
     def add(self, rows: slice, strip: np.ndarray) -> None:
@@ -234,7 +232,6 @@ class _Uism:
     """Keeps each channel's Sobel-magnitude block extrema."""
 
     def __init__(self, img: ImageF32):
-        _require_rgb(img)
         _require_blocks(img)
         self.mx, self.mn = np.empty((2, 3, img.height // _BLOCK, img.width // _BLOCK))
 

@@ -437,8 +437,6 @@ def extract_features(img: ImageF32, extractor: BoundExtractor) -> np.ndarray:
     """Forward an RGB image (values in [0,1], no mean normalization) through
     the extractor's layers. Dims that break a pooling or stride raise
     IndivisibleDims before any arithmetic runs."""
-    if img.channels != 3:
-        raise ShapeMismatchError("extractor input must be 3-channel")
     validate_dims(extractor.spec, img.height, img.width)
     return extractor.forward(img.data.astype(np.float64))
 

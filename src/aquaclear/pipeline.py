@@ -61,6 +61,7 @@ from .image import (
 )
 from .metrics import (
     METHOD_LABELS,
+    METHOD_ORDER,
     SCORES_HEADER,
     aggregate_scores,
     report_csv,
@@ -132,7 +133,8 @@ def _check_value(where: str, value, hint):
 def _from_json(cls, doc: dict, prefix: str = ""):
     """Build dataclass ``cls`` from a JSON object by walking its annotated
     fields: a dataclass field takes a nested object, any other field a value
-    _check_value accepts, and an absent key keeps the field's default."""
+    _check_value accepts, and an absent key keeps the field's default. A
+    ValueError from a section's dataclass becomes a ConfigError naming it."""
     hints = typing.get_type_hints(cls)
     unknown = sorted(prefix + key for key in doc.keys() - hints.keys())
     if unknown:
@@ -161,9 +163,9 @@ class NeuralConfig:
 
     def __post_init__(self):
         if self.method not in METHOD_LABELS:
-            raise ConfigError(f"unknown method {self.method!r}")
+            raise ValueError(f"unknown method {self.method!r}")
         if self.gain < 0.0:
-            raise ConfigError("gain must be >= 0")
+            raise ValueError("gain must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ class SplitConfig:
 
     def __post_init__(self):
         if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
-            raise ConfigError("split ratios must be three positive numbers")
+            raise ValueError("ratios must be three positive numbers")
 
 
 @dataclass(frozen=True)
@@ -183,11 +185,11 @@ class AugmentConfig:
 
     def __post_init__(self):
         if not 0.0 < self.crop_fraction <= 1.0:
-            raise ConfigError("crop_fraction must lie in (0, 1]")
+            raise ValueError("crop_fraction must lie in (0, 1]")
         if not 0.0 <= self.jitter_amplitude < 1.0:
-            raise ConfigError("jitter_amplitude must lie in [0, 1)")
+            raise ValueError("jitter_amplitude must lie in [0, 1)")
         if not 1 <= self.samples_per_image <= 100:
-            raise ConfigError("samples_per_image must lie in [1, 100]")
+            raise ValueError("samples_per_image must lie in [1, 100]")
 
 
 @dataclass(frozen=True)
@@ -456,13 +458,13 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
 # ----------------------------------------------------------------- evaluate
 
 def _parse_enhanced_name(name: str):
-    """'stem.method.ppm' -> (stem, label); bare 'stem.ppm' -> Original."""
+    """'stem.method.ppm' -> (stem, label); bare 'stem.ppm' -> METHOD_ORDER[0]."""
     base = name[:-4]
     if "." in base:
         stem, token = base.rsplit(".", 1)
         if token in METHOD_LABELS:
             return stem, METHOD_LABELS[token]
-    return base, "Original"
+    return base, METHOD_ORDER[0]
 
 
 def cmd_evaluate(input_dir, config: PipelineConfig, output_dir=None) -> int:

@@ -57,9 +57,9 @@ def rng():
     return np.random.Generator(np.random.PCG64(20240817))
 
 
-def random_image(rng, h=16, w=16, lo=0.05, hi=0.95, channels=3):
+def random_image(rng, h=16, w=16, lo=0.05, hi=0.95):
     """Random RGB image away from the clamp boundaries."""
-    data = rng.uniform(lo, hi, size=(channels, h, w)).astype(np.float32)
+    data = rng.uniform(lo, hi, size=(3, h, w)).astype(np.float32)
     return ImageF32(data)
 
 

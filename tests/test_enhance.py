@@ -1,5 +1,7 @@
 """Classical enhancement: gray-world, CLAHE, sharpening, NLM, plans."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,17 @@ class TestSharpen:
     def test_negative_strength_rejected(self):
         with pytest.raises(NegativeStrengthError):
             sharpen(constant_image(0.5), strength=-1.0)
+
+    # A strength of 1e308 used to overflow to inf and print numpy's
+    # RuntimeWarning; the largest allowed strength stays finite.
+    @pytest.mark.parametrize("kernel_mode", ["zero_sum", "paper"])
+    def test_strength_bound_keeps_response_finite(self, rng, kernel_mode):
+        img = random_image(rng, 8, 8, lo=0.0, hi=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sharpen(img, 1000.0, kernel_mode)
+        with pytest.raises(ValueError, match="strength must be <= 1000"):
+            sharpen(img, float(np.nextafter(1000.0, np.inf)), kernel_mode)
 
 
 class TestNlm:

@@ -13,7 +13,6 @@ import aquaclear.image as image_module
 from aquaclear.errors import (
     AquaClearError,
     EvenKernelError,
-    GrayscaleUnsupportedError,
     IoFailureError,
     MalformedHeaderError,
     TruncatedPayloadError,
@@ -55,8 +54,13 @@ class TestImageF32:
             ImageF32(np.zeros((4, 5), dtype=np.float32))
 
     def test_rejects_wrong_channel_count(self):
+        for channels in (1, 2, 4):
+            with pytest.raises(ValueError):
+                ImageF32(np.zeros((channels, 4, 5), dtype=np.float32))
+            with pytest.raises(ValueError):
+                ImageF32.from_array(np.zeros((channels, 4, 5)))
         with pytest.raises(ValueError):
-            ImageF32(np.zeros((2, 4, 5), dtype=np.float32))
+            ImageF32.from_array(np.zeros((4, 5)))
 
     def test_rejects_float64(self):
         with pytest.raises(ValueError):
@@ -190,11 +194,6 @@ class TestPpm:
         with pytest.raises(IoFailureError):
             load_ppm(tmp_path / "dir.ppm")
 
-    def test_save_rejects_grayscale(self, tmp_path):
-        gray = ImageF32(np.zeros((1, 2, 2), dtype=np.float32))
-        with pytest.raises(GrayscaleUnsupportedError):
-            save_ppm(gray, tmp_path / "g.ppm")
-
 
 class TestAtomicWrite:
     def test_failed_save_leaves_no_partial_or_temp_file(self, tmp_path, monkeypatch):
@@ -281,11 +280,6 @@ class TestHsv:
         img = random_image(rng, 12, 10)
         back = hsv_to_rgb(rgb_to_hsv(img))
         assert np.allclose(back.data, img.data, atol=1e-6)
-
-    def test_rejects_grayscale(self):
-        gray = ImageF32(np.zeros((1, 3, 3), dtype=np.float32))
-        with pytest.raises(GrayscaleUnsupportedError):
-            rgb_to_hsv(gray)
 
 
 def lab_scalar_reference(r, g, b):
@@ -396,10 +390,6 @@ class TestStatsAndSharpness:
         assert np.allclose(luminance(img), 0.299)
         img = constant_image((0.0, 1.0, 0.0))
         assert np.allclose(luminance(img), 0.587)
-
-    def test_luminance_identity_on_grayscale(self):
-        gray = ImageF32(np.full((1, 3, 3), 0.6, dtype=np.float32))
-        assert np.allclose(luminance(gray), 0.6)
 
     def test_laplacian_variance_zero_on_constant(self):
         assert laplacian_variance(constant_image(0.8)) == 0.0

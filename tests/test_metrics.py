@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from aquaclear.errors import (
     DimMismatchError,
     EmptyBatchError,
-    GrayscaleUnsupportedError,
     ImageTooSmallError,
 )
 from aquaclear.image import ImageF32, convolve2d, load_ppm, luminance, rgb_to_lab
@@ -262,16 +261,6 @@ class TestStripBoundaries:
         assert math.isfinite(uciqe(img)[0])
         with pytest.raises(ImageTooSmallError):
             score_image(img)
-
-
-class TestGrayImages:
-    def test_only_uiconm_scores_one_channel(self, rng):
-        # uism and uicm used to fail with IndexError and ValueError here.
-        gray = random_image(rng, 16, 16, channels=1)
-        assert uiconm(gray) == pytest.approx(uiconm_oracle(gray), abs=1e-12)
-        for metric in (uciqe, uicm, uism, uiqm, score_image):
-            with pytest.raises(GrayscaleUnsupportedError):
-                metric(gray)
 
 
 # float.hex of every QualityScores field, in field order, of

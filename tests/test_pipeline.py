@@ -1,17 +1,22 @@
 """Batch commands, config handling, and the CLI front end."""
 
 import json
+import sys
+import tempfile
+import warnings
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aquaclear.cli import main
 from aquaclear.errors import ConfigError, CsvParseError, IoFailureError
 from aquaclear.enhance import StepKind
 from aquaclear.image import load_ppm, save_ppm
+from aquaclear.metrics import METHOD_LABELS, METHOD_ORDER
 from aquaclear.pipeline import (
     EXIT_BAD_PARAMS,
     EXIT_EMPTY,
@@ -191,18 +196,48 @@ class TestConfig:
         assert err == [err[0]] and "NUL" in err[0] and err[0].startswith("config error:")
 
     # A bad sharpen section used to read "config error: sharpen strength
-    # must be >= 0", worded unlike every other section.
+    # must be >= 0", worded unlike every other section. A strength of 1e308
+    # used to be accepted and overflow in sharpen with a numpy warning.
     @pytest.mark.parametrize("section, reason", [
         ({"strength": -1}, "strength must be >= 0, got -1"),
+        ({"strength": 1e308}, "strength must be <= 1000, got 1e+308"),
         ({"kernel_mode": "box"}, "unknown kernel_mode 'box'"),
-    ], ids=["negative-strength", "unknown-kernel-mode"])
+    ], ids=["negative-strength", "huge-strength", "unknown-kernel-mode"])
     def test_bad_sharpen_section_exits_four(self, tmp_path, capsys, section, reason):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"sharpen": section}))
-        code = main(["classify", "--config", str(path), "--input", str(tmp_path)])
+        corpus(tmp_path / "in", count=2)
+        out = tmp_path / "out"
+        code = main(["enhance", "--config", str(path), "--input", str(tmp_path / "in"),
+                     "--output", str(out)])
         assert code == EXIT_BAD_PARAMS
         err = capsys.readouterr().err.splitlines()
         assert err == [f"config error: bad sharpen section: {reason}"]
+        assert not out.exists()
+
+    # neural, split and augment used to print "config error: <reason>"
+    # without their section's name, unlike the other four sections.
+    @pytest.mark.parametrize("section, values, reason", [
+        pytest.param("thresholds", {"cast_ratio": 0}, "cast_ratio must be positive",
+                     id="thresholds"),
+        pytest.param("clahe", {"bins": 1}, "bins must lie in [2, 4096]", id="clahe"),
+        pytest.param("nlm", {"patch_radius": 11}, "patch_radius must lie in [0, 10]",
+                     id="nlm"),
+        pytest.param("sharpen", {"strength": 1001}, "strength must be <= 1000, got 1001",
+                     id="sharpen"),
+        pytest.param("neural", {"gain": -1}, "gain must be >= 0", id="neural"),
+        pytest.param("split", {"ratios": [1, 0, 1]}, "ratios must be three positive numbers",
+                     id="split"),
+        pytest.param("augment", {"crop_fraction": 0}, "crop_fraction must lie in (0, 1]",
+                     id="augment"),
+    ])
+    def test_bad_section_value_names_the_section(self, tmp_path, capsys, section,
+                                                 values, reason):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({section: values}))
+        assert main(["split", "--config", str(path), "--input", str(tmp_path)]) == EXIT_BAD_PARAMS
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: bad {section} section: {reason}"]
 
     # A tiny h used to make NLM fail on every blurred image ("float division
     # by zero", or non-finite samples after a numpy warning), each skipped,
@@ -549,14 +584,19 @@ class TestEvaluate:
         row = (out / "scores.csv").read_text().splitlines()[1]
         assert row.split(",")[2] == ""
 
+    # A bare stem.ppm is the unenhanced original: it takes METHOD_ORDER[0],
+    # so its mean row leads even when its file sorts after the others.
     def test_original_label_for_plain_names(self, tmp_path, config, rng):
         d = tmp_path / "enhanced"
         d.mkdir()
-        save_ppm(random_image(rng, 16, 16), d / "plain.ppm")
+        for name in ("a.unite.ppm", "a.classic.ppm", "plain.ppm"):
+            save_ppm(random_image(rng, 16, 16), d / name)
         out = tmp_path / "out"
         assert cmd_evaluate(d, config, output_dir=out) == EXIT_OK
-        row = (out / "scores.csv").read_text().splitlines()[1]
-        assert row.split(",")[:2] == ["plain", "Original"]
+        rows = [r.split(",")[:2] for r in (out / "scores.csv").read_text().splitlines()[1:]]
+        assert rows[2] == ["plain", METHOD_ORDER[0]]
+        means = [method for image, method in rows if image == "mean"]
+        assert means == [METHOD_ORDER[0], METHOD_LABELS["unite"], METHOD_LABELS["classic"]]
 
     def test_empty_dir_exits_two(self, tmp_path, config):
         d = tmp_path / "empty"
@@ -987,3 +1027,65 @@ class TestCli:
             "--input", str(src), "--output", str(out),
         ])
         assert code == EXIT_OK
+
+
+# Valid configs for the whole-command fuzz: the defaults, two pipeline
+# threads, every flag forced with the smallest NLM and the largest paper-mode
+# sharpening, and the most CLAHE tiles with a crop that is empty on tiny
+# images (exit 4 from augment).
+COMMAND_FUZZ_CONFIGS = (
+    {},
+    {"threads": 2},
+    {"thresholds": {"cast_ratio": 1e-9, "brightness_floor": 0.99, "sharpness_floor": 10.0},
+     "nlm": {"patch_radius": 0, "window_radius": 1},
+     "sharpen": {"strength": 1000, "kernel_mode": "paper"}},
+    {"clahe": {"tiles_x": 64, "tiles_y": 64, "bins": 2}, "augment": {"crop_fraction": 0.01}},
+)
+
+
+def print_warning_as_python_does(message, category, filename, lineno, file=None,
+                                 line=None):
+    """Python's own warning display, which pytest replaces with a recorder."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+class TestCommandFuzz:
+    """Every command, in pipeline order, on small black, white or random PPMs
+    under a few valid configs and each enhance method, ends in a documented
+    exit code with no traceback and no raw Python warning on stderr."""
+
+    @settings(FUZZ, max_examples=40)
+    @given(
+        images=st.lists(
+            st.tuples(st.integers(1, 32), st.integers(1, 32),
+                      st.sampled_from(("black", "white", "random")),
+                      st.integers(0, 2**32 - 1)),
+            min_size=1, max_size=4,
+        ),
+        doc=st.sampled_from(COMMAND_FUZZ_CONFIGS),
+        method=st.sampled_from(sorted(METHOD_LABELS)),
+    )
+    def test_every_command_ends_cleanly(self, tmp_path, capsys, images, doc, method):
+        run = Path(tempfile.mkdtemp(dir=tmp_path))
+        src, out = run / "in", run / "out"
+        src.mkdir()
+        for i, (h, w, fill, seed) in enumerate(images):
+            if fill == "random":
+                rng = np.random.default_rng(seed)
+                pixels = rng.integers(0, 256, h * w * 3, dtype=np.uint8).tobytes()
+            else:
+                pixels = bytes([0 if fill == "black" else 255]) * (h * w * 3)
+            (src / f"img{i}.ppm").write_bytes(f"P6\n{w} {h}\n255\n".encode() + pixels)
+        config = run / "config.json"
+        config.write_text(json.dumps(doc))
+        for command, input_dir in (("classify", src), ("enhance", src), ("evaluate", out),
+                                   ("split", src), ("augment", src), ("report", out)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("always")
+                warnings.showwarning = print_warning_as_python_does
+                code = main([command, "--config", str(config), "--input", str(input_dir),
+                             "--output", str(out), "--method", method])
+            err = capsys.readouterr().err
+            assert code in (EXIT_OK, EXIT_EMPTY, EXIT_MISSING_WEIGHTS, EXIT_BAD_PARAMS)
+            for raw in ("Traceback", "Warning:", "warnings.warn("):
+                assert raw not in err, (command, err)
