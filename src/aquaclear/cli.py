@@ -7,7 +7,7 @@ Commands: classify, enhance, evaluate, split, augment, report. --verbose
 adds per-step traces to enhance's log and affects no other command.
 Exit codes: 0 success, 2 empty input, no image succeeded, or parse failure,
 3 missing weights, 4 bad parameters or an output that cannot be written.
-A warning raised while a command runs prints as one ``warning:`` line.
+Each warning raised while a command runs prints as one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -67,26 +67,27 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
 
-    shown, warnings.showwarning = warnings.showwarning, _warning_line
-    try:
-        if args.command == "classify":
-            return cmd_classify(args.input, config, args.output)
-        if args.command == "enhance":
-            return cmd_enhance(
-                args.input, config, args.output, args.method, args.seed, args.verbose
-            )
-        if args.command == "evaluate":
-            return cmd_evaluate(args.input, config, args.output)
-        if args.command == "split":
-            return cmd_split(args.input, config, args.output, args.seed)
-        if args.command == "augment":
-            return cmd_augment(args.input, config, args.output, args.seed)
-        return cmd_report(args.input, config, args.output)
-    except AquaClearError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    finally:
-        warnings.showwarning = shown
+    # Entered once, on this thread; the pipeline's worker threads only warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _warning_line
+        try:
+            if args.command == "classify":
+                return cmd_classify(args.input, config, args.output)
+            if args.command == "enhance":
+                return cmd_enhance(
+                    args.input, config, args.output, args.method, args.seed, args.verbose
+                )
+            if args.command == "evaluate":
+                return cmd_evaluate(args.input, config, args.output)
+            if args.command == "split":
+                return cmd_split(args.input, config, args.output, args.seed)
+            if args.command == "augment":
+                return cmd_augment(args.input, config, args.output, args.seed)
+            return cmd_report(args.input, config, args.output)
+        except AquaClearError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_PARAMS
 
 
 if __name__ == "__main__":

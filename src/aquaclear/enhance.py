@@ -35,21 +35,9 @@ __all__ = [
     "nlm_denoise",
     "build_plan",
     "apply_plan",
-    "SHARPEN_KERNEL_ZERO_SUM",
-    "SHARPEN_KERNEL_PAPER_MODE",
 ]
 
 _ZERO_MEAN = 1e-6
-
-SHARPEN_KERNEL_ZERO_SUM = np.array(
-    [[-1.0, -1.0, -1.0], [-1.0, 8.0, -1.0], [-1.0, -1.0, -1.0]]
-)
-# Alternate kernel with center -9: sums to -17, so it drives constant regions
-# to hard clamp. Planned when the config sets sharpen.kernel_mode "paper";
-# sharpen applies it as the zero-sum response minus 17 times the pixel.
-SHARPEN_KERNEL_PAPER_MODE = np.array(
-    [[-1.0, -1.0, -1.0], [-1.0, -9.0, -1.0], [-1.0, -1.0, -1.0]]
-)
 
 
 @dataclass(frozen=True)
@@ -220,8 +208,12 @@ def sharpen(
 ) -> ImageF32:
     """Laplacian edge boost: I' = clamp(I + strength * (K conv I)).
 
-    zero_sum mode computes the response as a sum of neighbor differences, so
-    constant images pass through bit-identically.
+    K is 3x3, -1 around the centre. In zero_sum mode the centre is 8 and the
+    response is computed as a sum of neighbour differences, so constant
+    images pass through bit-identically. In paper mode (sharpen.kernel_mode
+    "paper") the centre is -9: K sums to -17, so the response is the
+    zero-sum one minus 17 times the pixel, which drives constant regions to
+    hard clamp.
     """
     params = SharpenParams(strength, kernel_mode)
     planes = img.data.astype(np.float64)

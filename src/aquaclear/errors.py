@@ -56,7 +56,8 @@ class ShapeMismatchInManifestError(AquaClearError):
 
 
 class CorruptBlobError(AquaClearError):
-    """Weight blob is missing or shorter than the manifest demands."""
+    """Weight blob is missing, not a regular file, or shorter than the
+    manifest demands."""
 
 
 class IndivisibleDimsError(AquaClearError):
@@ -71,10 +72,6 @@ class DimMismatchError(AquaClearError):
 
 class EmptyDatasetError(AquaClearError):
     """A summary was requested over zero labels."""
-
-
-class EmptyBatchError(AquaClearError):
-    """An evaluation was requested over zero images."""
 
 
 class PlanStepError(AquaClearError):

@@ -14,8 +14,8 @@ and YB planes for UICM (whose sums and sorts run over whole planes, in row
 order), and per-block maxima and minima for UISM and UIConM. The public
 per-metric functions run the same pass with only their own metric, so the
 scores do not depend on which function computed them, nor on the memory
-layout of the image. aggregate_scores takes the per-method means of scored
-rows and report_csv lays them out as scores.csv.
+layout of the image. report_csv writes scored rows as scores.csv, each
+image's row and then each method's mean row.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, EmptyBatchError, ImageTooSmallError
+from .errors import DimMismatchError, ImageTooSmallError
 from .image import ImageF32, _luma, _srgb_to_lab
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "METHOD_ORDER",
     "SCORES_HEADER",
     "QualityScores",
-    "QualityReport",
     "psnr",
     "uciqe",
     "uicm",
@@ -43,7 +42,6 @@ __all__ = [
     "uiconm",
     "uiqm",
     "score_image",
-    "aggregate_scores",
     "report_csv",
 ]
 
@@ -328,20 +326,6 @@ def score_image(img: ImageF32, reference: ImageF32 | None = None) -> QualityScor
 
 # ------------------------------------------------------------- batch report
 
-@dataclass(frozen=True)
-class QualityReport:
-    """Per-image rows plus per-method aggregate means.
-
-    aggregates maps method -> column -> mean over that method's rows; the
-    psnr mean covers finite rows only, with infinite rows tallied in
-    inf_psnr_counts.
-    """
-
-    rows: tuple  # of (image, method, QualityScores)
-    aggregates: dict
-    inf_psnr_counts: dict
-
-
 SCORES_HEADER = (
     "image", "method",
     "psnr", "uciqe", "uiqm", "sigma_c", "con_l", "mu_s", "uicm", "uism", "uiconm",
@@ -356,28 +340,6 @@ def _method_sort_key(method: str):
         return (1, method)
 
 
-def aggregate_scores(rows) -> QualityReport:
-    """Per-method means, in canonical method order, of (image, method,
-    QualityScores) rows."""
-    rows = list(rows)
-    if not rows:
-        raise EmptyBatchError("no images to evaluate")
-    methods = sorted({m for _, m, _ in rows}, key=_method_sort_key)
-    aggregates: dict = {}
-    inf_counts: dict = {}
-    for method in methods:
-        scores = [s for _, m, s in rows if m == method]
-        agg = {}
-        finite = [s.psnr for s in scores if s.psnr is not None and math.isfinite(s.psnr)]
-        inf_counts[method] = sum(1 for s in scores if s.psnr == math.inf)
-        agg["psnr"] = sum(finite) / len(finite) if finite else None
-        for col in _COLUMNS[1:]:
-            vals = [getattr(s, col) for s in scores]
-            agg[col] = sum(vals) / len(vals)
-        aggregates[method] = agg
-    return QualityReport(tuple(rows), aggregates, inf_counts)
-
-
 def _cell(value: float | None) -> str:
     if value is None:
         return ""
@@ -386,17 +348,26 @@ def _cell(value: float | None) -> str:
     return f"{value:.6f}"
 
 
-def report_csv(report: QualityReport) -> str:
-    """Fixed-header CSV: one row per image, then one mean row per method."""
+def _mean_psnr(scores) -> float | None:
+    """Mean over the finite PSNRs; inf when there are none but some are
+    infinite; None when no row had a reference."""
+    finite = [s.psnr for s in scores if s.psnr is not None and math.isfinite(s.psnr)]
+    if finite:
+        return sum(finite) / len(finite)
+    return math.inf if any(s.psnr == math.inf for s in scores) else None
+
+
+def report_csv(rows) -> str:
+    """Fixed-header CSV of (image, method, QualityScores) rows: one row per
+    image, then one mean row per method, in canonical method order."""
+    rows = list(rows)
     lines = [",".join(SCORES_HEADER)]
-    for image, method, s in report.rows:
-        cells = [_cell(getattr(s, col)) for col in _COLUMNS]
-        lines.append(",".join([image, method] + cells))
-    for method in report.aggregates:
-        agg = report.aggregates[method]
-        psnr_cell = _cell(agg["psnr"])
-        if agg["psnr"] is None and report.inf_psnr_counts.get(method, 0) > 0:
-            psnr_cell = "inf"
-        cells = [psnr_cell] + [_cell(agg[col]) for col in _COLUMNS[1:]]
+    for image, method, s in rows:
+        lines.append(",".join([image, method] + [_cell(getattr(s, c)) for c in _COLUMNS]))
+    for method in sorted({m for _, m, _ in rows}, key=_method_sort_key):
+        scores = [s for _, m, s in rows if m == method]
+        cells = [_cell(_mean_psnr(scores))] + [
+            _cell(sum(getattr(s, c) for s in scores) / len(scores)) for c in _COLUMNS[1:]
+        ]
         lines.append(",".join(["mean", method] + cells))
     return "\n".join(lines) + "\n"

@@ -369,9 +369,13 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
     blob_name = doc.get("blob", "weights.bin")
     if not isinstance(blob_name, str):
         raise CorruptBlobError(f"blob must be a file name, got {blob_name!r}")
+    blob_path = manifest_path.parent / blob_name
+    # read_bytes on a device or FIFO might never end
+    if not blob_path.is_file():
+        raise CorruptBlobError(f"blob {blob_name!r} is missing or not a regular file")
     try:
-        blob = (manifest_path.parent / blob_name).read_bytes()
-    except (OSError, ValueError) as exc:
+        blob = blob_path.read_bytes()
+    except OSError as exc:
         raise CorruptBlobError(f"cannot read weight blob: {exc}") from exc
     weights = {}
     for entry, (name, shape) in zip(entries, expected):

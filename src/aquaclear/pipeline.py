@@ -6,10 +6,10 @@ and returning a process exit code (0 ok, 2 empty input, no image succeeded
 or parse failure, 3 missing weights, 4 bad parameters); an output directory
 or file that cannot be written raises IoFailureError. The per-image
 commands share one runner: an image that fails is skipped with one stderr
-line, and only a configuration error aborts the batch. All outputs are
-deterministic for a given (input set, config, seed) at any thread count:
-per-image work is pure, results are collected in input order, and output
-files never embed absolute paths or timestamps.
+line and the rest of the batch runs. All outputs are deterministic for a
+given (input set, config, seed) at any thread count: per-image work is
+pure, results are collected in input order, and output files never embed
+absolute paths or timestamps.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .errors import (
     AquaClearError,
     ConfigError,
     CsvParseError,
+    ImageTooSmallError,
     IndivisibleDimsError,
     IoFailureError,
 )
@@ -63,7 +64,6 @@ from .metrics import (
     METHOD_LABELS,
     METHOD_ORDER,
     SCORES_HEADER,
-    aggregate_scores,
     report_csv,
     score_image,
 )
@@ -259,18 +259,16 @@ def _skipped(result) -> bool:
 def _run(files, one, threads: int) -> list:
     """``one(path)`` for every file, results in input order.
 
-    An AquaClearError other than ConfigError turns that file's result into
-    the skip record {"file": name, "error": reason} and prints one
-    ``skipping`` line on stderr; a ConfigError aborts the whole batch.
+    An AquaClearError or MemoryError turns that file's result into the skip
+    record {"file": name, "error": reason} and prints one ``skipping`` line
+    on stderr.
     """
 
     def item(path):
         try:
             return one(path)
-        except ConfigError:
-            raise
-        except AquaClearError as exc:
-            return {"file": path.name, "error": str(exc)}
+        except (AquaClearError, MemoryError) as exc:
+            return {"file": path.name, "error": str(exc) or type(exc).__name__}
 
     results = _pmap(item, files, threads)
     for r in results:
@@ -497,7 +495,7 @@ def cmd_evaluate(input_dir, config: PipelineConfig, output_dir=None) -> int:
     if not rows:
         print("no images to evaluate", file=sys.stderr)
         return EXIT_EMPTY
-    _write(out / "scores.csv", report_csv(aggregate_scores(rows)))
+    _write(out / "scores.csv", report_csv(rows))
     print(f"evaluated {len(rows)} images")
     return EXIT_OK
 
@@ -570,7 +568,10 @@ def cmd_augment(input_dir, config: PipelineConfig, output_dir=None,
         crop_h = int(round(aug.crop_fraction * img.height))
         crop_w = int(round(aug.crop_fraction * img.width))
         if crop_h < 1 or crop_w < 1:
-            raise ConfigError("crop_fraction yields an empty crop")
+            raise ImageTooSmallError(
+                f"{img.width}x{img.height} image too small for crop_fraction "
+                f"{aug.crop_fraction}"
+            )
         for k in range(aug.samples_per_image):
             rng = _augment_rng(seed, path.name, k)
             top = int(rng.integers(0, img.height - crop_h + 1))
@@ -586,11 +587,7 @@ def cmd_augment(input_dir, config: PipelineConfig, output_dir=None,
         return aug.samples_per_image
 
     _make_dir(out)
-    try:
-        made = [r for r in _run(files, one, config.threads) if not _skipped(r)]
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    made = [r for r in _run(files, one, config.threads) if not _skipped(r)]
     if not made:
         print("no input images", file=sys.stderr)
         return EXIT_EMPTY

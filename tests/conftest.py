@@ -96,6 +96,16 @@ def fail_writes_midway(monkeypatch):
 
 # Reference implementations the numeric tests compare against.
 
+# The 3x3 kernels sharpen's two modes apply: -1s around centre 8 (sums to 0)
+# or centre -9 (sums to -17, driving constant regions to hard clamp).
+SHARPEN_KERNEL_ZERO_SUM = np.array(
+    [[-1.0, -1.0, -1.0], [-1.0, 8.0, -1.0], [-1.0, -1.0, -1.0]]
+)
+SHARPEN_KERNEL_PAPER_MODE = np.array(
+    [[-1.0, -1.0, -1.0], [-1.0, -9.0, -1.0], [-1.0, -1.0, -1.0]]
+)
+
+
 def plane_conv_oracle(plane, kernel):
     """Quadruple-loop true convolution with replicate padding."""
     h, w = plane.shape

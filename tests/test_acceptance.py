@@ -19,7 +19,6 @@ from aquaclear.classify import (
     summary_csv,
 )
 from aquaclear.enhance import (
-    SHARPEN_KERNEL_PAPER_MODE,
     NlmParams,
     gray_world_correct,
     nlm_denoise,
@@ -47,7 +46,12 @@ from aquaclear.pipeline import (
 )
 from aquaclear.synth import archetype_for_category, make_archetype, write_corpus
 
-from conftest import cnn_conv_oracle, nlm_oracle, plane_conv_oracle
+from conftest import (
+    SHARPEN_KERNEL_PAPER_MODE,
+    cnn_conv_oracle,
+    nlm_oracle,
+    plane_conv_oracle,
+)
 
 
 @contextmanager

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from aquaclear.enhance import (
-    SHARPEN_KERNEL_PAPER_MODE,
-    SHARPEN_KERNEL_ZERO_SUM,
     ClaheParams,
     EnhancementPlan,
     NlmParams,
@@ -29,7 +27,13 @@ from aquaclear.errors import (
 )
 from aquaclear.image import ImageF32, channel_stats, convolve2d, rgb_to_hsv
 
-from conftest import constant_image, nlm_oracle, random_image
+from conftest import (
+    SHARPEN_KERNEL_PAPER_MODE,
+    SHARPEN_KERNEL_ZERO_SUM,
+    constant_image,
+    nlm_oracle,
+    random_image,
+)
 
 
 class TestGrayWorld:

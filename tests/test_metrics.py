@@ -10,17 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aquaclear.errors import (
-    DimMismatchError,
-    EmptyBatchError,
-    ImageTooSmallError,
-)
+from aquaclear.errors import DimMismatchError, ImageTooSmallError
 from aquaclear.image import ImageF32, convolve2d, load_ppm, luminance, rgb_to_lab
 from aquaclear.metrics import (
     METHOD_ORDER,
+    SCORES_HEADER,
     UCIQE_WEIGHTS,
     UIQM_WEIGHTS,
-    aggregate_scores,
     psnr,
     report_csv,
     score_image,
@@ -411,11 +407,15 @@ class TestScoreBits:
             assert all(math.isfinite(float.fromhex(v)) for v in scores[0][1:]), scores[0]
 
 
-class TestEvaluateBatch:
-    def test_empty_batch_rejected(self):
-        with pytest.raises(EmptyBatchError):
-            aggregate_scores([])
+def report_rows(rows):
+    return list(csv.reader(io.StringIO(report_csv(rows))))
 
+
+def mean_rows(rows):
+    return [r for r in report_rows(rows) if r[0] == "mean"]
+
+
+class TestEvaluateBatch:
     def test_method_order_is_canonical_then_alphabetical(self, rng):
         img = random_image(rng, 8, 8)
         items = [
@@ -424,8 +424,10 @@ class TestEvaluateBatch:
             ("a.ppm", "Original", score_image(img)),
             ("a.ppm", "VGG19", score_image(img)),
         ]
-        report = aggregate_scores(items)
-        assert list(report.aggregates) == ["Original", "VGG19", "Classic", "Zeta"]
+        rows = report_rows(items)
+        assert [r[1] for r in rows[1:5]] == ["Classic", "Zeta", "Original", "VGG19"]
+        assert [r[1] for r in rows[5:]] == ["Original", "VGG19", "Classic", "Zeta"]
+        assert all(r[0] == "mean" for r in rows[5:])
         assert METHOD_ORDER[0] == "Original"
 
     def test_infinite_psnr_counted_not_averaged(self, rng):
@@ -434,19 +436,18 @@ class TestEvaluateBatch:
         items = [
             ("a.ppm", "Classic", score_image(ref, ref)),
             ("b.ppm", "Classic", score_image(other, ref)),
+            ("c.ppm", "Classic", score_image(other)),
         ]
-        report = aggregate_scores(items)
-        agg = report.aggregates["Classic"]
-        assert report.inf_psnr_counts["Classic"] == 1
-        assert agg["psnr"] == pytest.approx(psnr(ref, other), abs=1e-12)
+        (mean,) = mean_rows(items)
+        assert mean[2] == f"{psnr(ref, other):.6f}"
 
     def test_aggregate_is_column_mean(self, rng):
         a, b = random_image(rng, 8, 8), random_image(rng, 8, 8)
-        report = aggregate_scores(
-            [("a.ppm", "Classic", score_image(a)), ("b.ppm", "Classic", score_image(b))]
-        )
-        want = (score_image(a).uciqe + score_image(b).uciqe) / 2.0
-        assert report.aggregates["Classic"]["uciqe"] == pytest.approx(want, abs=1e-12)
+        sa, sb = score_image(a, b), score_image(b, a)
+        (mean,) = mean_rows([("a.ppm", "Classic", sa), ("b.ppm", "Classic", sb)])
+        for col, cell in zip(SCORES_HEADER[2:], mean[2:], strict=True):
+            want = (getattr(sa, col) + getattr(sb, col)) / 2.0
+            assert cell == f"{want:.6f}", col
 
 
 class TestReportCsv:
@@ -454,14 +455,12 @@ class TestReportCsv:
 
     def test_layout(self, rng):
         img = random_image(rng, 8, 8)
-        report = aggregate_scores(
+        rows = report_rows(
             [
                 ("a.ppm", "Classic", score_image(img, img)),
                 ("a.ppm", "Original", score_image(img)),
             ]
         )
-        text = report_csv(report)
-        rows = list(csv.reader(io.StringIO(text)))
         assert ",".join(rows[0]) == self.HEADER
         assert len(rows) == 1 + 2 + 2  # header, image rows, mean rows
         assert all(len(r) == 11 for r in rows)
@@ -469,22 +468,19 @@ class TestReportCsv:
 
     def test_infinite_psnr_cell(self, rng):
         img = random_image(rng, 8, 8)
-        report = aggregate_scores([("a.ppm", "Classic", score_image(img, img))])
-        rows = list(csv.reader(io.StringIO(report_csv(report))))
+        rows = report_rows([("a.ppm", "Classic", score_image(img, img))])
         assert rows[1][2] == "inf"
         assert rows[2][2] == "inf"  # mean row falls back to inf when all rows are
 
     def test_missing_reference_leaves_empty_cell(self, rng):
         img = random_image(rng, 8, 8)
-        report = aggregate_scores([("a.ppm", "Original", score_image(img))])
-        rows = list(csv.reader(io.StringIO(report_csv(report))))
+        rows = report_rows([("a.ppm", "Original", score_image(img))])
         assert rows[1][2] == ""
         assert rows[2][2] == ""
 
     def test_cells_are_six_decimal_floats(self, rng):
         img = random_image(rng, 8, 8)
-        report = aggregate_scores([("a.ppm", "Original", score_image(img))])
-        rows = list(csv.reader(io.StringIO(report_csv(report))))
+        rows = report_rows([("a.ppm", "Original", score_image(img))])
         for cell in rows[1][3:]:
             float(cell)
             assert len(cell.split(".")[1]) == 6

@@ -1,6 +1,8 @@
 """Batch commands, config handling, and the CLI front end."""
 
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aquaclear.pipeline as pipeline
 from aquaclear.cli import main
 from aquaclear.errors import ConfigError, CsvParseError, IoFailureError
 from aquaclear.enhance import StepKind
@@ -700,14 +703,25 @@ class TestAugment:
         out_file = next(out.glob("*.ppm"))
         assert out_file.read_bytes() == src_file.read_bytes()
 
-    def test_empty_crop_exits_four(self, tmp_path):
+    def test_empty_crop_skips_the_image(self, tmp_path, capsys):
         from aquaclear.pipeline import AugmentConfig
 
         src = tmp_path / "in"
         src.mkdir()
         save_ppm(constant_image(0.5, h=8, w=8), src / "tiny.ppm")
-        cfg = PipelineConfig(augment=AugmentConfig(crop_fraction=0.01))
-        assert cmd_augment(src, cfg, tmp_path / "out") == EXIT_BAD_PARAMS
+        # round(0.05 * 8) == 0, round(0.05 * 32) == 2
+        cfg = PipelineConfig(augment=AugmentConfig(crop_fraction=0.05))
+        assert cmd_augment(src, cfg, tmp_path / "alone") == EXIT_EMPTY
+        capsys.readouterr()
+        (big,) = corpus(src, count=1, size=32)
+        out = tmp_path / "out"
+        assert cmd_augment(src, cfg, out) == EXIT_OK
+        skips = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("skipping")]
+        assert skips == ["skipping tiny.ppm: 8x8 image too small for crop_fraction 0.05"]
+        assert sorted(p.name for p in out.glob("*.ppm")) == [
+            f"{big.stem}.aug0.ppm", f"{big.stem}.aug1.ppm"
+        ]
 
     def test_empty_dir_exits_two(self, tmp_path, config):
         src = tmp_path / "in"
@@ -738,16 +752,40 @@ class TestSkipPolicy:
 
     @pytest.mark.parametrize("command", sorted(CASES))
     def test_one_bad_image_is_skipped(self, tmp_path, config, capsys, command):
-        run, bad, outputs = self.CASES[command]
+        bad = self.CASES[command][1]
         src = tmp_path / "in"
         good = corpus(src, count=3)
         if bad is None:
             (src / "bad.ppm").write_bytes(b"P6\n10 10\n255\nshort")
         else:
             save_ppm(bad, src / "bad.ppm")
-        out = tmp_path / "out"
+        self.check_skipped(tmp_path, config, capsys, command, good)
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_memory_error_is_skipped(self, tmp_path, config, capsys, monkeypatch,
+                                     command):
+        src = tmp_path / "in"
+        good = corpus(src, count=3)
+        save_ppm(constant_image(0.5, h=32, w=32), src / "bad.ppm")
+        real_load = pipeline.load_ppm
+
+        def load_ppm(path):
+            if path.name == "bad.ppm":
+                raise MemoryError("Unable to allocate 12.0 GiB")
+            return real_load(path)
+
+        monkeypatch.setattr(pipeline, "load_ppm", load_ppm)
+        self.check_skipped(tmp_path, config, capsys, command, good)
+
+    def check_skipped(self, tmp_path, config, capsys, command, good):
+        """The command exits 0 with one skip line for bad.ppm and every
+        output of the good images."""
+        run, _, outputs = self.CASES[command]
+        src, out = tmp_path / "in", tmp_path / "out"
         assert run(src, out, config) == EXIT_OK
-        assert "skipping bad.ppm" in capsys.readouterr().err
+        skips = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("skipping")]
+        assert len(skips) == 1 and skips[0].startswith("skipping bad.ppm: ")
         for name in outputs:
             text = (out / name).read_text()
             assert all(g.stem in text for g in good)
@@ -1028,11 +1066,55 @@ class TestCli:
         ])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_warning_prints_one_line(self, tmp_path, capsys, threads):
+        src = tmp_path / "in"
+        src.mkdir()
+        for i, side in enumerate((1, 4, 9)):
+            save_ppm(constant_image(0.0, h=side, w=side), src / f"black{i}.ppm")
+        code = main([
+            "classify", "--config", self.write_config(tmp_path, {"threads": threads}),
+            "--input", str(src), "--output", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["warning: channel means too small for cast detection"] * 3
+
+    def test_blob_that_is_not_a_file_exits_three(self, tmp_path):
+        """A manifest naming /dev/zero as its blob is refused before any
+        read; the child runs under a 1 GiB address-space cap and a timeout,
+        so a read without end fails fast instead of filling memory."""
+        from aquaclear.neural import build_vgg_head, init_weights, save_weights
+
+        src = tmp_path / "in"
+        corpus(src, count=1)
+        manifest = save_weights(init_weights(build_vgg_head(), seed=1), tmp_path / "w")
+        doc = json.loads(manifest.read_text())
+        doc["blob"] = "/dev/zero"
+        manifest.write_text(json.dumps(doc))
+        config = self.write_config(tmp_path, {"neural": {"vgg_manifest": str(manifest)}})
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from aquaclear.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        package_root = Path(pipeline.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(package_root), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "enhance", "--config", config,
+             "--input", str(src), "--output", str(tmp_path / "out"), "--method", "vgg"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        err = proc.stderr.splitlines()
+        assert proc.returncode == EXIT_MISSING_WEIGHTS, proc.stderr
+        assert len(err) == 1 and err[0].startswith("cannot load weights:")
+
 
 # Valid configs for the whole-command fuzz: the defaults, two pipeline
 # threads, every flag forced with the smallest NLM and the largest paper-mode
 # sharpening, and the most CLAHE tiles with a crop that is empty on tiny
-# images (exit 4 from augment).
+# images (augment skips them).
 COMMAND_FUZZ_CONFIGS = (
     {},
     {"threads": 2},
