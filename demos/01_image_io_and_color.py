@@ -12,9 +12,6 @@ import numpy as np
 
 from aquaclear import ImageF32, load_ppm, rgb_to_hsv, rgb_to_lab, save_ppm
 
-out_dir = Path(tempfile.mkdtemp(prefix="aquaclear_demo_"))
-print(f"writing demo files to {out_dir}\n")
-
 # Images are planar float32, channels first, values in [0, 1].
 ramp = np.linspace(0.0, 1.0, 64 * 64).reshape(64, 64)
 data = np.stack([ramp, ramp * 0.5, 1.0 - ramp]).astype(np.float32)
@@ -27,17 +24,21 @@ try:
 except ValueError:
     print("pixel writes raise, as intended")
 
-# Saving quantizes each sample with round-half-away-from-zero.
-path = out_dir / "ramp.ppm"
-save_ppm(img, path)
-back = load_ppm(path)
-err = float(np.abs(back.data.astype(np.float64) - img.data).max())
-print(f"round-trip worst-case error {err:.6f} (bound is 1/510 = {1/510:.6f})")
+# Saving quantizes each sample with round-half-away-from-zero. The work
+# directory is removed when the block ends.
+with tempfile.TemporaryDirectory(prefix="aquaclear_demo_") as tmp:
+    out_dir = Path(tmp)
+    print(f"\nwriting demo files to {out_dir}")
+    path = out_dir / "ramp.ppm"
+    save_ppm(img, path)
+    back = load_ppm(path)
+    err = float(np.abs(back.data.astype(np.float64) - img.data).max())
+    print(f"round-trip worst-case error {err:.6f} (bound is 1/510 = {1/510:.6f})")
 
-# A second save of the loaded image reproduces the file byte for byte.
-path2 = out_dir / "ramp_again.ppm"
-save_ppm(back, path2)
-print(f"re-save byte-identical: {path.read_bytes() == path2.read_bytes()}")
+    # A second save of the loaded image reproduces the file byte for byte.
+    path2 = out_dir / "ramp_again.ppm"
+    save_ppm(back, path2)
+    print(f"re-save byte-identical: {path.read_bytes() == path2.read_bytes()}")
 
 # HSV works on the hexcone model; hue lives in [0, 1).
 hsv = rgb_to_hsv(img)

@@ -44,10 +44,10 @@ for category in RANK_ORDER:
         _, got = classify(archetype_for_category(category, seed=seed, size=32))
         labels.append(got)
 
-report = summarize(labels)
+counts = summarize(labels)  # {category: count}, in rank order
 print("category counts over 160 synthetic images:")
-for cat in RANK_ORDER:
-    print(f"  rank {cat.rank}  {cat.description:<38} {report.counts[cat]:>3}")
+for cat, n in counts.items():
+    print(f"  rank {cat.rank}  {cat.description:<38} {n:>3}")
 
 print("\nsummary.csv content:")
-print(summary_csv(report))
+print(summary_csv(counts))

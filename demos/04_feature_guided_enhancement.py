@@ -48,11 +48,11 @@ for name, attn in (("vgg", attn_v), ("resnet", attn_r), ("fused", fused)):
     print(f"{name:<9} UCIQE {uciqe(out)[0]:.4f}  UIQM {uiqm(out)[0]:.4f}")
 
 # Weights persist as a JSON manifest plus a float32 blob.
-out_dir = Path(tempfile.mkdtemp(prefix="aquaclear_demo_"))
-manifest = save_weights(vgg, out_dir / "vgg")
-reloaded = load_weights(build_vgg_head(), manifest)
-same = all(
-    (reloaded.weights[k] == vgg.weights[k]).all() for k in vgg.weights
-)
-print(f"\nsaved to {manifest}")
-print(f"reload bit-identical: {same}")
+with tempfile.TemporaryDirectory(prefix="aquaclear_demo_") as tmp:
+    manifest = save_weights(vgg, Path(tmp) / "vgg")
+    reloaded = load_weights(build_vgg_head(), manifest)
+    same = all(
+        (reloaded.weights[k] == vgg.weights[k]).all() for k in vgg.weights
+    )
+    print(f"\nsaved to {manifest}")
+    print(f"reload bit-identical: {same}")

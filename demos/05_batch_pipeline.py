@@ -28,28 +28,30 @@ from aquaclear import (
     write_corpus,
 )
 
-root = Path(tempfile.mkdtemp(prefix="aquaclear_demo_"))
-corpus = root / "corpus"
-work = root / "work"
-corpus.mkdir()
+# The work directory is removed when the block ends.
+with tempfile.TemporaryDirectory(prefix="aquaclear_demo_") as tmp:
+    root = Path(tmp)
+    corpus = root / "corpus"
+    work = root / "work"
+    corpus.mkdir()
 
-# Twenty 32x32 frames cycling through all eight degradation categories.
-files = write_corpus(corpus, count=20, seed=7, size=32)
-print(f"corpus: {len(files)} images in {corpus}\n")
+    # Twenty 32x32 frames cycling through all eight degradation categories.
+    files = write_corpus(corpus, count=20, seed=7, size=32)
+    print(f"corpus: {len(files)} images in {corpus}\n")
 
-config = PipelineConfig(reference_dir=str(corpus))
+    config = PipelineConfig(reference_dir=str(corpus))
 
-cmd_classify(corpus, config, work)
-cmd_enhance(corpus, config, work / "enhanced", method="unite", seed=7)
-cmd_evaluate(work / "enhanced", config, output_dir=work)
-cmd_split(corpus, config, work)
-cmd_augment(corpus, config, work / "augmented", seed=7)
-cmd_report(work, config, work)
+    cmd_classify(corpus, config, work)
+    cmd_enhance(corpus, config, work / "enhanced", method="unite", seed=7)
+    cmd_evaluate(work / "enhanced", config, output_dir=work)
+    cmd_split(corpus, config, work)
+    cmd_augment(corpus, config, work / "augmented", seed=7)
+    cmd_report(work, config, work)
 
-print("\nwork directory now holds:")
-for path in sorted(work.rglob("*")):
-    if path.is_file():
-        print(f"  {path.relative_to(work)}")
+    print("\nwork directory now holds:")
+    for path in sorted(work.rglob("*")):
+        if path.is_file():
+            print(f"  {path.relative_to(work)}")
 
-print("\nreport.csv:")
-print((work / "report.csv").read_text())
+    print("\nreport.csv:")
+    print((work / "report.csv").read_text())

@@ -24,12 +24,12 @@ __all__ = [
     "RANK_ORDER",
     "ClassifierThresholds",
     "CastDiagnostics",
-    "DatasetReport",
     "detect_color_cast",
     "detect_low_light",
     "detect_blur",
     "classify",
     "summarize",
+    "summary_rows",
     "summary_csv",
     "cooccurrence_csv",
 ]
@@ -170,46 +170,36 @@ def classify(
     return flags, _BY_FLAGS[flags]
 
 
-@dataclass(frozen=True)
-class DatasetReport:
-    """Aggregate label statistics for a batch of classified images;
-    counts/proportions are keyed by Category8."""
-
-    total: int
-    counts: dict
-    proportions: dict
-
-
-def summarize(labels) -> DatasetReport:
-    """Tally categories."""
-    labels = list(labels)
-    if not labels:
-        raise EmptyDatasetError("no labels to summarize")
-    total = len(labels)
+def summarize(labels) -> dict:
+    """Tally categories: {Category8: count}, every category, in rank order."""
     tally = Counter(labels)
-    counts = {cat: tally.get(cat, 0) for cat in RANK_ORDER}
-    proportions = {cat: counts[cat] / total for cat in RANK_ORDER}
-    return DatasetReport(total=total, counts=counts, proportions=proportions)
+    if not tally:
+        raise EmptyDatasetError("no labels to summarize")
+    return {cat: tally[cat] for cat in RANK_ORDER}
 
 
-def summary_csv(report: DatasetReport) -> str:
+def summary_rows(counts: dict) -> list:
+    """(rank, description, count, proportion to 4 decimals) per category."""
+    total = sum(counts.values())
+    return [
+        (cat.rank, cat.description, counts[cat], f"{counts[cat] / total:.4f}")
+        for cat in RANK_ORDER
+    ]
+
+
+def summary_csv(counts: dict) -> str:
     """Category table as CSV: rank,description,count,proportion (4 decimals)."""
-    lines = ["rank,description,count,proportion"]
-    for cat in RANK_ORDER:
-        lines.append(
-            f"{cat.rank},{cat.description},{report.counts[cat]},"
-            f"{report.proportions[cat]:.4f}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [",".join(map(str, row)) for row in summary_rows(counts)]
+    return "\n".join(["rank,description,count,proportion", *rows]) + "\n"
 
 
-def cooccurrence_csv(report: DatasetReport) -> str:
+def cooccurrence_csv(counts: dict) -> str:
     """Co-occurrence grid as CSV: lowlight,cast,blur,count (flags as 0/1),
     one row per category."""
     lines = ["lowlight,cast,blur,count"]
     for low in (False, True):
         for cast in (False, True):
             for blur in (False, True):
-                n = report.counts[_BY_FLAGS[DegradationFlags(cast, low, blur)]]
+                n = counts[_BY_FLAGS[DegradationFlags(cast, low, blur)]]
                 lines.append(f"{int(low)},{int(cast)},{int(blur)},{n}")
     return "\n".join(lines) + "\n"

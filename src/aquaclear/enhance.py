@@ -8,7 +8,7 @@ build_plan derives one from DegradationFlags.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -203,9 +203,7 @@ def clahe_v(img: ImageF32, params: ClaheParams = ClaheParams()) -> ImageF32:
     return hsv_to_rgb(ImageF32.from_array(np.stack([hsv[0], hsv[1], v_new])))
 
 
-def sharpen(
-    img: ImageF32, strength: float = 1.0, kernel_mode: str = "zero_sum"
-) -> ImageF32:
+def sharpen(img: ImageF32, params: SharpenParams = SharpenParams()) -> ImageF32:
     """Laplacian edge boost: I' = clamp(I + strength * (K conv I)).
 
     K is 3x3, -1 around the centre. In zero_sum mode the centre is 8 and the
@@ -215,7 +213,6 @@ def sharpen(
     zero-sum one minus 17 times the pixel, which drives constant regions to
     hard clamp.
     """
-    params = SharpenParams(strength, kernel_mode)
     planes = img.data.astype(np.float64)
     out = np.empty_like(planes)
     for c in range(img.channels):
@@ -343,7 +340,7 @@ class StepKind(Enum):
 @dataclass(frozen=True)
 class PlanStep:
     kind: StepKind
-    params: dict = field(default_factory=dict)
+    params: ClaheParams | NlmParams | SharpenParams | None = None  # None: defaults
 
 
 @dataclass(frozen=True)
@@ -362,33 +359,30 @@ class EnhancementPlan:
         return [s.kind.value for s in self.steps]
 
 
-def build_plan(flags: DegradationFlags, overrides: dict | None = None) -> EnhancementPlan:
+def build_plan(flags: DegradationFlags, params: dict | None = None) -> EnhancementPlan:
     """Map detected defects to steps, in the fixed order
     gray_world -> clahe -> denoise -> sharpen.
 
-    ``overrides`` optionally supplies per-kind parameter dicts.
+    ``params`` optionally maps a StepKind to the parameter object (ClaheParams,
+    NlmParams or SharpenParams) its step holds; other steps run the defaults.
     """
-    overrides = overrides or {}
-    steps = []
-
-    def add(kind):
-        steps.append(PlanStep(kind, dict(overrides.get(kind, {}))))
-
-    if flags.color_cast:
-        add(StepKind.GRAY_WORLD)
-    if flags.low_light:
-        add(StepKind.CLAHE)
-    if flags.blurred:
-        add(StepKind.DENOISE)
-        add(StepKind.SHARPEN)
-    return EnhancementPlan(tuple(steps))
+    wanted = (
+        (StepKind.GRAY_WORLD, flags.color_cast),
+        (StepKind.CLAHE, flags.low_light),
+        (StepKind.DENOISE, flags.blurred),
+        (StepKind.SHARPEN, flags.blurred),
+    )
+    params = params or {}
+    return EnhancementPlan(tuple(PlanStep(k, params.get(k)) for k, on in wanted if on))
 
 
+# Lambdas, so each filter is looked up through its module global at call time
+# and a tracer that rebinds the global (perfbench/spans.py) sees every call.
 _STEP_FUNCS = {
     StepKind.GRAY_WORLD: lambda img, p: gray_world_correct(img),
-    StepKind.CLAHE: lambda img, p: clahe_v(img, ClaheParams(**p)),
-    StepKind.DENOISE: lambda img, p: nlm_denoise(img, NlmParams(**p)),
-    StepKind.SHARPEN: lambda img, p: sharpen(img, **p),
+    StepKind.CLAHE: lambda img, p: clahe_v(img, p or ClaheParams()),
+    StepKind.DENOISE: lambda img, p: nlm_denoise(img, p or NlmParams()),
+    StepKind.SHARPEN: lambda img, p: sharpen(img, p or SharpenParams()),
 }
 
 

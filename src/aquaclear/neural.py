@@ -370,14 +370,10 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
     if not isinstance(blob_name, str):
         raise CorruptBlobError(f"blob must be a file name, got {blob_name!r}")
     blob_path = manifest_path.parent / blob_name
-    # read_bytes on a device or FIFO might never end
+    # reading a device or FIFO might never end
     if not blob_path.is_file():
         raise CorruptBlobError(f"blob {blob_name!r} is missing or not a regular file")
-    try:
-        blob = blob_path.read_bytes()
-    except OSError as exc:
-        raise CorruptBlobError(f"cannot read weight blob: {exc}") from exc
-    weights = {}
+    slices = []  # (name, shape, start, end) per entry
     for entry, (name, shape) in zip(entries, expected):
         if not isinstance(entry, dict) or not _ENTRY_KEYS <= entry.keys():
             raise ShapeMismatchInManifestError(
@@ -408,7 +404,18 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
             raise CorruptBlobError(
                 f"{name}: byte_length {entry['byte_length']} != {4 * count}"
             )
-        start, end = entry["byte_offset"], entry["byte_offset"] + entry["byte_length"]
+        start = entry["byte_offset"]
+        slices.append((name, shape, start, start + entry["byte_length"]))
+    # Read only the bytes the entries name, however large the file is, and
+    # never ask for more than it holds (read(n) allocates n bytes up front).
+    need = max(end for *_, end in slices)
+    try:
+        with blob_path.open("rb") as f:
+            blob = f.read(min(need, blob_path.stat().st_size))
+    except OSError as exc:
+        raise CorruptBlobError(f"cannot read weight blob: {exc}") from exc
+    weights = {}
+    for name, shape, start, end in slices:
         if end > len(blob):
             raise CorruptBlobError(
                 f"{name}: blob ends at {len(blob)}, entry needs {end}"
@@ -517,6 +524,7 @@ def feature_guided_enhance(
 
     The plan is built from the original image's degradation flags, so at
     gain 0 the output matches the purely classical path bit-for-bit.
+    ``plan_overrides`` maps a StepKind to its step's parameter object.
     """
     adjusted = attention_adjust(img, attn, gain)
     flags, _ = classify(img, thresholds)

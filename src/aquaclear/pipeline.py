@@ -30,11 +30,11 @@ import numpy as np
 from .classify import (
     Category8,
     ClassifierThresholds,
-    RANK_ORDER,
     classify,
     cooccurrence_csv,
     summarize,
     summary_csv,
+    summary_rows,
 )
 from .enhance import (
     ClaheParams,
@@ -175,6 +175,9 @@ class SplitConfig:
     def __post_init__(self):
         if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
             raise ValueError("ratios must be three positive numbers")
+        # each file's share is ratio / sum, which an infinite sum zeroes
+        if not math.isfinite(sum(self.ratios)):
+            raise ValueError("ratios must have a finite sum")
 
 
 @dataclass(frozen=True)
@@ -230,12 +233,10 @@ class PipelineConfig:
         return cls.from_dict(doc)
 
     def plan_overrides(self) -> dict:
-        from dataclasses import asdict
-
         return {
-            StepKind.CLAHE: asdict(self.clahe),
-            StepKind.DENOISE: asdict(self.nlm),
-            StepKind.SHARPEN: asdict(self.sharpen),
+            StepKind.CLAHE: self.clahe,
+            StepKind.DENOISE: self.nlm,
+            StepKind.SHARPEN: self.sharpen,
         }
 
 
@@ -314,21 +315,21 @@ def cmd_classify(input_dir, config: PipelineConfig, output_dir=None) -> int:
     rows = [row for row, _ in done]
     labels = [category for _, category in done]
     _write(out / "labels.csv", "\n".join([",".join(_LABELS_HEADER), *rows]) + "\n")
-    report = summarize(labels)
-    _write(out / "summary.csv", summary_csv(report))
-    _write(out / "cooccurrence.csv", cooccurrence_csv(report))
+    counts = summarize(labels)
+    _write(out / "summary.csv", summary_csv(counts))
+    _write(out / "cooccurrence.csv", cooccurrence_csv(counts))
     print(f"classified {len(labels)} images, skipped {len(files) - len(done)}")
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ enhance
 
-def _largest_valid(specs, extent: int) -> int:
+def _largest_valid(heads, extent: int) -> int:
     """The largest extent, at most 64 below ``extent``, every head accepts."""
     for e in range(extent, max(extent - 64, 7), -1):
         try:
-            for spec in specs:
-                validate_dims(spec, e, e)
+            for head in heads:
+                validate_dims(head.spec, e, e)
             return e
         except IndivisibleDimsError:
             pass
@@ -341,21 +342,18 @@ def _center_crop(img: ImageF32, h: int, w: int) -> ImageF32:
     return ImageF32(np.ascontiguousarray(img.data[:, top : top + h, left : left + w]))
 
 
-def _load_heads(config: PipelineConfig, method: str, seed: int):
-    """Build and bind the extractor(s) a method needs, or raise."""
-    heads = {}
-    if method in ("vgg", "unite"):
-        spec = build_vgg_head()
-        if config.neural.vgg_manifest:
-            heads["vgg"] = load_weights(spec, config.neural.vgg_manifest)
-        else:
-            heads["vgg"] = init_weights(spec, seed)
-    if method in ("resnet", "unite"):
-        spec = build_resnet_head()
-        if config.neural.resnet_manifest:
-            heads["resnet"] = load_weights(spec, config.neural.resnet_manifest)
-        else:
-            heads["resnet"] = init_weights(spec, seed + 1)
+def _load_heads(config: PipelineConfig, method: str, seed: int) -> list:
+    """Build and bind the extractors a method needs, VGG first, or raise."""
+    heads = []
+    for name, build, manifest, head_seed in (
+        ("vgg", build_vgg_head, config.neural.vgg_manifest, seed),
+        ("resnet", build_resnet_head, config.neural.resnet_manifest, seed + 1),
+    ):
+        if method in (name, "unite"):
+            spec = build()
+            heads.append(
+                load_weights(spec, manifest) if manifest else init_weights(spec, head_seed)
+            )
     return heads
 
 
@@ -387,7 +385,6 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
 
     _make_dir(out)
     overrides = config.plan_overrides()
-    specs = [h.spec for h in heads.values()]
 
     def one(path):
         img = load_ppm(path)
@@ -410,27 +407,24 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
             )
 
         hook = on_step if verbose else None
-        if method != "classic":
-            h_ok = _largest_valid(specs, img.height)
-            w_ok = _largest_valid(specs, img.width)
+        if heads:
+            h_ok = _largest_valid(heads, img.height)
+            w_ok = _largest_valid(heads, img.width)
             if (h_ok, w_ok) != (img.height, img.width):
                 record["cropped"] = [h_ok, w_ok]
                 print(f"{path.name}: center-cropped to {w_ok}x{h_ok}", file=sys.stderr)
                 img = _center_crop(img, h_ok, w_ok)
-            maps = [
-                attention_map(extract_features(img, heads[name]), img.height, img.width)
-                for name in ("vgg", "resnet")
-                if name in heads
-            ]
-            attn = maps[0] if len(maps) == 1 else fuse_attention(maps[0], maps[1])
+            maps = [attention_map(extract_features(img, h), img.height, img.width)
+                    for h in heads]
+            attn = fuse_attention(*maps) if len(maps) == 2 else maps[0]
         flags, category = classify(img, config.thresholds)
         plan = build_plan(flags, overrides)
-        if method == "classic":
-            enhanced = apply_plan(img, plan, hook)
-        else:
+        if heads:
             enhanced = feature_guided_enhance(
                 img, attn, config.neural.gain, config.thresholds, overrides, hook
             )
+        else:
+            enhanced = apply_plan(img, plan, hook)
         record["flags"] = {
             "cast": flags.color_cast,
             "lowlight": flags.low_light,
@@ -656,7 +650,7 @@ def cmd_report(input_dir, config: PipelineConfig, output_dir=None) -> int:
             labels.append(by_name[row[4]])
         if not labels:
             raise CsvParseError(1, "labels.csv has no data rows")
-        summary = summarize(labels)
+        counts = summarize(labels)
 
         mean_rows = []
         parsed = _read_csv(scores_path) if scores_path.exists() else []
@@ -678,12 +672,9 @@ def cmd_report(input_dir, config: PipelineConfig, output_dir=None) -> int:
         print(f"parse failure: {exc}", file=sys.stderr)
         return EXIT_EMPTY
 
-    cat_rows = [
-        (c.rank, c.description, summary.counts[c], f"{summary.proportions[c]:.4f}")
-        for c in RANK_ORDER
-    ]
     md = ["# Batch report", "", "## Degradation categories", ""]
-    md.append(_markdown_table(("Rank", "Description", "Count", "Proportion"), cat_rows))
+    md.append(_markdown_table(("Rank", "Description", "Count", "Proportion"),
+                              summary_rows(counts)))
 
     method_rows = [(row[1], row[2] or "-", row[3], row[4]) for row in mean_rows]
 

@@ -20,6 +20,7 @@ from aquaclear.classify import (
 )
 from aquaclear.enhance import (
     NlmParams,
+    SharpenParams,
     gray_world_correct,
     nlm_denoise,
     sharpen,
@@ -128,9 +129,9 @@ def test_criterion_02_gray_world_invariant():
 def test_criterion_03_sharpening_contract():
     with criterion(3, "sharpening contract", 1.0):
         flat = ImageF32(np.full((3, 8, 8), 0.37, dtype=np.float32))
-        assert np.array_equal(sharpen(flat, kernel_mode="zero_sum").data, flat.data)
+        assert np.array_equal(sharpen(flat, SharpenParams(kernel_mode="zero_sum")).data, flat.data)
         half = ImageF32(np.full((3, 8, 8), 0.5, dtype=np.float32))
-        got = sharpen(half, kernel_mode="paper")
+        got = sharpen(half, SharpenParams(kernel_mode="paper"))
         predicted = np.clip(
             0.5 + convolve2d(np.full((8, 8), 0.5), SHARPEN_KERNEL_PAPER_MODE), 0.0, 1.0
         )

@@ -14,6 +14,7 @@ from aquaclear.classify import (
     detect_low_light,
     summarize,
     summary_csv,
+    summary_rows,
 )
 from aquaclear.errors import EmptyDatasetError, NearBlackImageWarning
 from aquaclear.image import ImageF32, rgb_to_hsv
@@ -148,11 +149,13 @@ def classify_flags(flags):
 class TestSummaries:
     def test_counts_and_proportions(self):
         labels = [Category8.NO_ISSUES] * 3 + [Category8.BLUR_ONLY]
-        rep = summarize(labels)
-        assert rep.total == 4
-        assert rep.counts[Category8.NO_ISSUES] == 3
-        assert rep.proportions[Category8.BLUR_ONLY] == pytest.approx(0.25)
-        assert rep.counts[Category8.COLOR_BIAS_ONLY] == 0
+        counts = summarize(labels)
+        assert list(counts) == RANK_ORDER
+        assert counts[Category8.NO_ISSUES] == 3
+        assert counts[Category8.COLOR_BIAS_ONLY] == 0
+        rows = {row[0]: row for row in summary_rows(counts)}
+        assert rows[Category8.BLUR_ONLY.rank] == (6, "Blur only", 1, "0.2500")
+        assert rows[Category8.NO_ISSUES.rank][3] == "0.7500"
 
     def test_marginals_and_cooccurrence(self):
         labels = [Category8.COLOR_BIAS_LOW_LIGHT_BLUR, Category8.NO_ISSUES]

@@ -25,3 +25,5 @@ def test_demo_runs(tmp_path, demo):
     )
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
+    # each demo removes the work directory it made
+    assert list(tmp_path.iterdir()) == []

@@ -10,6 +10,7 @@ from aquaclear.enhance import (
     EnhancementPlan,
     NlmParams,
     PlanStep,
+    SharpenParams,
     StepKind,
     apply_plan,
     build_plan,
@@ -187,7 +188,7 @@ class TestSharpen:
 
     def test_equals_kernel_convolution_form(self, rng):
         img = random_image(rng, 10, 10)
-        out = sharpen(img, strength=0.8)
+        out = sharpen(img, SharpenParams(strength=0.8))
         for c in range(3):
             plane = img.data[c].astype(np.float64)
             want = np.clip(plane + 0.8 * convolve2d(plane, SHARPEN_KERNEL_ZERO_SUM), 0, 1)
@@ -196,7 +197,7 @@ class TestSharpen:
     def test_paper_mode_saturates_constant_half(self):
         # center -9 kernel sums to -17: response on 0.5 is -8.5, clamped to 0
         img = constant_image(0.5)
-        out = sharpen(img, kernel_mode="paper")
+        out = sharpen(img, SharpenParams(kernel_mode="paper"))
         predicted = np.clip(0.5 + convolve2d(np.full((8, 8), 0.5), SHARPEN_KERNEL_PAPER_MODE), 0, 1)
         assert np.all(out.data == 0.0)
         assert np.all(predicted == 0.0)
@@ -209,11 +210,11 @@ class TestSharpen:
 
     def test_zero_strength_is_identity(self, rng):
         img = random_image(rng, 6, 6)
-        assert np.array_equal(sharpen(img, strength=0.0).data, img.data)
+        assert np.array_equal(sharpen(img, SharpenParams(strength=0.0)).data, img.data)
 
     def test_negative_strength_rejected(self):
         with pytest.raises(NegativeStrengthError):
-            sharpen(constant_image(0.5), strength=-1.0)
+            SharpenParams(strength=-1.0)
 
     # A strength of 1e308 used to overflow to inf and print numpy's
     # RuntimeWarning; the largest allowed strength stays finite.
@@ -222,9 +223,9 @@ class TestSharpen:
         img = random_image(rng, 8, 8, lo=0.0, hi=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sharpen(img, 1000.0, kernel_mode)
+            sharpen(img, SharpenParams(1000.0, kernel_mode))
         with pytest.raises(ValueError, match="strength must be <= 1000"):
-            sharpen(img, float(np.nextafter(1000.0, np.inf)), kernel_mode)
+            SharpenParams(float(np.nextafter(1000.0, np.inf)), kernel_mode)
 
 
 class TestNlm:
@@ -327,16 +328,16 @@ class TestPlans:
         assert exc_info.value.step == "denoise"
 
     def test_overrides_reach_the_step(self, rng):
-        img = random_image(rng, 8, 8)
-        plan = build_plan(
-            DegradationFlags(False, False, True),
-            overrides={
-                StepKind.DENOISE: {"patch_radius": 1, "window_radius": 2, "h": 0.1},
-                StepKind.SHARPEN: {"strength": 0.0},
-            },
-        )
-        out = apply_plan(img, plan)
-        assert out.data.shape == img.data.shape
+        img = random_image(rng, 12, 12)
+        blurred = DegradationFlags(False, False, True)
+        nlm = NlmParams(patch_radius=1, window_radius=3, h=0.2)
+        sharp = SharpenParams(strength=0.6, kernel_mode="paper")
+        plan = build_plan(blurred, {StepKind.DENOISE: nlm, StepKind.SHARPEN: sharp})
+        want = sharpen(nlm_denoise(img, nlm), sharp)
+        assert np.array_equal(apply_plan(img, plan).data, want.data)
+        # the defaults give other bits, so the match is the objects' doing
+        default = apply_plan(img, build_plan(blurred))
+        assert not np.array_equal(default.data, want.data)
 
     def test_on_step_hook_sees_every_step(self, rng):
         img = random_image(rng, 8, 8, lo=0.3, hi=0.5)

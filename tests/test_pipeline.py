@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 
 import aquaclear.pipeline as pipeline
 from aquaclear.cli import main
+from aquaclear.classify import DegradationFlags
 from aquaclear.errors import ConfigError, CsvParseError, IoFailureError
-from aquaclear.enhance import StepKind
+from aquaclear.enhance import StepKind, build_plan
 from aquaclear.image import load_ppm, save_ppm
 from aquaclear.metrics import METHOD_LABELS, METHOD_ORDER
 from aquaclear.pipeline import (
@@ -231,6 +233,10 @@ class TestConfig:
         pytest.param("neural", {"gain": -1}, "gain must be >= 0", id="neural"),
         pytest.param("split", {"ratios": [1, 0, 1]}, "ratios must be three positive numbers",
                      id="split"),
+        # a sum of inf used to zero every share, and split on five files
+        # ended in a KeyError traceback
+        pytest.param("split", {"ratios": [1e308, 1e308, 1]}, "ratios must have a finite sum",
+                     id="split-sum-overflows"),
         pytest.param("augment", {"crop_fraction": 0}, "crop_fraction must lie in (0, 1]",
                      id="augment"),
     ])
@@ -307,10 +313,19 @@ class TestConfig:
         assert cfg.split.ratios == (6.0, 2.0, 2.0)
         assert cfg.seed == 11
 
-    def test_plan_overrides_cover_tunable_steps(self, config):
+    def test_plan_overrides_cover_tunable_steps(self):
+        config = PipelineConfig.from_dict({
+            "clahe": {"bins": 64}, "nlm": {"h": 0.3}, "sharpen": {"strength": 0.5},
+        })
         overrides = config.plan_overrides()
         assert set(overrides) == {StepKind.CLAHE, StepKind.DENOISE, StepKind.SHARPEN}
-        assert overrides[StepKind.DENOISE]["h"] == 0.1
+        # the plan's steps hold the config's own objects
+        plan = build_plan(DegradationFlags(True, True, True), overrides)
+        params = {step.kind: step.params for step in plan}
+        assert params[StepKind.GRAY_WORLD] is None
+        assert params[StepKind.CLAHE] is config.clahe
+        assert params[StepKind.DENOISE] is config.nlm
+        assert params[StepKind.SHARPEN] is config.sharpen
 
 
 # Keys are mostly real ones, so most documents get past the unknown-key
@@ -833,6 +848,18 @@ class TestReport:
         assert csv_lines[0] == "method,psnr,uciqe,uiqm"
         assert csv_lines[1] == "Classic,21.000000,0.550000,1.100000"
 
+    def test_category_rows_match_summary_csv(self, tmp_path, config):
+        work = tmp_path / "work"
+        corpus(tmp_path / "in", count=12)
+        assert cmd_classify(tmp_path / "in", config, work) == EXIT_OK
+        assert cmd_report(work, config, work) == EXIT_OK
+        summary = (work / "summary.csv").read_text().splitlines()[1:]
+        md = (work / "report.md").read_text().split("## Method quality summary")[0]
+        table = [line for line in md.splitlines() if line.startswith("| ")][2:]
+        assert len(table) == len(summary) == 8
+        for md_row, csv_row in zip(table, summary):
+            assert md_row.strip("| ").split(" | ") == csv_row.split(",")
+
     # evaluate always writes mean rows, so a scores.csv without them is
     # not one of its outputs.
     def test_scores_without_mean_rows_exits_two(self, tmp_path, capsys):
@@ -1080,35 +1107,49 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == ["warning: channel means too small for cast detection"] * 3
 
-    def test_blob_that_is_not_a_file_exits_three(self, tmp_path):
-        """A manifest naming /dev/zero as its blob is refused before any
-        read; the child runs under a 1 GiB address-space cap and a timeout,
-        so a read without end fails fast instead of filling memory."""
+    def enhance_vgg_capped(self, tmp_path, blob):
+        """Run ``enhance --method vgg`` in a child process under a 1 GiB
+        address-space cap and a timeout, with saved VGG weights whose
+        manifest names ``blob``, which ``blob(path)`` may rewrite first; a
+        read that fills memory then fails fast instead of taking the host."""
         from aquaclear.neural import build_vgg_head, init_weights, save_weights
 
         src = tmp_path / "in"
         corpus(src, count=1)
         manifest = save_weights(init_weights(build_vgg_head(), seed=1), tmp_path / "w")
         doc = json.loads(manifest.read_text())
-        doc["blob"] = "/dev/zero"
+        doc["blob"] = blob(manifest.parent / doc["blob"])
         manifest.write_text(json.dumps(doc))
         config = self.write_config(tmp_path, {"neural": {"vgg_manifest": str(manifest)}})
-        child = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from aquaclear.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
         package_root = Path(pipeline.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(package_root), "OPENBLAS_NUM_THREADS": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-c", child, "enhance", "--config", config,
+        return subprocess.run(
+            [sys.executable, "-m", "aquaclear.cli", "enhance", "--config", config,
              "--input", str(src), "--output", str(tmp_path / "out"), "--method", "vgg"],
             capture_output=True, text=True, timeout=120, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
         )
+
+    def test_blob_that_is_not_a_file_exits_three(self, tmp_path):
+        """A manifest naming /dev/zero as its blob is refused before any read."""
+        proc = self.enhance_vgg_capped(tmp_path, lambda weights: "/dev/zero")
         err = proc.stderr.splitlines()
         assert proc.returncode == EXIT_MISSING_WEIGHTS, proc.stderr
         assert len(err) == 1 and err[0].startswith("cannot load weights:")
+
+    def test_blob_is_read_only_as_far_as_its_entries_go(self, tmp_path):
+        """The real weights followed by a sparse 2 GiB tail: reading the
+        whole blob used to end in a MemoryError traceback under the cap."""
+
+        def huge(weights):
+            with open(weights.parent / "huge.bin", "wb") as f:
+                f.write(weights.read_bytes())
+                f.truncate(2 << 30)
+            return "huge.bin"
+
+        proc = self.enhance_vgg_capped(tmp_path, huge)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (tmp_path / "out" / "img_000.vgg.ppm").exists()
 
 
 # Valid configs for the whole-command fuzz: the defaults, two pipeline
