@@ -8,6 +8,25 @@ layer is one BLAS matrix product per block of output rows, so every output
 value is one BLAS dot product over all (kernel position, input channel)
 pairs of its window, and the same numpy/BLAS build gives the same bits at
 any BLAS thread count; seeded initialization uses a PCG64 generator.
+
+A head runs over an image in bands of rows and yields its output a band at
+a time (``BoundExtractor.bands``); it never builds a whole-image
+activation. Each conv layer keeps a zero-padded ring buffer of the input
+rows its next band of _BAND_ROWS output rows reads, plus the k - s rows
+the band after needs; each pool keeps at most one odd row, and each
+residual block keeps its shortcut rows until conv_b's rows arrive. No row
+is computed twice: the traced MACs equal the whole-image count. So a
+head's memory grows with the image width, not its area: at 256 px a VGG
+pass peaks near 13 MB of heap (a whole-tensor pass took 104 MB), and
+``enhance --method unite`` holds about 290 B per pixel at 1024 px, close to
+``classic``'s 240, where whole-tensor heads took about 1.6 KB. The
+schedule depends only on the image size, never on threads. A band's GEMMs
+have fewer columns than a whole-tensor call's; on the OpenBLAS build
+measured, a column's bits do not depend on the column count when that
+count is a multiple of 16 (and the product is not tiny), so streamed
+features equal whole-tensor ones bit for bit whenever every layer's output
+width is a multiple of 16, as at the benchmark's 128 px, and otherwise may
+differ in the last bits (at most 1.6e-14 seen).
 """
 
 from __future__ import annotations
@@ -52,6 +71,7 @@ __all__ = [
     "save_weights",
     "validate_dims",
     "extract_features",
+    "feature_bands",
     "attention_map",
     "fuse_attention",
     "attention_adjust",
@@ -132,24 +152,68 @@ def conv_output_dim(extent: int, kernel: int, stride: int, padding: int) -> int:
     return span // stride + 1
 
 
-# Bytes of the per-call column buffer. Rows per block are as many as fit,
-# which bounds the GEMM operand (and so peak memory); an 8 MB budget raised
-# the unite workload's peak RSS by about 10% for little speed.
+# Bytes of one call's column buffer. Rows per block are as many as fit,
+# which bounds the GEMM operand: in a streamed head a call covers one band
+# of at most _BAND_ROWS output rows, so the buffer holds at most that band's
+# columns. An 8 MB budget raised the unite workload's peak RSS by about 10%
+# for little speed.
 _COLS_BYTES = 2 << 20
 
 
-def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+class _ConvWork:
+    """What a conv layer's calls in one forward pass share: the weights
+    reordered once to a (c_out, k*k*c_in) float64 matrix with the bias as a
+    float64 column, and flat scratch buffers that grow to the largest call.
+    ``buffers`` may be shared with the pass's other convs, since one conv
+    call ends before the next begins."""
+
+    def __init__(self, layer: ConvLayer, buffers: dict | None = None):
+        c_out = layer.out_channels
+        wmat = layer.weights.transpose(0, 2, 3, 1).reshape(c_out, -1)
+        self.wmat = wmat.astype(np.float64)
+        self.bias = layer.bias.astype(np.float64)[:, None]
+        self._buffers = {} if buffers is None else buffers
+
+    def buffer(self, name: str, shape: tuple) -> np.ndarray:
+        """An uninitialized float64 array of ``shape``, reusing the memory
+        of the last one of that name."""
+        size = math.prod(shape)
+        flat = self._buffers.get(name)
+        if flat is None or flat.size < size:
+            flat = self._buffers[name] = np.empty(size, dtype=np.float64)
+        return flat[:size].reshape(shape)
+
+
+def _neighbour_rows(rows, x: np.ndarray, most: int, where: str) -> int:
+    if rows is None:
+        return 0
+    if rows.ndim != 3 or rows.shape[0] != x.shape[0] or rows.shape[2] != x.shape[2]:
+        raise ShapeMismatchError(f"{where} rows {rows.shape} do not match input {x.shape}")
+    if rows.shape[1] > most:
+        raise ShapeMismatchError(f"{where} has {rows.shape[1]} rows, padding is {most}")
+    return rows.shape[1]
+
+
+def conv2d_forward(x: np.ndarray, layer: ConvLayer, above=None, below=None,
+                   out=None, work=None) -> np.ndarray:
     """Strided cross-correlation with zero padding, bias, optional ReLU.
 
-    Output spatial dims are floor((H + 2p - k) / s) + 1. For each block of
+    Output spatial dims are floor((H + 2p - k) / s) + 1, with H the rows of
+    x. ``above`` and ``below`` are rows of the same tensor next to x, at
+    most p each (nearest last in ``above``, first in ``below``); they take
+    the place of that many rows of zero padding, and None means zeros. So x
+    and its neighbours give the output rows of x in a call on the whole
+    tensor. ``out`` receives the result when given; ``work`` (a _ConvWork
+    of the layer) lets many calls share the reordered weights and buffers.
+
+    The zero-padded input is assembled in one buffer. For each block of
     output rows, the k*k strided input windows the block reads are copied
     into one reusable (k*k*c_in, rows*w_out) column buffer, and one matrix
-    product with the weights, reordered to (c_out, k*k*c_in), writes the
-    block's output: every output value is one BLAS dot product over all
-    (kernel position, channel) pairs. Bias and activation are applied to the
-    block in place. Rows per block are as many as fit in a fixed byte
-    budget. The same numpy/BLAS build gives the same bits at any BLAS
-    thread count.
+    product with the weight matrix writes the block's output: every output
+    value is one BLAS dot product over all (kernel position, channel) pairs.
+    Bias and activation are applied to the block in place. Rows per block
+    are as many as fit in a fixed byte budget. The same numpy/BLAS build
+    gives the same bits at any BLAS thread count.
     """
     if x.ndim != 3:
         raise ShapeMismatchError(f"input must be rank 3, got rank {x.ndim}")
@@ -161,25 +225,43 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     k, s, p = layer.kernel, layer.stride, layer.padding
     h_out = conv_output_dim(h_in, k, s, p)
     w_out = conv_output_dim(w_in, k, s, p)
+    n_above = _neighbour_rows(above, x, p, "above")
+    n_below = _neighbour_rows(below, x, p, "below")
+    c_out = layer.out_channels
+    if out is None:
+        out = np.empty((c_out, h_out, w_out), dtype=np.float64)
+    # each channel's rows must be contiguous, so a block reshapes as a view
+    elif (out.dtype != np.float64 or out.shape != (c_out, h_out, w_out)
+          or out.strides[1:] != (8 * w_out, 8)):
+        raise ShapeMismatchError(
+            f"out must be float64 rows of shape {(c_out, h_out, w_out)}, got {out.shape}"
+        )
+    if work is None:
+        work = _ConvWork(layer)
 
-    xp = np.pad(np.asarray(x, dtype=np.float64), ((0, 0), (p, p), (p, p)))
+    top, bottom = p - n_above, p + h_in + n_below  # rows from x and neighbours
+    xp = work.buffer("padded", (c_in, h_in + 2 * p, w_in + 2 * p))
+    xp[:, :top] = 0.0
+    xp[:, bottom:] = 0.0
+    xp[:, top:bottom, :p] = 0.0
+    xp[:, top:bottom, p + w_in :] = 0.0
+    xp[:, p : p + h_in, p : p + w_in] = x
+    if n_above:
+        xp[:, top:p, p : p + w_in] = above
+    if n_below:
+        xp[:, p + h_in : bottom, p : p + w_in] = below
     # (ky, kx, c_in, h_out, w_out): a no-copy view of every output's window
     windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
     windows = windows.transpose(3, 4, 0, 1, 2)
-    c_out = layer.out_channels
-    wmat = layer.weights.transpose(0, 2, 3, 1).reshape(c_out, -1).astype(np.float64)
-    depth = wmat.shape[1]
-    bias = layer.bias.astype(np.float64)[:, None]
+    depth = work.wmat.shape[1]
     rows = max(1, min(h_out, _COLS_BYTES // (8 * depth * w_out)))
-    buf = np.empty(depth * rows * w_out, dtype=np.float64)
-    out = np.empty((c_out, h_out, w_out), dtype=np.float64)
     for r0 in range(0, h_out, rows):
         r1 = min(r0 + rows, h_out)
-        cols = buf[: depth * (r1 - r0) * w_out].reshape(k, k, c_in, r1 - r0, w_out)
+        cols = work.buffer("columns", (k, k, c_in, r1 - r0, w_out))
         np.copyto(cols, windows[:, :, :, r0:r1])
         block = out[:, r0:r1].reshape(c_out, -1)
-        np.matmul(wmat, cols.reshape(depth, -1), out=block)
-        block += bias
+        np.matmul(work.wmat, cols.reshape(depth, -1), out=block)
+        block += work.bias
         if layer.activation == "relu":
             np.maximum(block, 0.0, out=block)
     return out
@@ -204,6 +286,193 @@ def max_pool2(t: np.ndarray) -> np.ndarray:
         np.maximum(t[:, 0::2, 0::2], t[:, 0::2, 1::2]),
         np.maximum(t[:, 1::2, 0::2], t[:, 1::2, 1::2]),
     )
+
+
+# ------------------------------------------------------- band streaming
+#
+# A head runs over the image a band of rows at a time and never holds a
+# whole-image activation. Each stage owns the rows it is still waiting on:
+# its upstream asks it for ``slot(n)``, writes n rows there, then calls
+# ``commit(n)``, and ``finish()`` ends the input. Every buffer belongs to one
+# forward call, so threads can share a head.
+
+# Image rows read per step, and output rows per conv call.
+_BAND_ROWS = 8
+
+
+class _ConvStage:
+    """A conv layer's zero-padded ring buffer of input rows.
+
+    Row 0 of the ring is the top padding row, or the input row, that the
+    next output row reads first. Once the ring holds the (n-1)*s + k rows
+    that n = _BAND_ROWS outputs read, the layer writes those outputs into
+    the next stage and moves the k - s rows it still needs to the top. When
+    a write would not fit, the layer first runs the shorter band that the
+    rows it holds allow, so the ring never holds more than one full band.
+    """
+
+    def __init__(self, layer: ConvLayer, width: int, nxt, buffers: dict):
+        k, s, p = layer.kernel, layer.stride, layer.padding
+        if p > k // 2:
+            raise ValueError("a streamed conv needs padding <= kernel // 2")
+        self.layer, self.next = layer, nxt
+        self.channels = layer.in_channels
+        self.need = (_BAND_ROWS - 1) * s + k
+        self.ring = np.zeros((layer.in_channels, self.need, width))
+        self.fill = p  # the top padding rows are the ring's first zeros
+        self.rows_in = self.done = 0
+        self.work = _ConvWork(layer, buffers)
+
+    def slot(self, n: int) -> np.ndarray:
+        """Room for n <= _BAND_ROWS rows; after a short band at most k - 1
+        rows are held, and k - 1 + n <= need."""
+        if self.fill + n > self.need:
+            self._run((self.fill - self.layer.kernel) // self.layer.stride + 1)
+        return self.ring[:, self.fill : self.fill + n]
+
+    def commit(self, n: int) -> None:
+        self.fill += n
+        self.rows_in += n
+        while self.fill >= self.need:
+            self._run(_BAND_ROWS)
+
+    def finish(self) -> None:
+        layer = self.layer
+        h_out = conv_output_dim(self.rows_in, layer.kernel, layer.stride, layer.padding)
+        while self.done < h_out:
+            self._run(min(_BAND_ROWS, h_out - self.done))
+        self.next.finish()
+
+    def _run(self, m: int) -> None:
+        """Write the next m output rows; below the last input row, the rows
+        the ring lacks are the bottom padding."""
+        k, s, p = self.layer.kernel, self.layer.stride, self.layer.padding
+        top = (m - 1) * s + k - p  # ring rows p..top-1 are the x of m outputs
+        ring = self.ring
+        conv2d_forward(
+            ring[:, p:top], self.layer,
+            above=ring[:, :p], below=ring[:, top : min(self.fill, top + p)],
+            out=self.next.slot(m), work=self.work,
+        )
+        keep = self.fill - m * s
+        ring[:, :keep] = ring[:, m * s : self.fill]
+        self.fill = keep
+        self.done += m
+        self.next.commit(m)
+
+
+class _PoolStage:
+    """2x2 max pooling of row pairs; an odd last row waits for the next band."""
+
+    def __init__(self, channels: int, width: int, nxt):
+        self.channels, self.width, self.next = channels, width, nxt
+        self.ring = np.empty((channels, _BAND_ROWS + 1, width))
+        self.fill = self.rows_in = 0
+
+    def slot(self, n: int) -> np.ndarray:
+        return self.ring[:, self.fill : self.fill + n]
+
+    def commit(self, n: int) -> None:
+        self.fill += n
+        self.rows_in += n
+        pairs = self.fill // 2
+        if pairs:
+            self.next.slot(pairs)[...] = max_pool2(self.ring[:, : 2 * pairs])
+            self.ring[:, : self.fill - 2 * pairs] = self.ring[:, 2 * pairs : self.fill]
+            self.fill -= 2 * pairs
+            self.next.commit(pairs)
+
+    def finish(self) -> None:
+        if self.fill:
+            raise OddSpatialDimError(
+                f"cannot 2x2-pool odd dims {self.rows_in}x{self.width}"
+            )
+        self.next.finish()
+
+
+class _ResidualStage:
+    """relu(x + conv_b(conv_a(x))): each input row goes to conv_a and is
+    held for the shortcut until conv_b's output row arrives."""
+
+    def __init__(self, block: ResidualBlock, width: int, nxt, buffers: dict):
+        self.channels = block.conv_a.in_channels
+        self.shortcut = _Shortcut(block, width, nxt)
+        conv_b = _ConvStage(block.conv_b, width, self.shortcut, buffers)
+        self.conv_a = _ConvStage(block.conv_a, width, conv_b, buffers)
+
+    def slot(self, n: int) -> np.ndarray:
+        return self.shortcut.room(n)
+
+    def commit(self, n: int) -> None:
+        self.conv_a.slot(n)[...] = self.shortcut.hold(n)
+        self.conv_a.commit(n)
+
+    def finish(self) -> None:
+        self.conv_a.finish()
+
+
+class _Shortcut:
+    """The held input rows of a residual block, and conv_b's next stage:
+    conv_b writes into the downstream stage's slot, where the held rows are
+    added and the ReLU applied. It is apart from _ResidualStage so the
+    stages form no reference cycle, which would keep a call's buffers alive
+    until the garbage collector ran."""
+
+    def __init__(self, block: ResidualBlock, width: int, nxt):
+        # conv_a and conv_b each hold fewer than _BAND_ROWS + kernel rows
+        rows = 3 * _BAND_ROWS + 2 * block.conv_a.kernel
+        self.held = np.empty((block.conv_a.in_channels, rows, width))
+        self.start = self.fill = 0
+        self.next = nxt
+        self.dest = None
+
+    def room(self, n: int) -> np.ndarray:
+        """Where the block's next n input rows go."""
+        if self.fill + n > self.held.shape[1]:
+            self.held[:, : self.fill - self.start] = self.held[:, self.start : self.fill]
+            self.fill -= self.start
+            self.start = 0
+        return self.held[:, self.fill : self.fill + n]
+
+    def hold(self, n: int) -> np.ndarray:
+        """Keep the n rows just written to ``room``; returns them."""
+        self.fill += n
+        return self.held[:, self.fill - n : self.fill]
+
+    def slot(self, n: int) -> np.ndarray:
+        self.dest = self.next.slot(n)
+        return self.dest
+
+    def commit(self, n: int) -> None:
+        np.add(self.dest, self.held[:, self.start : self.start + n], out=self.dest)
+        np.maximum(self.dest, 0.0, out=self.dest)
+        self.start += n
+        self.next.commit(n)
+
+    def finish(self) -> None:
+        self.next.finish()
+
+
+class _Sink:
+    """Collects the last layer's output bands in fresh arrays."""
+
+    def __init__(self, channels: int, width: int):
+        self.channels, self.width = channels, width
+        self.bands = []
+
+    def slot(self, n: int) -> np.ndarray:
+        self.bands.append(np.empty((self.channels, n, self.width)))
+        return self.bands[-1]
+
+    def commit(self, n: int) -> None:
+        pass
+
+    def finish(self) -> None:
+        pass
+
+    def take(self) -> list:
+        bands, self.bands = self.bands, []
+        return bands
 
 
 # ------------------------------------------------------------ head specs
@@ -284,21 +553,54 @@ class BoundExtractor:
             activation=activation,
         )
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the layers in order, returning the last one's output."""
-        t = x
+    def _stages(self, channels: int, width: int):
+        """This call's stages, first to last, ending in a _Sink."""
+        dims = []
         for layer in self.spec.layers:
+            dims.append((channels, width))
+            if layer.kind == "pool":
+                width //= 2  # an odd width fails in max_pool2
+            else:
+                channels = layer.out_channels
+                width = conv_output_dim(width, layer.kernel, layer.stride, layer.padding)
+        sink = stage = _Sink(channels, width)
+        buffers = {}  # the convs' shared scratch
+        for layer, (channels, width) in zip(reversed(self.spec.layers), reversed(dims)):
             if layer.kind == "conv":
-                t = conv2d_forward(t, self._conv(layer.name, layer, "relu"))
+                conv = self._conv(layer.name, layer, "relu")
+                stage = _ConvStage(conv, width, stage, buffers)
             elif layer.kind == "pool":
-                t = max_pool2(t)
+                stage = _PoolStage(channels, width, stage)
             elif layer.kind == "res":
                 block = ResidualBlock(
                     conv_a=self._conv(f"{layer.name}.a", layer, "relu"),
                     conv_b=self._conv(f"{layer.name}.b", layer, "none"),
                 )
-                t = residual_forward(t, block)
-        return t
+                stage = _ResidualStage(block, width, stage, buffers)
+        return stage, sink
+
+    def bands(self, x: np.ndarray):
+        """Run the layers over x (c, h, w), _BAND_ROWS rows at a time, and
+        yield the last layer's output as float64 bands of rows, top to
+        bottom. x is converted to float64 one band at a time."""
+        if x.ndim != 3:
+            raise ShapeMismatchError(f"input must be rank 3, got rank {x.ndim}")
+        first, sink = self._stages(x.shape[0], x.shape[2])
+        if x.shape[0] != first.channels:
+            raise ShapeMismatchError(
+                f"input has {x.shape[0]} channels, head expects {first.channels}"
+            )
+        for r0 in range(0, x.shape[1], _BAND_ROWS):
+            band = x[:, r0 : r0 + _BAND_ROWS]
+            first.slot(band.shape[1])[...] = band
+            first.commit(band.shape[1])
+            yield from sink.take()
+        first.finish()
+        yield from sink.take()
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The last layer's whole output: ``bands`` joined."""
+        return np.concatenate(list(self.bands(x)), axis=1)
 
 
 def init_weights(spec: ExtractorSpec, seed: int) -> BoundExtractor:
@@ -351,6 +653,9 @@ def _is_count(value) -> bool:
 def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
     """Bind a manifest's blob to the spec; shapes must match slot-for-slot."""
     manifest_path = Path(manifest_path)
+    # reading a device or FIFO might never end, or fill memory
+    if not manifest_path.is_file():
+        raise IoFailureError(f"manifest {str(manifest_path)!r} is missing or not a regular file")
     try:
         doc = json.loads(manifest_path.read_text())
     except OSError as exc:
@@ -370,7 +675,6 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
     if not isinstance(blob_name, str):
         raise CorruptBlobError(f"blob must be a file name, got {blob_name!r}")
     blob_path = manifest_path.parent / blob_name
-    # reading a device or FIFO might never end
     if not blob_path.is_file():
         raise CorruptBlobError(f"blob {blob_name!r} is missing or not a regular file")
     slices = []  # (name, shape, start, end) per entry
@@ -449,7 +753,14 @@ def extract_features(img: ImageF32, extractor: BoundExtractor) -> np.ndarray:
     the extractor's layers. Dims that break a pooling or stride raise
     IndivisibleDims before any arithmetic runs."""
     validate_dims(extractor.spec, img.height, img.width)
-    return extractor.forward(img.data.astype(np.float64))
+    return extractor.forward(img.data)
+
+
+def feature_bands(img: ImageF32, extractor: BoundExtractor):
+    """``extract_features`` as an iterator of row bands, so a caller can
+    reduce each band as it arrives instead of holding the whole output."""
+    validate_dims(extractor.spec, img.height, img.width)
+    return extractor.bands(img.data)
 
 
 def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -472,10 +783,11 @@ def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 def attention_map(features: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Channel-mean feature map, min-max normalized then upsampled to the
-    requested size. A flat map (max == min) normalizes to all 0.5."""
+    requested size. ``features`` is a (c, h, w) tensor or its (h, w) channel
+    mean. A flat map (max == min) normalizes to all 0.5."""
     if features.size == 0:
         raise ValueError("features must be non-empty")
-    m = features.mean(axis=0, dtype=np.float64)
+    m = features if features.ndim == 2 else features.mean(axis=0, dtype=np.float64)
     lo, hi = float(m.min()), float(m.max())
     if hi == lo:
         norm = np.full(m.shape, 0.5)

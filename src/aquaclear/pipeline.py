@@ -71,7 +71,7 @@ from .neural import (
     attention_map,
     build_resnet_head,
     build_vgg_head,
-    extract_features,
+    feature_bands,
     feature_guided_enhance,
     fuse_attention,
     init_weights,
@@ -222,6 +222,9 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
+        # reading a device or FIFO might never end, or fill memory
+        if not Path(path).is_file():
+            raise CsvParseError(0, f"cannot read config {path}: missing or not a regular file")
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         # ValueError covers bad JSON, bytes that are not UTF-8 and integers
@@ -342,6 +345,15 @@ def _center_crop(img: ImageF32, h: int, w: int) -> ImageF32:
     return ImageF32(np.ascontiguousarray(img.data[:, top : top + h, left : left + w]))
 
 
+def _channel_mean(img: ImageF32, head) -> np.ndarray:
+    """The channel mean of the head's features, taken band by band as the
+    head streams them, so the whole feature tensor never exists. Each band's
+    mean has the bits of the whole tensor's: numpy reduces axis 0 in order."""
+    return np.concatenate(
+        [band.mean(axis=0, dtype=np.float64) for band in feature_bands(img, head)]
+    )
+
+
 def _load_heads(config: PipelineConfig, method: str, seed: int) -> list:
     """Build and bind the extractors a method needs, VGG first, or raise."""
     heads = []
@@ -414,7 +426,7 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
                 record["cropped"] = [h_ok, w_ok]
                 print(f"{path.name}: center-cropped to {w_ok}x{h_ok}", file=sys.stderr)
                 img = _center_crop(img, h_ok, w_ok)
-            maps = [attention_map(extract_features(img, h), img.height, img.width)
+            maps = [attention_map(_channel_mean(img, h), img.height, img.width)
                     for h in heads]
             attn = fuse_attention(*maps) if len(maps) == 2 else maps[0]
         flags, category = classify(img, config.thresholds)

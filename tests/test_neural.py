@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from aquaclear.neural import (
     ConvLayer,
     ExtractorSpec,
     LayerSpec,
+    ResidualBlock,
     attention_adjust,
     attention_map,
     build_resnet_head,
@@ -35,6 +38,7 @@ from aquaclear.neural import (
     conv2d_forward,
     conv_output_dim,
     extract_features,
+    feature_bands,
     feature_guided_enhance,
     fuse_attention,
     init_weights,
@@ -44,6 +48,8 @@ from aquaclear.neural import (
     residual_forward,
     save_weights,
 )
+
+from aquaclear.pipeline import _center_crop, _channel_mean, _largest_valid
 
 from conftest import FUZZ, JSON_VALUES, cnn_conv_oracle, random_image
 
@@ -130,6 +136,172 @@ class TestConvForward:
         t = np.array([-1.0, 0.0, 2.5])
         assert np.array_equal(relu(t), [0.0, 0.0, 2.5])
         assert np.array_equal(relu(relu(t)), relu(t))
+
+
+def band_call(x, layer, r0, m):
+    """conv2d_forward on the input rows whose outputs are r0..r0+m-1, with
+    their neighbour rows, as a streamed head calls it."""
+    k, s, p = layer.kernel, layer.stride, layer.padding
+    top = r0 * s
+    bottom = top + (m - 1) * s + k - 2 * p
+    return conv2d_forward(x[:, top:bottom], layer,
+                          above=x[:, max(0, top - p) : top], below=x[:, bottom : bottom + p])
+
+
+class TestBandedConv:
+    """A band of rows with its neighbour rows gives the same bits as the
+    matching rows of the whole-input call. Output widths here are multiples
+    of 16: on the OpenBLAS builds measured, a GEMM column's bits depend on
+    the column count unless it is a multiple of 16 (and the product not
+    tiny), and a band's GEMMs have fewer columns than the whole call's."""
+
+    # (out_c, in_c, k, stride, padding, h, w)
+    CASES = {
+        "3x3-stride1": (64, 64, 3, 1, 1, 16, 32),
+        "7x7-stride2-stem": (16, 3, 7, 2, 3, 20, 32),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("band", ["first", "middle", "last", "one-row"])
+    def test_band_matches_whole_call(self, rng, case, band):
+        out_c, in_c, k, s, p, h, w = self.CASES[case]
+        layer = make_layer(rng, out_c, in_c, k, s, p)
+        x = rng.standard_normal((in_c, h, w))
+        whole = conv2d_forward(x, layer)
+        h_out = whole.shape[1]
+        r0, m = {"first": (0, 4), "middle": (3, 5), "last": (h_out - 3, 3),
+                 "one-row": (h_out // 2, 1)}[band]
+        assert np.array_equal(band_call(x, layer, r0, m), whole[:, r0 : r0 + m])
+
+    def test_writes_into_out_rows(self, rng):
+        layer = make_layer(rng, 4, 2, 3, 1, 1)
+        x = rng.standard_normal((2, 6, 16))
+        ring = np.full((4, 10, 16), np.nan)
+        got = conv2d_forward(x[:, 2:5], layer, above=x[:, 1:2], below=x[:, 5:6],
+                             out=ring[:, 3:6])
+        assert got.base is ring.base or got.base is ring
+        assert np.array_equal(ring[:, 3:6], conv2d_forward(x, layer)[:, 2:5])
+
+    def test_bad_neighbours_and_out_rejected(self, rng):
+        layer = make_layer(rng, 4, 2, 3, 1, 1)
+        x = rng.standard_normal((2, 6, 8))
+        with pytest.raises(ShapeMismatchError):
+            conv2d_forward(x, layer, above=np.zeros((2, 2, 8)))  # more rows than padding
+        with pytest.raises(ShapeMismatchError):
+            conv2d_forward(x, layer, below=np.zeros((2, 1, 7)))
+        with pytest.raises(ShapeMismatchError):
+            conv2d_forward(x, layer, out=np.zeros((4, 8, 6)).transpose(0, 2, 1))
+
+
+def whole_tensor_features(ext, x):
+    """The head's layers run one at a time over whole tensors."""
+
+    def conv(name, layer, activation):
+        return ConvLayer(ext.weights[f"{name}.weight"], ext.weights[f"{name}.bias"],
+                         layer.stride, layer.padding, activation)
+
+    t = x.astype(np.float64)
+    for layer in ext.spec.layers:
+        if layer.kind == "conv":
+            t = conv2d_forward(t, conv(layer.name, layer, "relu"))
+        elif layer.kind == "pool":
+            t = max_pool2(t)
+        else:
+            block = ResidualBlock(conv(f"{layer.name}.a", layer, "relu"),
+                                  conv(f"{layer.name}.b", layer, "none"))
+            t = residual_forward(t, block)
+    return t
+
+
+class TestStreamedHeads:
+    """Heads run in row bands equal the whole-tensor layer ops."""
+
+    # Every layer's output width is a multiple of 16, so the bits match (see
+    # TestBandedConv); heights are not multiples of the band.
+    @pytest.mark.parametrize("band_rows", [1, 3, 8, 16])
+    @pytest.mark.parametrize("build, h, w", [
+        (build_vgg_head, 64, 64), (build_vgg_head, 36, 96), (build_vgg_head, 68, 32),
+        (build_resnet_head, 128, 128),
+    ], ids=["vgg-64x64", "vgg-36x96", "vgg-68x32", "resnet-128x128"])
+    def test_same_bits_as_whole_tensor_ops(self, monkeypatch, band_rows, build, h, w):
+        monkeypatch.setattr(aquaclear.neural, "_BAND_ROWS", band_rows)
+        ext = init_weights(build(), seed=3)
+        x = np.random.default_rng(h * w).uniform(0, 1, (3, h, w)).astype(np.float32)
+        assert np.array_equal(ext.forward(x), whole_tensor_features(ext, x))
+
+    # Residual widths of 16 and 8: short bands meet other GEMM kernels.
+    @pytest.mark.parametrize("band_rows", [1, 3, 8])
+    @pytest.mark.parametrize("h, w", [(64, 96), (36, 32)])
+    def test_resnet_close_at_narrow_widths(self, monkeypatch, band_rows, h, w):
+        monkeypatch.setattr(aquaclear.neural, "_BAND_ROWS", band_rows)
+        ext = init_weights(build_resnet_head(), seed=3)
+        x = np.random.default_rng(h * w).uniform(0, 1, (3, h, w)).astype(np.float32)
+        got, want = ext.forward(x), whole_tensor_features(ext, x)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_bands_cover_the_output_top_to_bottom(self):
+        ext = init_weights(build_vgg_head(), seed=0)
+        img = ImageF32(np.full((3, 50, 40), 0.5, dtype=np.float32))
+        bands = list(feature_bands(img, ext))
+        assert len(bands) > 1
+        assert sum(b.shape[1] for b in bands) == 25
+        assert all(b.shape[::2] == (128, 20) for b in bands)
+
+    def test_odd_height_fails_at_the_pool(self):
+        ext = init_weights(build_vgg_head(), seed=0)
+        with pytest.raises(OddSpatialDimError):
+            ext.forward(np.zeros((3, 33, 34)))
+
+    @pytest.mark.parametrize("build", [build_vgg_head, build_resnet_head])
+    @pytest.mark.parametrize("h, w", [(37, 45), (71, 33), (64, 130)])
+    def test_streamed_mean_is_the_whole_mean(self, rng, build, h, w):
+        """The pipeline's band-by-band channel mean has the bits of the
+        whole tensor's mean, at odd sizes center-cropped as enhance does."""
+        ext = init_weights(build(), seed=5)
+        img = random_image(rng, h, w)
+        img = _center_crop(img, _largest_valid([ext], h), _largest_valid([ext], w))
+        want = extract_features(img, ext).mean(axis=0, dtype=np.float64)
+        assert np.array_equal(_channel_mean(img, ext), want)
+
+    def test_threads_share_a_head(self):
+        """Every buffer belongs to one call: more threads than cores, with
+        frequent switches, get each image's features unchanged."""
+        ext = init_weights(build_resnet_head(), seed=2)
+        rng = np.random.default_rng(9)
+        images = [ImageF32(rng.uniform(0, 1, (3, 64, 64)).astype(np.float32))
+                  for _ in range(8)]
+        alone = [extract_features(img, ext) for img in images]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                shared = list(pool.map(lambda img: extract_features(img, ext), images,
+                                       timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(alone, shared))
+
+
+class TestStreamingMemory:
+    """A head pass holds a few rows per layer, never a whole-image
+    activation: at 256 px a whole-tensor VGG pass peaks near 100 MB of heap
+    (its conv1 and conv2 outputs are 33.5 MB each)."""
+
+    @pytest.mark.parametrize("build, bound_mb", [
+        (build_vgg_head, 16), (build_resnet_head, 12),
+    ], ids=["vgg", "resnet"])
+    def test_channel_mean_heap_peak_at_256(self, build, bound_mb):
+        ext = init_weights(build(), seed=0)
+        img = ImageF32(np.random.default_rng(0).uniform(0, 1, (3, 256, 256))
+                       .astype(np.float32))
+        tracemalloc.start()
+        try:
+            _channel_mean(img, ext)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6, f"{peak / 1e6:.1f} MB"
 
 
 class TestPoolAndResidual:
@@ -325,6 +497,11 @@ class TestAttention:
         # a same-size map is the normalized mean itself, bit for bit
         assert np.array_equal(amap, want)
         assert amap.min() == pytest.approx(0.0) and amap.max() == pytest.approx(1.0)
+
+    def test_map_takes_a_precomputed_channel_mean(self, rng):
+        feats = rng.standard_normal((8, 5, 6))
+        assert np.array_equal(attention_map(feats.mean(axis=0), 9, 10),
+                              attention_map(feats, 9, 10))
 
     def test_flat_features_give_half(self):
         amap = attention_map(np.full((4, 3, 3), 2.5), 6, 6)

@@ -1107,28 +1107,55 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == ["warning: channel means too small for cast detection"] * 3
 
-    def enhance_vgg_capped(self, tmp_path, blob):
-        """Run ``enhance --method vgg`` in a child process under a 1 GiB
-        address-space cap and a timeout, with saved VGG weights whose
-        manifest names ``blob``, which ``blob(path)`` may rewrite first; a
-        read that fills memory then fails fast instead of taking the host."""
+    @staticmethod
+    def run_capped(argv):
+        """Run the CLI in a child process under a 1 GiB address-space cap
+        and a timeout, so a read that fills memory fails fast instead of
+        taking the host."""
+        package_root = Path(pipeline.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(package_root), "OPENBLAS_NUM_THREADS": "1"}
+        return subprocess.run(
+            [sys.executable, "-m", "aquaclear.cli", *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+
+    def enhance_vgg_capped(self, tmp_path, blob=None, manifest=None):
+        """``enhance --method vgg`` under ``run_capped``, with saved VGG
+        weights whose manifest names ``blob``, which ``blob(path)`` may
+        rewrite first; ``manifest`` replaces the manifest path."""
         from aquaclear.neural import build_vgg_head, init_weights, save_weights
 
         src = tmp_path / "in"
         corpus(src, count=1)
-        manifest = save_weights(init_weights(build_vgg_head(), seed=1), tmp_path / "w")
-        doc = json.loads(manifest.read_text())
-        doc["blob"] = blob(manifest.parent / doc["blob"])
-        manifest.write_text(json.dumps(doc))
-        config = self.write_config(tmp_path, {"neural": {"vgg_manifest": str(manifest)}})
-        package_root = Path(pipeline.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(package_root), "OPENBLAS_NUM_THREADS": "1"}
-        return subprocess.run(
-            [sys.executable, "-m", "aquaclear.cli", "enhance", "--config", config,
-             "--input", str(src), "--output", str(tmp_path / "out"), "--method", "vgg"],
-            capture_output=True, text=True, timeout=120, env=env,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        saved = save_weights(init_weights(build_vgg_head(), seed=1), tmp_path / "w")
+        if blob is not None:
+            doc = json.loads(saved.read_text())
+            doc["blob"] = blob(saved.parent / doc["blob"])
+            saved.write_text(json.dumps(doc))
+        config = self.write_config(
+            tmp_path, {"neural": {"vgg_manifest": manifest or str(saved)}}
         )
+        return self.run_capped(["enhance", "--config", config, "--input", str(src),
+                                "--output", str(tmp_path / "out"), "--method", "vgg"])
+
+    def test_config_that_is_not_a_file_exits_two(self, tmp_path):
+        """/dev/zero as the config used to end in a MemoryError traceback."""
+        src = tmp_path / "in"
+        corpus(src, count=1)
+        proc = self.run_capped(["classify", "--config", "/dev/zero", "--input", str(src),
+                                "--output", str(tmp_path / "out")])
+        err = proc.stderr.splitlines()
+        assert proc.returncode == EXIT_EMPTY, proc.stderr
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_that_is_not_a_file_exits_three(self, tmp_path):
+        """/dev/zero as the manifest used to end in a MemoryError traceback."""
+        proc = self.enhance_vgg_capped(tmp_path, manifest="/dev/zero")
+        err = proc.stderr.splitlines()
+        assert proc.returncode == EXIT_MISSING_WEIGHTS, proc.stderr
+        assert len(err) == 1 and err[0].startswith("cannot load weights:")
 
     def test_blob_that_is_not_a_file_exits_three(self, tmp_path):
         """A manifest naming /dev/zero as its blob is refused before any read."""
