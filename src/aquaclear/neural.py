@@ -11,16 +11,18 @@ any BLAS thread count; seeded initialization uses a PCG64 generator.
 
 A head runs over an image in bands of rows and yields its output a band at
 a time (``BoundExtractor.bands``); it never builds a whole-image
-activation. Each conv layer keeps a zero-padded ring buffer of the input
-rows its next band of _BAND_ROWS output rows reads, plus the k - s rows
-the band after needs; each pool keeps at most one odd row, and each
-residual block keeps its shortcut rows until conv_b's rows arrive. No row
-is computed twice: the traced MACs equal the whole-image count. So a
-head's memory grows with the image width, not its area: at 256 px a VGG
-pass peaks near 13 MB of heap (a whole-tensor pass took 104 MB), and
-``enhance --method unite`` holds about 290 B per pixel at 1024 px, close to
-``classic``'s 240, where whole-tensor heads took about 1.6 KB. The
-schedule depends only on the image size, never on threads. A band's GEMMs
+activation. Each layer is a generator that takes its input's bands and
+yields its output's. A conv keeps one zero-padded ring of the input rows
+its next _BAND_ROWS output rows read and makes them once the ring is full,
+so every conv call but each layer's last covers a full band; a pool keeps
+at most one odd row, and a residual block holds its input rows until
+conv_b's rows arrive. No row is computed twice: the traced MACs equal the
+whole-image count. So a head's memory grows with the image width, not its
+area: at 256 px a VGG pass peaks near 15 MB of heap (a whole-tensor pass
+took 104 MB), and ``enhance --method unite`` holds about 290 B per pixel
+at 1024 px, close to ``classic``'s 240, where whole-tensor heads took
+about 1.6 KB. The schedule depends only on the image size, never on
+threads. A band's GEMMs
 have fewer columns than a whole-tensor call's; on the OpenBLAS build
 measured, a column's bits do not depend on the column count when that
 count is a multiple of 16 (and the product is not tiny), so streamed
@@ -195,7 +197,7 @@ def _neighbour_rows(rows, x: np.ndarray, most: int, where: str) -> int:
 
 
 def conv2d_forward(x: np.ndarray, layer: ConvLayer, above=None, below=None,
-                   out=None, work=None) -> np.ndarray:
+                   work=None) -> np.ndarray:
     """Strided cross-correlation with zero padding, bias, optional ReLU.
 
     Output spatial dims are floor((H + 2p - k) / s) + 1, with H the rows of
@@ -203,8 +205,8 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, above=None, below=None,
     most p each (nearest last in ``above``, first in ``below``); they take
     the place of that many rows of zero padding, and None means zeros. So x
     and its neighbours give the output rows of x in a call on the whole
-    tensor. ``out`` receives the result when given; ``work`` (a _ConvWork
-    of the layer) lets many calls share the reordered weights and buffers.
+    tensor. ``work`` (a _ConvWork of the layer) lets many calls share the
+    reordered weights and buffers.
 
     The zero-padded input is assembled in one buffer. For each block of
     output rows, the k*k strided input windows the block reads are copied
@@ -228,14 +230,7 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, above=None, below=None,
     n_above = _neighbour_rows(above, x, p, "above")
     n_below = _neighbour_rows(below, x, p, "below")
     c_out = layer.out_channels
-    if out is None:
-        out = np.empty((c_out, h_out, w_out), dtype=np.float64)
-    # each channel's rows must be contiguous, so a block reshapes as a view
-    elif (out.dtype != np.float64 or out.shape != (c_out, h_out, w_out)
-          or out.strides[1:] != (8 * w_out, 8)):
-        raise ShapeMismatchError(
-            f"out must be float64 rows of shape {(c_out, h_out, w_out)}, got {out.shape}"
-        )
+    out = np.empty((c_out, h_out, w_out), dtype=np.float64)
     if work is None:
         work = _ConvWork(layer)
 
@@ -291,188 +286,97 @@ def max_pool2(t: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------- band streaming
 #
 # A head runs over the image a band of rows at a time and never holds a
-# whole-image activation. Each stage owns the rows it is still waiting on:
-# its upstream asks it for ``slot(n)``, writes n rows there, then calls
-# ``commit(n)``, and ``finish()`` ends the input. Every buffer belongs to one
-# forward call, so threads can share a head.
+# whole-image activation. Each layer is a generator that takes its input's
+# bands and yields its output's; a conv's output bands are _BAND_ROWS rows,
+# except its last. Every buffer belongs to one forward call, so threads can
+# share a head.
 
 # Image rows read per step, and output rows per conv call.
 _BAND_ROWS = 8
 
 
-class _ConvStage:
-    """A conv layer's zero-padded ring buffer of input rows.
+def _conv_bands(layer: ConvLayer, bands, buffers: dict):
+    """The conv layer's output bands, from one zero-padded ring of rows.
 
     Row 0 of the ring is the top padding row, or the input row, that the
-    next output row reads first. Once the ring holds the (n-1)*s + k rows
-    that n = _BAND_ROWS outputs read, the layer writes those outputs into
-    the next stage and moves the k - s rows it still needs to the top. When
-    a write would not fit, the layer first runs the shorter band that the
-    rows it holds allow, so the ring never holds more than one full band.
+    next output row reads first. Whenever the ring holds the (n-1)*s + k
+    rows that n = _BAND_ROWS outputs read, the layer makes those outputs and
+    moves the k - s rows it still needs to the top. At the end of the input
+    it makes the rest; below the last input row, the rows the ring lacks
+    are the bottom padding.
     """
+    k, s, p = layer.kernel, layer.stride, layer.padding
+    if p > k // 2 or s > k:
+        raise ValueError("a streamed conv needs padding <= kernel // 2 and stride <= kernel")
+    need = (_BAND_ROWS - 1) * s + k
+    work = _ConvWork(layer, buffers)
+    ring = None
+    fill = p  # the top padding rows are the ring's first zeros
+    rows_in = done = 0
 
-    def __init__(self, layer: ConvLayer, width: int, nxt, buffers: dict):
-        k, s, p = layer.kernel, layer.stride, layer.padding
-        if p > k // 2:
-            raise ValueError("a streamed conv needs padding <= kernel // 2")
-        self.layer, self.next = layer, nxt
-        self.channels = layer.in_channels
-        self.need = (_BAND_ROWS - 1) * s + k
-        self.ring = np.zeros((layer.in_channels, self.need, width))
-        self.fill = p  # the top padding rows are the ring's first zeros
-        self.rows_in = self.done = 0
-        self.work = _ConvWork(layer, buffers)
-
-    def slot(self, n: int) -> np.ndarray:
-        """Room for n <= _BAND_ROWS rows; after a short band at most k - 1
-        rows are held, and k - 1 + n <= need."""
-        if self.fill + n > self.need:
-            self._run((self.fill - self.layer.kernel) // self.layer.stride + 1)
-        return self.ring[:, self.fill : self.fill + n]
-
-    def commit(self, n: int) -> None:
-        self.fill += n
-        self.rows_in += n
-        while self.fill >= self.need:
-            self._run(_BAND_ROWS)
-
-    def finish(self) -> None:
-        layer = self.layer
-        h_out = conv_output_dim(self.rows_in, layer.kernel, layer.stride, layer.padding)
-        while self.done < h_out:
-            self._run(min(_BAND_ROWS, h_out - self.done))
-        self.next.finish()
-
-    def _run(self, m: int) -> None:
-        """Write the next m output rows; below the last input row, the rows
-        the ring lacks are the bottom padding."""
-        k, s, p = self.layer.kernel, self.layer.stride, self.layer.padding
+    def run(m: int) -> np.ndarray:
+        nonlocal fill, done
         top = (m - 1) * s + k - p  # ring rows p..top-1 are the x of m outputs
-        ring = self.ring
-        conv2d_forward(
-            ring[:, p:top], self.layer,
-            above=ring[:, :p], below=ring[:, top : min(self.fill, top + p)],
-            out=self.next.slot(m), work=self.work,
-        )
-        keep = self.fill - m * s
-        ring[:, :keep] = ring[:, m * s : self.fill]
-        self.fill = keep
-        self.done += m
-        self.next.commit(m)
+        out = conv2d_forward(ring[:, p:top], layer, above=ring[:, :p],
+                             below=ring[:, top : min(fill, top + p)], work=work)
+        keep = max(fill - m * s, 0)
+        ring[:, :keep] = ring[:, m * s : fill]
+        fill, done = keep, done + m
+        return out
+
+    for band in bands:
+        if ring is None:
+            ring = np.zeros((band.shape[0], need, band.shape[2]))
+        rows_in += band.shape[1]
+        while band.shape[1]:
+            n = min(band.shape[1], need - fill)
+            ring[:, fill : fill + n] = band[:, :n]
+            fill += n
+            band = band[:, n:]
+            if fill == need:
+                yield run(_BAND_ROWS)
+    h_out = conv_output_dim(rows_in, k, s, p)
+    while done < h_out:
+        yield run(min(_BAND_ROWS, h_out - done))
 
 
-class _PoolStage:
+def _pool_bands(bands):
     """2x2 max pooling of row pairs; an odd last row waits for the next band."""
-
-    def __init__(self, channels: int, width: int, nxt):
-        self.channels, self.width, self.next = channels, width, nxt
-        self.ring = np.empty((channels, _BAND_ROWS + 1, width))
-        self.fill = self.rows_in = 0
-
-    def slot(self, n: int) -> np.ndarray:
-        return self.ring[:, self.fill : self.fill + n]
-
-    def commit(self, n: int) -> None:
-        self.fill += n
-        self.rows_in += n
-        pairs = self.fill // 2
+    odd = None
+    rows_in = 0
+    for band in bands:
+        rows_in += band.shape[1]
+        if odd is not None:
+            band = np.concatenate([odd, band], axis=1)
+        pairs = band.shape[1] // 2
+        odd = band[:, 2 * pairs :] if band.shape[1] % 2 else None
         if pairs:
-            self.next.slot(pairs)[...] = max_pool2(self.ring[:, : 2 * pairs])
-            self.ring[:, : self.fill - 2 * pairs] = self.ring[:, 2 * pairs : self.fill]
-            self.fill -= 2 * pairs
-            self.next.commit(pairs)
-
-    def finish(self) -> None:
-        if self.fill:
-            raise OddSpatialDimError(
-                f"cannot 2x2-pool odd dims {self.rows_in}x{self.width}"
-            )
-        self.next.finish()
+            yield max_pool2(band[:, : 2 * pairs])
+    if odd is not None:
+        raise OddSpatialDimError(f"cannot 2x2-pool odd dims {rows_in}x{odd.shape[2]}")
 
 
-class _ResidualStage:
-    """relu(x + conv_b(conv_a(x))): each input row goes to conv_a and is
-    held for the shortcut until conv_b's output row arrives."""
+def _residual_bands(block: ResidualBlock, bands, buffers: dict):
+    """relu(x + conv_b(conv_a(x))): each input band goes to conv_a and is
+    held for the shortcut until conv_b's output rows arrive."""
+    held = []  # input bands not yet added, oldest first
 
-    def __init__(self, block: ResidualBlock, width: int, nxt, buffers: dict):
-        self.channels = block.conv_a.in_channels
-        self.shortcut = _Shortcut(block, width, nxt)
-        conv_b = _ConvStage(block.conv_b, width, self.shortcut, buffers)
-        self.conv_a = _ConvStage(block.conv_a, width, conv_b, buffers)
+    def tee():
+        for band in bands:
+            held.append(band)
+            yield band
 
-    def slot(self, n: int) -> np.ndarray:
-        return self.shortcut.room(n)
-
-    def commit(self, n: int) -> None:
-        self.conv_a.slot(n)[...] = self.shortcut.hold(n)
-        self.conv_a.commit(n)
-
-    def finish(self) -> None:
-        self.conv_a.finish()
-
-
-class _Shortcut:
-    """The held input rows of a residual block, and conv_b's next stage:
-    conv_b writes into the downstream stage's slot, where the held rows are
-    added and the ReLU applied. It is apart from _ResidualStage so the
-    stages form no reference cycle, which would keep a call's buffers alive
-    until the garbage collector ran."""
-
-    def __init__(self, block: ResidualBlock, width: int, nxt):
-        # conv_a and conv_b each hold fewer than _BAND_ROWS + kernel rows
-        rows = 3 * _BAND_ROWS + 2 * block.conv_a.kernel
-        self.held = np.empty((block.conv_a.in_channels, rows, width))
-        self.start = self.fill = 0
-        self.next = nxt
-        self.dest = None
-
-    def room(self, n: int) -> np.ndarray:
-        """Where the block's next n input rows go."""
-        if self.fill + n > self.held.shape[1]:
-            self.held[:, : self.fill - self.start] = self.held[:, self.start : self.fill]
-            self.fill -= self.start
-            self.start = 0
-        return self.held[:, self.fill : self.fill + n]
-
-    def hold(self, n: int) -> np.ndarray:
-        """Keep the n rows just written to ``room``; returns them."""
-        self.fill += n
-        return self.held[:, self.fill - n : self.fill]
-
-    def slot(self, n: int) -> np.ndarray:
-        self.dest = self.next.slot(n)
-        return self.dest
-
-    def commit(self, n: int) -> None:
-        np.add(self.dest, self.held[:, self.start : self.start + n], out=self.dest)
-        np.maximum(self.dest, 0.0, out=self.dest)
-        self.start += n
-        self.next.commit(n)
-
-    def finish(self) -> None:
-        self.next.finish()
-
-
-class _Sink:
-    """Collects the last layer's output bands in fresh arrays."""
-
-    def __init__(self, channels: int, width: int):
-        self.channels, self.width = channels, width
-        self.bands = []
-
-    def slot(self, n: int) -> np.ndarray:
-        self.bands.append(np.empty((self.channels, n, self.width)))
-        return self.bands[-1]
-
-    def commit(self, n: int) -> None:
-        pass
-
-    def finish(self) -> None:
-        pass
-
-    def take(self) -> list:
-        bands, self.bands = self.bands, []
-        return bands
+    inner = _conv_bands(block.conv_a, tee(), buffers)
+    for out in _conv_bands(block.conv_b, inner, buffers):
+        r = 0
+        while r < out.shape[1]:
+            n = min(out.shape[1] - r, held[0].shape[1])
+            out[:, r : r + n] += held[0][:, :n]
+            held[0] = held[0][:, n:]
+            if not held[0].shape[1]:
+                held.pop(0)
+            r += n
+        yield np.maximum(out, 0.0, out=out)
 
 
 # ------------------------------------------------------------ head specs
@@ -553,50 +457,27 @@ class BoundExtractor:
             activation=activation,
         )
 
-    def _stages(self, channels: int, width: int):
-        """This call's stages, first to last, ending in a _Sink."""
-        dims = []
-        for layer in self.spec.layers:
-            dims.append((channels, width))
-            if layer.kind == "pool":
-                width //= 2  # an odd width fails in max_pool2
-            else:
-                channels = layer.out_channels
-                width = conv_output_dim(width, layer.kernel, layer.stride, layer.padding)
-        sink = stage = _Sink(channels, width)
-        buffers = {}  # the convs' shared scratch
-        for layer, (channels, width) in zip(reversed(self.spec.layers), reversed(dims)):
-            if layer.kind == "conv":
-                conv = self._conv(layer.name, layer, "relu")
-                stage = _ConvStage(conv, width, stage, buffers)
-            elif layer.kind == "pool":
-                stage = _PoolStage(channels, width, stage)
-            elif layer.kind == "res":
-                block = ResidualBlock(
-                    conv_a=self._conv(f"{layer.name}.a", layer, "relu"),
-                    conv_b=self._conv(f"{layer.name}.b", layer, "none"),
-                )
-                stage = _ResidualStage(block, width, stage, buffers)
-        return stage, sink
-
     def bands(self, x: np.ndarray):
         """Run the layers over x (c, h, w), _BAND_ROWS rows at a time, and
         yield the last layer's output as float64 bands of rows, top to
         bottom. x is converted to float64 one band at a time."""
         if x.ndim != 3:
             raise ShapeMismatchError(f"input must be rank 3, got rank {x.ndim}")
-        first, sink = self._stages(x.shape[0], x.shape[2])
-        if x.shape[0] != first.channels:
-            raise ShapeMismatchError(
-                f"input has {x.shape[0]} channels, head expects {first.channels}"
-            )
-        for r0 in range(0, x.shape[1], _BAND_ROWS):
-            band = x[:, r0 : r0 + _BAND_ROWS]
-            first.slot(band.shape[1])[...] = band
-            first.commit(band.shape[1])
-            yield from sink.take()
-        first.finish()
-        yield from sink.take()
+        bands = (x[:, r0 : r0 + _BAND_ROWS].astype(np.float64)
+                 for r0 in range(0, x.shape[1], _BAND_ROWS))
+        buffers = {}  # the convs' shared scratch
+        for layer in self.spec.layers:
+            if layer.kind == "conv":
+                bands = _conv_bands(self._conv(layer.name, layer, "relu"), bands, buffers)
+            elif layer.kind == "pool":
+                bands = _pool_bands(bands)
+            elif layer.kind == "res":
+                block = ResidualBlock(
+                    conv_a=self._conv(f"{layer.name}.a", layer, "relu"),
+                    conv_b=self._conv(f"{layer.name}.b", layer, "none"),
+                )
+                bands = _residual_bands(block, bands, buffers)
+        yield from bands
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """The last layer's whole output: ``bands`` joined."""
@@ -818,10 +699,13 @@ def attention_adjust(img: ImageF32, attn: np.ndarray, gain: float = 0.5) -> Imag
         raise ValueError("gain must be >= 0")
     planes = img.data.astype(np.float64)
     v = planes.max(axis=0)
-    factor = 1.0 + gain * (attn - float(np.mean(attn, dtype=np.float64)))
-    factor = np.maximum(factor, 0.0)
-    cap = np.where(v > 0.0, 1.0 / np.where(v > 0.0, v, 1.0), np.inf)
-    return ImageF32.from_array(planes * np.minimum(factor, cap))
+    factor = attn - float(np.mean(attn, dtype=np.float64))
+    factor *= gain
+    factor += 1.0
+    np.maximum(factor, 0.0, out=factor)
+    cap = np.divide(1.0, v, out=np.full_like(v, np.inf), where=v > 0.0)
+    planes *= np.minimum(factor, cap, out=cap)
+    return ImageF32.from_array(planes)
 
 
 def feature_guided_enhance(

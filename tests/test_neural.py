@@ -1,5 +1,6 @@
 """Feature extractors, manifest IO, and attention-guided enhancement."""
 
+import gc
 import json
 import os
 import subprocess
@@ -173,24 +174,13 @@ class TestBandedConv:
                  "one-row": (h_out // 2, 1)}[band]
         assert np.array_equal(band_call(x, layer, r0, m), whole[:, r0 : r0 + m])
 
-    def test_writes_into_out_rows(self, rng):
-        layer = make_layer(rng, 4, 2, 3, 1, 1)
-        x = rng.standard_normal((2, 6, 16))
-        ring = np.full((4, 10, 16), np.nan)
-        got = conv2d_forward(x[:, 2:5], layer, above=x[:, 1:2], below=x[:, 5:6],
-                             out=ring[:, 3:6])
-        assert got.base is ring.base or got.base is ring
-        assert np.array_equal(ring[:, 3:6], conv2d_forward(x, layer)[:, 2:5])
-
-    def test_bad_neighbours_and_out_rejected(self, rng):
+    def test_bad_neighbours_rejected(self, rng):
         layer = make_layer(rng, 4, 2, 3, 1, 1)
         x = rng.standard_normal((2, 6, 8))
         with pytest.raises(ShapeMismatchError):
             conv2d_forward(x, layer, above=np.zeros((2, 2, 8)))  # more rows than padding
         with pytest.raises(ShapeMismatchError):
             conv2d_forward(x, layer, below=np.zeros((2, 1, 7)))
-        with pytest.raises(ShapeMismatchError):
-            conv2d_forward(x, layer, out=np.zeros((4, 8, 6)).transpose(0, 2, 1))
 
 
 def whole_tensor_features(ext, x):
@@ -264,6 +254,27 @@ class TestStreamedHeads:
         want = extract_features(img, ext).mean(axis=0, dtype=np.float64)
         assert np.array_equal(_channel_mean(img, ext), want)
 
+    @pytest.mark.parametrize("build, h, w", [
+        (build_vgg_head, 68, 64), (build_vgg_head, 50, 40), (build_resnet_head, 136, 64),
+    ], ids=["vgg-68x64", "vgg-50x40", "resnet-136x64"])
+    def test_conv_calls_make_full_bands_but_the_last(self, monkeypatch, build, h, w):
+        calls = {}  # layer weights id -> output rows of each call, in order
+        real = aquaclear.neural.conv2d_forward
+
+        def spy(x, layer, *args, **kwargs):
+            out = real(x, layer, *args, **kwargs)
+            calls.setdefault(id(layer.weights), []).append(out.shape[1])
+            return out
+
+        monkeypatch.setattr(aquaclear.neural, "conv2d_forward", spy)
+        ext = init_weights(build(), seed=0)
+        ext.forward(np.zeros((3, h, w), dtype=np.float32))
+        assert len(calls) == len(ext.weights) // 2
+        band = aquaclear.neural._BAND_ROWS
+        for rows in calls.values():
+            assert all(m == band for m in rows[:-1]), rows
+            assert 0 < rows[-1] <= band
+
     def test_threads_share_a_head(self):
         """Every buffer belongs to one call: more threads than cores, with
         frequent switches, get each image's features unchanged."""
@@ -302,6 +313,78 @@ class TestStreamingMemory:
         finally:
             tracemalloc.stop()
         assert peak < bound_mb * 1e6, f"{peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("build", [build_vgg_head, build_resnet_head])
+    def test_no_cycle_keeps_a_call_alive(self, build):
+        """A finished pass, and a pass dropped after one band, free their
+        buffers by reference counting alone."""
+        ext = init_weights(build(), seed=0)
+        img = ImageF32(np.random.default_rng(0).uniform(0, 1, (3, 128, 128))
+                       .astype(np.float32))
+        _channel_mean(img, ext)  # numpy's first-call allocations stay alive
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _channel_mean(img, ext)
+            after_pass = tracemalloc.get_traced_memory()[0] - before
+            bands = ext.bands(img.data)
+            next(bands)
+            del bands
+            after_drop = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert after_pass < 100e3, f"{after_pass / 1e3:.1f} kB"
+        assert after_drop < 100e3, f"{after_drop / 1e3:.1f} kB"
+
+    def test_attention_adjust_heap_peak_at_512(self):
+        rng = np.random.default_rng(0)
+        img = ImageF32(rng.uniform(0, 1, (3, 512, 512)).astype(np.float32))
+        attn = rng.uniform(0, 1, (512, 512))
+        tracemalloc.start()
+        try:
+            attention_adjust(img, attn, gain=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 512**2 < 96, f"{peak / 512**2:.0f} B/px"
+
+
+class TestTracerContract:
+    """A tracer that rebinds ``neural.conv2d_forward`` and ``max_pool2`` sees
+    every call of a streamed head, and each conv's MACs follow from its x
+    and layer alone."""
+
+    # per-image MACs at 128 px, counted by hand from the head shapes
+    @pytest.mark.parametrize("build, macs, pooled_rows", [
+        (build_vgg_head, 1_538_260_992, 64), (build_resnet_head, 189_530_112, 32),
+    ], ids=["vgg", "resnet"])
+    def test_macs_from_traced_calls(self, monkeypatch, build, macs, pooled_rows):
+        seen = {"macs": 0, "pooled_rows": 0}
+        conv, pool = aquaclear.neural.conv2d_forward, aquaclear.neural.max_pool2
+
+        def count_conv(x, layer, *args, **kwargs):
+            c_out, c_in, k, _ = layer.weights.shape
+            s, p = layer.stride, layer.padding
+            h_out = (x.shape[1] + 2 * p - k) // s + 1
+            w_out = (x.shape[2] + 2 * p - k) // s + 1
+            seen["macs"] += c_out * c_in * k * k * h_out * w_out
+            return conv(x, layer, *args, **kwargs)
+
+        def count_pool(t):
+            out = pool(t)
+            seen["pooled_rows"] += out.shape[1]
+            return out
+
+        monkeypatch.setattr(aquaclear.neural, "conv2d_forward", count_conv)
+        monkeypatch.setattr(aquaclear.neural, "max_pool2", count_pool)
+        img = ImageF32(np.random.default_rng(1).uniform(0, 1, (3, 128, 128))
+                       .astype(np.float32))
+        _channel_mean(img, init_weights(build(), seed=0))
+        assert seen == {"macs": macs, "pooled_rows": pooled_rows}
 
 
 class TestPoolAndResidual:
