@@ -12,23 +12,24 @@ any BLAS thread count; seeded initialization uses a PCG64 generator.
 A head runs over an image in bands of rows and yields its output a band at
 a time (``BoundExtractor.bands``); it never builds a whole-image
 activation. Each layer is a generator that takes its input's bands and
-yields its output's. A conv keeps one zero-padded ring of the input rows
-its next _BAND_ROWS output rows read and makes them once the ring is full,
-so every conv call but each layer's last covers a full band; a pool keeps
-at most one odd row, and a residual block holds its input rows until
-conv_b's rows arrive. No row is computed twice: the traced MACs equal the
-whole-image count. So a head's memory grows with the image width, not its
-area: at 256 px a VGG pass peaks near 15 MB of heap (a whole-tensor pass
-took 104 MB), and ``enhance --method unite`` holds about 290 B per pixel
-at 1024 px, close to ``classic``'s 240, where whole-tensor heads took
-about 1.6 KB. The schedule depends only on the image size, never on
-threads. A band's GEMMs
-have fewer columns than a whole-tensor call's; on the OpenBLAS build
-measured, a column's bits do not depend on the column count when that
-count is a multiple of 16 (and the product is not tiny), so streamed
-features equal whole-tensor ones bit for bit whenever every layer's output
-width is a multiple of 16, as at the benchmark's 128 px, and otherwise may
-differ in the last bits (at most 1.6e-14 seen).
+yields its output's. A conv keeps one ring of the zero-padded input rows
+its next _BAND_ROWS output rows read, padding columns included, and makes
+them with an unpadded call on the ring once it is full, so no call copies
+its input into a padded buffer and every call but each layer's last covers
+a full band; a pool keeps at most one odd row, and a residual block holds
+its input rows until conv_b's rows arrive. No row is computed twice: the
+traced MACs equal the whole-image count. So a head's memory grows with the
+image width, not its area: at 256 px a VGG pass peaks near 13 MB of heap
+(a whole-tensor pass took 104 MB), and ``enhance --method unite`` holds
+about 290 B per pixel at 1024 px, close to ``classic``'s 240, where
+whole-tensor heads took about 1.6 KB. The schedule depends only on the
+image size, never on threads. A band's GEMMs have fewer columns than a
+whole-tensor call's; on the OpenBLAS build measured, a column's bits do
+not depend on the column count when that count is a multiple of 16 (and
+the product is not tiny), so streamed features equal whole-tensor ones bit
+for bit whenever every layer's output width is a multiple of 16, as at the
+benchmark's 128 px, and otherwise may differ in the last bits (at most
+1.6e-14 seen).
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ __all__ = [
     "BoundExtractor",
     "conv_output_dim",
     "conv2d_forward",
-    "relu",
     "residual_forward",
     "max_pool2",
     "build_vgg_head",
@@ -165,7 +165,7 @@ _COLS_BYTES = 2 << 20
 class _ConvWork:
     """What a conv layer's calls in one forward pass share: the weights
     reordered once to a (c_out, k*k*c_in) float64 matrix with the bias as a
-    float64 column, and flat scratch buffers that grow to the largest call.
+    float64 column, and a flat column buffer that grows to the largest call.
     ``buffers`` may be shared with the pass's other convs, since one conv
     call ends before the next begins."""
 
@@ -176,46 +176,31 @@ class _ConvWork:
         self.bias = layer.bias.astype(np.float64)[:, None]
         self._buffers = {} if buffers is None else buffers
 
-    def buffer(self, name: str, shape: tuple) -> np.ndarray:
+    def buffer(self, shape: tuple) -> np.ndarray:
         """An uninitialized float64 array of ``shape``, reusing the memory
-        of the last one of that name."""
+        of the last one."""
         size = math.prod(shape)
-        flat = self._buffers.get(name)
+        flat = self._buffers.get("columns")
         if flat is None or flat.size < size:
-            flat = self._buffers[name] = np.empty(size, dtype=np.float64)
+            flat = self._buffers["columns"] = np.empty(size, dtype=np.float64)
         return flat[:size].reshape(shape)
 
 
-def _neighbour_rows(rows, x: np.ndarray, most: int, where: str) -> int:
-    if rows is None:
-        return 0
-    if rows.ndim != 3 or rows.shape[0] != x.shape[0] or rows.shape[2] != x.shape[2]:
-        raise ShapeMismatchError(f"{where} rows {rows.shape} do not match input {x.shape}")
-    if rows.shape[1] > most:
-        raise ShapeMismatchError(f"{where} has {rows.shape[1]} rows, padding is {most}")
-    return rows.shape[1]
-
-
-def conv2d_forward(x: np.ndarray, layer: ConvLayer, above=None, below=None,
-                   work=None) -> np.ndarray:
+def conv2d_forward(x: np.ndarray, layer: ConvLayer, work=None) -> np.ndarray:
     """Strided cross-correlation with zero padding, bias, optional ReLU.
 
     Output spatial dims are floor((H + 2p - k) / s) + 1, with H the rows of
-    x. ``above`` and ``below`` are rows of the same tensor next to x, at
-    most p each (nearest last in ``above``, first in ``below``); they take
-    the place of that many rows of zero padding, and None means zeros. So x
-    and its neighbours give the output rows of x in a call on the whole
-    tensor. ``work`` (a _ConvWork of the layer) lets many calls share the
-    reordered weights and buffers.
+    x. ``work`` (a _ConvWork of the layer) lets many calls share the
+    reordered weights and column buffer.
 
-    The zero-padded input is assembled in one buffer. For each block of
-    output rows, the k*k strided input windows the block reads are copied
-    into one reusable (k*k*c_in, rows*w_out) column buffer, and one matrix
-    product with the weight matrix writes the block's output: every output
-    value is one BLAS dot product over all (kernel position, channel) pairs.
-    Bias and activation are applied to the block in place. Rows per block
-    are as many as fit in a fixed byte budget. The same numpy/BLAS build
-    gives the same bits at any BLAS thread count.
+    With p > 0, x is first copied into a zero-padded array. For each block
+    of output rows, the k*k strided input windows the block reads are copied
+    into one reusable (k*k*c_in, rows*w_out) float64 column buffer, and one
+    matrix product with the weight matrix writes the block's output: every
+    output value is one BLAS dot product over all (kernel position, channel)
+    pairs. Bias and activation are applied to the block in place. Rows per
+    block are as many as fit in a fixed byte budget. The same numpy/BLAS
+    build gives the same bits at any BLAS thread count.
     """
     if x.ndim != 3:
         raise ShapeMismatchError(f"input must be rank 3, got rank {x.ndim}")
@@ -227,32 +212,20 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, above=None, below=None,
     k, s, p = layer.kernel, layer.stride, layer.padding
     h_out = conv_output_dim(h_in, k, s, p)
     w_out = conv_output_dim(w_in, k, s, p)
-    n_above = _neighbour_rows(above, x, p, "above")
-    n_below = _neighbour_rows(below, x, p, "below")
     c_out = layer.out_channels
     out = np.empty((c_out, h_out, w_out), dtype=np.float64)
     if work is None:
         work = _ConvWork(layer)
-
-    top, bottom = p - n_above, p + h_in + n_below  # rows from x and neighbours
-    xp = work.buffer("padded", (c_in, h_in + 2 * p, w_in + 2 * p))
-    xp[:, :top] = 0.0
-    xp[:, bottom:] = 0.0
-    xp[:, top:bottom, :p] = 0.0
-    xp[:, top:bottom, p + w_in :] = 0.0
-    xp[:, p : p + h_in, p : p + w_in] = x
-    if n_above:
-        xp[:, top:p, p : p + w_in] = above
-    if n_below:
-        xp[:, p + h_in : bottom, p : p + w_in] = below
+    if p:
+        x = np.pad(x, ((0, 0), (p, p), (p, p)))
     # (ky, kx, c_in, h_out, w_out): a no-copy view of every output's window
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+    windows = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
     windows = windows.transpose(3, 4, 0, 1, 2)
     depth = work.wmat.shape[1]
     rows = max(1, min(h_out, _COLS_BYTES // (8 * depth * w_out)))
     for r0 in range(0, h_out, rows):
         r1 = min(r0 + rows, h_out)
-        cols = work.buffer("columns", (k, k, c_in, r1 - r0, w_out))
+        cols = work.buffer((k, k, c_in, r1 - r0, w_out))
         np.copyto(cols, windows[:, :, :, r0:r1])
         block = out[:, r0:r1].reshape(c_out, -1)
         np.matmul(work.wmat, cols.reshape(depth, -1), out=block)
@@ -260,10 +233,6 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, above=None, below=None,
         if layer.activation == "relu":
             np.maximum(block, 0.0, out=block)
     return out
-
-
-def relu(t: np.ndarray) -> np.ndarray:
-    return np.maximum(t, 0.0)
 
 
 def residual_forward(x: np.ndarray, block: ResidualBlock) -> np.ndarray:
@@ -296,29 +265,31 @@ _BAND_ROWS = 8
 
 
 def _conv_bands(layer: ConvLayer, bands, buffers: dict):
-    """The conv layer's output bands, from one zero-padded ring of rows.
+    """The conv layer's output bands, from one ring of zero-padded input.
 
-    Row 0 of the ring is the top padding row, or the input row, that the
-    next output row reads first. Whenever the ring holds the (n-1)*s + k
-    rows that n = _BAND_ROWS outputs read, the layer makes those outputs and
-    moves the k - s rows it still needs to the top. At the end of the input
-    it makes the rest; below the last input row, the rows the ring lacks
-    are the bottom padding.
+    The ring is p columns wider than the input on each side, and those
+    columns stay zero. Row 0 of the ring is the top padding row, or the
+    input row, that the next output row reads first. Whenever the ring holds
+    the (n-1)*s + k rows that n = _BAND_ROWS outputs read, an unpadded copy
+    of the layer makes those outputs from them and the ring moves the k - s
+    rows still needed to the top. At the end of the input the rows below the
+    last input row are zeroed, as the bottom padding, and the layer makes
+    the rest.
     """
     k, s, p = layer.kernel, layer.stride, layer.padding
     if p > k // 2 or s > k:
         raise ValueError("a streamed conv needs padding <= kernel // 2 and stride <= kernel")
     need = (_BAND_ROWS - 1) * s + k
-    work = _ConvWork(layer, buffers)
+    # shares the weights array, so a tracer still finds the layer by its id
+    valid = ConvLayer(layer.weights, layer.bias, s, 0, layer.activation)
+    work = _ConvWork(valid, buffers)
     ring = None
     fill = p  # the top padding rows are the ring's first zeros
     rows_in = done = 0
 
     def run(m: int) -> np.ndarray:
         nonlocal fill, done
-        top = (m - 1) * s + k - p  # ring rows p..top-1 are the x of m outputs
-        out = conv2d_forward(ring[:, p:top], layer, above=ring[:, :p],
-                             below=ring[:, top : min(fill, top + p)], work=work)
+        out = conv2d_forward(ring[:, : (m - 1) * s + k], valid, work=work)
         keep = max(fill - m * s, 0)
         ring[:, :keep] = ring[:, m * s : fill]
         fill, done = keep, done + m
@@ -326,17 +297,18 @@ def _conv_bands(layer: ConvLayer, bands, buffers: dict):
 
     for band in bands:
         if ring is None:
-            ring = np.zeros((band.shape[0], need, band.shape[2]))
+            ring = np.zeros((band.shape[0], need, band.shape[2] + 2 * p))
         rows_in += band.shape[1]
         while band.shape[1]:
             n = min(band.shape[1], need - fill)
-            ring[:, fill : fill + n] = band[:, :n]
+            ring[:, fill : fill + n, p : p + band.shape[2]] = band[:, :n]
             fill += n
             band = band[:, n:]
             if fill == need:
                 yield run(_BAND_ROWS)
     h_out = conv_output_dim(rows_in, k, s, p)
     while done < h_out:
+        ring[:, fill:] = 0.0
         yield run(min(_BAND_ROWS, h_out - done))
 
 
@@ -459,12 +431,12 @@ class BoundExtractor:
 
     def bands(self, x: np.ndarray):
         """Run the layers over x (c, h, w), _BAND_ROWS rows at a time, and
-        yield the last layer's output as float64 bands of rows, top to
-        bottom. x is converted to float64 one band at a time."""
+        yield the last layer's output as bands of rows, top to bottom. A
+        conv's ring holds float64, so each conv converts its input exactly
+        as its rows arrive."""
         if x.ndim != 3:
             raise ShapeMismatchError(f"input must be rank 3, got rank {x.ndim}")
-        bands = (x[:, r0 : r0 + _BAND_ROWS].astype(np.float64)
-                 for r0 in range(0, x.shape[1], _BAND_ROWS))
+        bands = (x[:, r0 : r0 + _BAND_ROWS] for r0 in range(0, x.shape[1], _BAND_ROWS))
         buffers = {}  # the convs' shared scratch
         for layer in self.spec.layers:
             if layer.kind == "conv":
@@ -478,10 +450,6 @@ class BoundExtractor:
                 )
                 bands = _residual_bands(block, bands, buffers)
         yield from bands
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """The last layer's whole output: ``bands`` joined."""
-        return np.concatenate(list(self.bands(x)), axis=1)
 
 
 def init_weights(spec: ExtractorSpec, seed: int) -> BoundExtractor:
@@ -633,8 +601,7 @@ def extract_features(img: ImageF32, extractor: BoundExtractor) -> np.ndarray:
     """Forward an RGB image (values in [0,1], no mean normalization) through
     the extractor's layers. Dims that break a pooling or stride raise
     IndivisibleDims before any arithmetic runs."""
-    validate_dims(extractor.spec, img.height, img.width)
-    return extractor.forward(img.data)
+    return np.concatenate(list(feature_bands(img, extractor)), axis=1)
 
 
 def feature_bands(img: ImageF32, extractor: BoundExtractor):

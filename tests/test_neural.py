@@ -45,7 +45,6 @@ from aquaclear.neural import (
     init_weights,
     load_weights,
     max_pool2,
-    relu,
     residual_forward,
     save_weights,
 )
@@ -134,27 +133,30 @@ class TestConvForward:
             ConvLayer(np.zeros((1, 1, 2, 2), dtype=np.float32), np.zeros(1, dtype=np.float32))
 
     def test_relu_clamps_negatives_only(self):
-        t = np.array([-1.0, 0.0, 2.5])
-        assert np.array_equal(relu(t), [0.0, 0.0, 2.5])
-        assert np.array_equal(relu(relu(t)), relu(t))
+        w = np.ones((1, 1, 1, 1), dtype=np.float32)
+        layer = ConvLayer(w, np.zeros(1, dtype=np.float32), activation="relu")
+        t = np.array([-1.0, 0.0, 2.5]).reshape(1, 1, 3)
+        once = conv2d_forward(t, layer)
+        assert np.array_equal(once, [[[0.0, 0.0, 2.5]]])
+        assert np.array_equal(conv2d_forward(once, layer), once)
 
 
 def band_call(x, layer, r0, m):
-    """conv2d_forward on the input rows whose outputs are r0..r0+m-1, with
-    their neighbour rows, as a streamed head calls it."""
+    """The layer without padding on the rows of zero-padded x that outputs
+    r0..r0+m-1 read, as a streamed head calls it on its ring."""
     k, s, p = layer.kernel, layer.stride, layer.padding
-    top = r0 * s
-    bottom = top + (m - 1) * s + k - 2 * p
-    return conv2d_forward(x[:, top:bottom], layer,
-                          above=x[:, max(0, top - p) : top], below=x[:, bottom : bottom + p])
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    valid = ConvLayer(layer.weights, layer.bias, s, 0, layer.activation)
+    return conv2d_forward(xp[:, r0 * s : r0 * s + (m - 1) * s + k], valid)
 
 
 class TestBandedConv:
-    """A band of rows with its neighbour rows gives the same bits as the
-    matching rows of the whole-input call. Output widths here are multiples
-    of 16: on the OpenBLAS builds measured, a GEMM column's bits depend on
-    the column count unless it is a multiple of 16 (and the product not
-    tiny), and a band's GEMMs have fewer columns than the whole call's."""
+    """The unpadded layer on the padded rows a band reads gives the same bits
+    as the matching rows of the whole-input call. Output widths here are
+    multiples of 16: on the OpenBLAS builds measured, a GEMM column's bits
+    depend on the column count unless it is a multiple of 16 (and the
+    product not tiny), and a band's GEMMs have fewer columns than the whole
+    call's."""
 
     # (out_c, in_c, k, stride, padding, h, w)
     CASES = {
@@ -174,13 +176,15 @@ class TestBandedConv:
                  "one-row": (h_out // 2, 1)}[band]
         assert np.array_equal(band_call(x, layer, r0, m), whole[:, r0 : r0 + m])
 
-    def test_bad_neighbours_rejected(self, rng):
-        layer = make_layer(rng, 4, 2, 3, 1, 1)
-        x = rng.standard_normal((2, 6, 8))
-        with pytest.raises(ShapeMismatchError):
-            conv2d_forward(x, layer, above=np.zeros((2, 2, 8)))  # more rows than padding
-        with pytest.raises(ShapeMismatchError):
-            conv2d_forward(x, layer, below=np.zeros((2, 1, 7)))
+    # padding above kernel // 2 would need more zero rows than the ring's
+    # top, and a stride above the kernel would skip rows the ring never holds
+    @pytest.mark.parametrize("k, s, p", [(3, 1, 2), (3, 4, 1)],
+                             ids=["padding-over-half-kernel", "stride-over-kernel"])
+    def test_streamed_conv_refuses_what_its_ring_cannot_hold(self, rng, k, s, p):
+        layer = make_layer(rng, 2, 2, k, s, p)
+        bands = aquaclear.neural._conv_bands(layer, iter([rng.standard_normal((2, 8, 8))]), {})
+        with pytest.raises(ValueError):
+            next(bands)
 
 
 def whole_tensor_features(ext, x):
@@ -217,7 +221,8 @@ class TestStreamedHeads:
         monkeypatch.setattr(aquaclear.neural, "_BAND_ROWS", band_rows)
         ext = init_weights(build(), seed=3)
         x = np.random.default_rng(h * w).uniform(0, 1, (3, h, w)).astype(np.float32)
-        assert np.array_equal(ext.forward(x), whole_tensor_features(ext, x))
+        assert np.array_equal(extract_features(ImageF32(x), ext),
+                              whole_tensor_features(ext, x))
 
     # Residual widths of 16 and 8: short bands meet other GEMM kernels.
     @pytest.mark.parametrize("band_rows", [1, 3, 8])
@@ -226,7 +231,7 @@ class TestStreamedHeads:
         monkeypatch.setattr(aquaclear.neural, "_BAND_ROWS", band_rows)
         ext = init_weights(build_resnet_head(), seed=3)
         x = np.random.default_rng(h * w).uniform(0, 1, (3, h, w)).astype(np.float32)
-        got, want = ext.forward(x), whole_tensor_features(ext, x)
+        got, want = extract_features(ImageF32(x), ext), whole_tensor_features(ext, x)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
@@ -241,7 +246,7 @@ class TestStreamedHeads:
     def test_odd_height_fails_at_the_pool(self):
         ext = init_weights(build_vgg_head(), seed=0)
         with pytest.raises(OddSpatialDimError):
-            ext.forward(np.zeros((3, 33, 34)))
+            np.concatenate(list(ext.bands(np.zeros((3, 33, 34)))), axis=1)
 
     @pytest.mark.parametrize("build", [build_vgg_head, build_resnet_head])
     @pytest.mark.parametrize("h, w", [(37, 45), (71, 33), (64, 130)])
@@ -268,7 +273,7 @@ class TestStreamedHeads:
 
         monkeypatch.setattr(aquaclear.neural, "conv2d_forward", spy)
         ext = init_weights(build(), seed=0)
-        ext.forward(np.zeros((3, h, w), dtype=np.float32))
+        extract_features(ImageF32(np.zeros((3, h, w), dtype=np.float32)), ext)
         assert len(calls) == len(ext.weights) // 2
         band = aquaclear.neural._BAND_ROWS
         for rows in calls.values():
@@ -444,7 +449,7 @@ class TestHeadShapes:
     def test_odd_dims_fail_inside_raw_forward(self):
         ext = init_weights(build_vgg_head(), seed=0)
         with pytest.raises(OddSpatialDimError):
-            ext.forward(np.zeros((3, 33, 33)))
+            np.concatenate(list(ext.bands(np.zeros((3, 33, 33)))), axis=1)
 
     def test_indivisible_dims_caught_before_arithmetic(self):
         # resnet stem halves 50 to 25, which the pool cannot split
