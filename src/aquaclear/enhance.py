@@ -3,6 +3,14 @@
 Four defect-targeted methods (gray-world color balance, CLAHE on V, non-local
 means denoising, Laplacian sharpening). A plan is an ordered list of steps;
 build_plan derives one from DegradationFlags.
+
+Each filter works in float64 on one channel, or one row band, at a time
+and clamps it straight into its float32 output, so beside that output it
+holds about one float64 plane at most: at 256 px gray-world peaks near 28
+bytes of heap per pixel, sharpening 45, CLAHE 73 and NLM 80. NLM's scratch
+grows with the image width, not its height (_NLM_BYTES). Channels and
+bands never change a bit: every output equals the whole-image float64
+formula's.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from .errors import (
     PlanStepError,
     ZeroChannelMeanWarning,
 )
-from .image import ImageF32, channel_stats, hsv_to_rgb, rgb_to_hsv
+from .image import ImageF32, _clip_into, _map_bands, channel_stats, hsv_to_rgb, rgb_to_hsv
 
 __all__ = [
     "ClaheParams",
@@ -104,25 +112,25 @@ def gray_world_correct(img: ImageF32) -> ImageF32:
     """
     stats = channel_stats(img)
     means = (stats.mean_r, stats.mean_g, stats.mean_b)
-    planes = img.data.astype(np.float64)
-    out = np.empty_like(planes)
+    out = np.empty_like(img.data)
     for c, mean_c in enumerate(means):
+        plane = img.data[c].astype(np.float64)
         if mean_c <= _ZERO_MEAN:
             warnings.warn(
                 f"channel {c} mean {mean_c:.2e} too small for gray-world gain",
                 ZeroChannelMeanWarning,
             )
-            out[c] = planes[c]
         else:
-            out[c] = planes[c] * (stats.mean_avg / mean_c)
-    return ImageF32.from_array(out)
+            plane *= stats.mean_avg / mean_c
+        _clip_into(plane, out[c])
+    return ImageF32(out)
 
 
 def _tile_edges(extent: int, tiles: int) -> list[int]:
     return [(i * extent) // tiles for i in range(tiles + 1)]
 
 
-def _clahe_luts(v: np.ndarray, bin_idx: np.ndarray, params: ClaheParams):
+def _clahe_luts(bin_idx: np.ndarray, params: ClaheParams):
     """Per-tile value lookup tables plus an identity-tile mask.
 
     Each tile's histogram is clipped at clip_limit times the uniform bin
@@ -130,7 +138,7 @@ def _clahe_luts(v: np.ndarray, bin_idx: np.ndarray, params: ClaheParams):
     through m(k) = (cdf(k) - cdf_min) / (n - cdf_min). A tile whose entire
     mass sits at cdf_min (constant tile, no clipping) keeps its values as-is.
     """
-    h_img, w_img = v.shape
+    h_img, w_img = bin_idx.shape
     ys = _tile_edges(h_img, params.tiles_y)
     xs = _tile_edges(w_img, params.tiles_x)
     bins = params.bins
@@ -174,33 +182,38 @@ def clahe_v(img: ImageF32, params: ClaheParams = ClaheParams()) -> ImageF32:
     """Contrast-limited adaptive histogram equalization on the HSV V plane.
 
     Pixel values are remapped by bilinearly blending the CDF mappings of the
-    four surrounding tiles; H and S pass through untouched.
+    four surrounding tiles; H and S pass through untouched. The blend runs
+    in row bands (image._map_bands); only the bin indices span the image.
     """
-    hsv = rgb_to_hsv(img).data.astype(np.float64)
-    v = hsv[2]
-    h_img, w_img = v.shape
+    hsv = rgb_to_hsv(img).data
+    h_img, w_img = hsv.shape[1:]
     bins = params.bins
-    bin_idx = np.minimum((v * bins).astype(np.int64), bins - 1)
+    bin_idx = np.multiply(hsv[2], bins, dtype=np.float64).astype(np.int64)
+    np.minimum(bin_idx, bins - 1, out=bin_idx)
 
-    luts, identity, centers_y, centers_x = _clahe_luts(v, bin_idx, params)
+    luts, identity, centers_y, centers_x = _clahe_luts(bin_idx, params)
 
     # Blend terms depend on the row or the column alone: per-axis vectors,
     # broadcast against each other.
-    rows = np.arange(h_img, dtype=np.float64)
-    y0, y1, wy = (t[:, None] for t in _blend_axis(rows, centers_y))
+    y0, y1, wy = (t[:, None] for t in _blend_axis(np.arange(h_img, dtype=np.float64), centers_y))
     x0, x1, wx = _blend_axis(np.arange(w_img, dtype=np.float64), centers_x)
 
-    def tile_value(iy, ix):
-        mapped = luts[iy, ix, bin_idx]
-        return np.where(identity[iy, ix], v, mapped)
+    def blend(band, rows):
+        v, idx = band[2], bin_idx[rows]
 
-    v_new = (
-        (1.0 - wy) * (1.0 - wx) * tile_value(y0, x0)
-        + (1.0 - wy) * wx * tile_value(y0, x1)
-        + wy * (1.0 - wx) * tile_value(y1, x0)
-        + wy * wx * tile_value(y1, x1)
-    )
-    return hsv_to_rgb(ImageF32.from_array(np.stack([hsv[0], hsv[1], v_new])))
+        def tile_value(iy, ix):
+            return np.where(identity[iy, ix], v, luts[iy, ix, idx])
+
+        by0, by1, bwy = y0[rows], y1[rows], wy[rows]
+        v_new = (
+            (1.0 - bwy) * (1.0 - wx) * tile_value(by0, x0)
+            + (1.0 - bwy) * wx * tile_value(by0, x1)
+            + bwy * (1.0 - wx) * tile_value(by1, x0)
+            + bwy * wx * tile_value(by1, x1)
+        )
+        return band[0], band[1], v_new
+
+    return hsv_to_rgb(_map_bands(hsv, blend))
 
 
 def sharpen(img: ImageF32, params: SharpenParams = SharpenParams()) -> ImageF32:
@@ -213,10 +226,9 @@ def sharpen(img: ImageF32, params: SharpenParams = SharpenParams()) -> ImageF32:
     zero-sum one minus 17 times the pixel, which drives constant regions to
     hard clamp.
     """
-    planes = img.data.astype(np.float64)
-    out = np.empty_like(planes)
+    out = np.empty_like(img.data)
     for c in range(img.channels):
-        plane = planes[c]
+        plane = img.data[c].astype(np.float64)
         padded = np.pad(plane, 1, mode="edge")
         h_img, w_img = plane.shape
         response = np.zeros_like(plane)
@@ -227,8 +239,11 @@ def sharpen(img: ImageF32, params: SharpenParams = SharpenParams()) -> ImageF32:
                 response += plane - padded[dy : dy + h_img, dx : dx + w_img]
         if params.kernel_mode == "paper":
             response -= 17.0 * plane
-        out[c] = plane + params.strength * response
-    return ImageF32.from_array(out)
+        # the bits of plane + strength * response
+        response *= params.strength
+        response += plane
+        _clip_into(response, out[c])
+    return ImageF32(out)
 
 
 def _shifted_sum(a: np.ndarray, side: int, step: int, out: np.ndarray) -> np.ndarray:
@@ -247,6 +262,14 @@ def _shifted_sum(a: np.ndarray, side: int, step: int, out: np.ndarray) -> np.nda
     return out
 
 
+# Bytes of a band's float64 scratch in nlm_denoise: four buffers of the
+# band's rows plus w + 2p, and num and den of its rows, all padded-plane
+# rows. A band takes as many rows as fit, and the rows are then spread
+# evenly over the bands. At the default radii 256 px and 128 px images run
+# as one band, a 1024 x 256 image as four and a 1024 px one as fifteen.
+_NLM_BYTES = 4 << 20
+
+
 def nlm_denoise(img: ImageF32, params: NlmParams = NlmParams()) -> ImageF32:
     """Non-local means: each pixel becomes a patch-similarity-weighted mean.
 
@@ -256,21 +279,10 @@ def nlm_denoise(img: ImageF32, params: NlmParams = NlmParams()) -> ImageF32:
     always carries weight 1. Accumulated in difference form so constant
     images are returned bit-identically.
 
-    Only half of the window is visited: the offsets with dy > 0, or dy == 0
-    and dx > 0. One pass per offset serves +d and -d, because -d's patch
-    distance at pixel q is +d's at q - d, and its difference
-    ``padded[q - d] - padded[q]`` is exactly ``-e[q - d]`` with
-    ``e[q] = padded[q + d] - padded[q]``. So e, its box sum and the weights
-    are computed once over the bounding box of the image's patch centres and
-    of the image shifted by -d, (H + |dy|) x (W + |dx|) centres, and both
-    signs read them. The box sum adds 2p+1 row-shifted slices, then 2p+1
-    column-shifted slices, in a fixed order, so it does not depend on where
-    the box starts. Against the per-offset form the float64 sums are
-    reordered; the float32 output is the same.
-
-    Every array is a flat run of the padded plane's rows, so each step is
-    one contiguous 1-D operation; the columns outside the box hold finite
-    values that are never read into the result.
+    Each plane runs in bands of rows (_nlm_slab), each on its own slab of
+    the replicate-padded plane, so the scratch grows with the image width,
+    not its height. A pixel's sums do not depend on where its band starts,
+    so bands never change a bit.
     """
     p = params.patch_radius
     w = params.window_radius
@@ -278,54 +290,92 @@ def nlm_denoise(img: ImageF32, params: NlmParams = NlmParams()) -> ImageF32:
         raise ImageTooSmallError(
             f"{img.width}x{img.height} image too small for patch radius {p}"
         )
+    pad = w + p
+    h_img, w_img = img.height, img.width
+    stride = w_img + 2 * pad
+    fit = max(1, (_NLM_BYTES // (8 * stride) - 4 * (w + 2 * p)) // 6)
+    n_bands = -(-h_img // fit)
+    edges = [(i * h_img) // n_bands for i in range(n_bands + 1)]
+    size = (-(-h_img // n_bands) + w + 2 * p) * stride
+    buffers = [np.empty(size) for _ in range(4)]
+    out = np.empty_like(img.data)
+    for c in range(img.channels):
+        for r0, r1 in zip(edges, edges[1:]):
+            # rows r0 - pad .. r1 + pad of the whole padded plane
+            lo, hi = max(r0 - pad, 0), min(r1 + pad, h_img)
+            slab = np.pad(
+                img.data[c, lo:hi], ((pad - (r0 - lo), pad - (hi - r1)), (pad, pad)), mode="edge"
+            ).astype(np.float64)
+            _clip_into(_nlm_slab(slab, params, buffers), out[c, r0:r1])
+    return ImageF32(out)
+
+
+def _nlm_slab(padded: np.ndarray, params: NlmParams, buffers) -> np.ndarray:
+    """NLM of the rows of ``padded`` that are pad = w + p rows and columns
+    inside its edges, as float64; ``buffers`` are four flat float64 arrays
+    of at least (rows + w + 2p) * padded's width elements.
+
+    Only half of the window is visited: the offsets with dy > 0, or dy == 0
+    and dx > 0. One pass per offset serves +d and -d, because -d's patch
+    distance at pixel q is +d's at q - d, and its difference
+    ``padded[q - d] - padded[q]`` is exactly ``-e[q - d]`` with
+    ``e[q] = padded[q + d] - padded[q]``. So e, its box sum and the weights
+    are computed once over the bounding box of the rows' patch centres and
+    of the rows shifted by -d, (H + |dy|) x (W + |dx|) centres, and both
+    signs read them. The box sum adds 2p+1 row-shifted slices, then 2p+1
+    column-shifted slices, in a fixed order, so it does not depend on where
+    the box starts. Against the per-offset form the float64 sums are
+    reordered; the float32 output is the same.
+
+    Every array is a flat run of the padded rows, so each step is one
+    contiguous 1-D operation; the columns outside the box hold finite
+    values that are never read into the result.
+    """
+    p = params.patch_radius
+    w = params.window_radius
     side = 2 * p + 1
     scale = -1.0 / (side * side * params.h * params.h)  # box sum -> exponent
     pad = w + p
-    h_img, w_img = img.height, img.width
-    stride = w_img + 2 * pad  # row length of the padded plane
+    h_img, w_img = padded.shape[0] - 2 * pad, padded.shape[1] - 2 * pad
+    stride = padded.shape[1]
     n_img = (h_img - 1) * stride + w_img  # flat span of the image pixels
     centre = p * stride + p  # e's offset from a box centre's own index
 
-    size = (h_img + w + 2 * p) * stride
-    e_buf, sq_buf, rows_buf, wgt_buf = (np.empty(size) for _ in range(4))
-
-    planes = img.data.astype(np.float64)
-    out = np.empty_like(planes)
-    for c in range(img.channels):
-        plane = planes[c]
-        flat = np.pad(plane, pad, mode="edge").ravel()
-        num = np.zeros(h_img * stride)
-        den = np.ones(h_img * stride)  # center offset
-        for dy in range(w + 1):
-            for dx in range(-w if dy else 1, w + 1):
-                box_h, box_w = h_img + dy, w_img + abs(dx)
-                # e covers the box plus a p-wide margin; its first element
-                # sits at padded (w - dy, w - max(dx, 0)).
-                first = (w - dy) * stride + w - max(dx, 0)
-                n_e = (box_h + 2 * p - 1) * stride + box_w + 2 * p
-                n_rows = (box_h - 1) * stride + box_w + 2 * p
-                n_box = (box_h - 1) * stride + box_w
-                shift = first + dy * stride + dx
-                e = e_buf[:n_e]
-                np.subtract(flat[shift : shift + n_e], flat[first : first + n_e], out=e)
-                sq = np.multiply(e, e, out=sq_buf[:n_e])
-                rows = _shifted_sum(sq, side, stride, rows_buf[:n_rows])
-                wgt = _shifted_sum(rows, side, 1, wgt_buf[:n_box])
-                np.multiply(wgt, scale, out=wgt)
-                np.exp(wgt, out=wgt)
-                prod = np.multiply(wgt, e[centre : centre + n_box], out=sq_buf[:n_box])
-                # +d reads the box at the image's own centres, -d at the
-                # image's centres shifted by -d.
-                plus = dy * stride + max(dx, 0)
-                minus = max(-dx, 0)
-                num[:n_img] += prod[plus : plus + n_img]
-                num[:n_img] -= prod[minus : minus + n_img]
-                den[:n_img] += wgt[plus : plus + n_img]
-                den[:n_img] += wgt[minus : minus + n_img]
-        num = num.reshape(h_img, stride)[:, :w_img]
-        den = den.reshape(h_img, stride)[:, :w_img]
-        out[c] = plane + num / den
-    return ImageF32.from_array(out)
+    flat = padded.ravel()
+    e_buf, sq_buf, rows_buf, wgt_buf = buffers
+    num = np.zeros(h_img * stride)
+    den = np.ones(h_img * stride)  # center offset
+    for dy in range(w + 1):
+        for dx in range(-w if dy else 1, w + 1):
+            box_h, box_w = h_img + dy, w_img + abs(dx)
+            # e covers the box plus a p-wide margin; its first element
+            # sits at padded (w - dy, w - max(dx, 0)).
+            first = (w - dy) * stride + w - max(dx, 0)
+            n_e = (box_h + 2 * p - 1) * stride + box_w + 2 * p
+            n_rows = (box_h - 1) * stride + box_w + 2 * p
+            n_box = (box_h - 1) * stride + box_w
+            shift = first + dy * stride + dx
+            e = e_buf[:n_e]
+            np.subtract(flat[shift : shift + n_e], flat[first : first + n_e], out=e)
+            sq = np.multiply(e, e, out=sq_buf[:n_e])
+            rows = _shifted_sum(sq, side, stride, rows_buf[:n_rows])
+            wgt = _shifted_sum(rows, side, 1, wgt_buf[:n_box])
+            np.multiply(wgt, scale, out=wgt)
+            np.exp(wgt, out=wgt)
+            prod = np.multiply(wgt, e[centre : centre + n_box], out=sq_buf[:n_box])
+            # +d reads the box at the image's own centres, -d at the
+            # image's centres shifted by -d.
+            plus = dy * stride + max(dx, 0)
+            minus = max(-dx, 0)
+            num[:n_img] += prod[plus : plus + n_img]
+            num[:n_img] -= prod[minus : minus + n_img]
+            den[:n_img] += wgt[plus : plus + n_img]
+            den[:n_img] += wgt[minus : minus + n_img]
+    # the bits of plane + num / den
+    result = num.reshape(h_img, stride)[:, :w_img]
+    result /= den.reshape(h_img, stride)[:, :w_img]
+    result += padded[pad : pad + h_img, pad : pad + w_img]
+    return result
 
 
 # -------------------------------------------------------------------- plans

@@ -4,7 +4,10 @@ Images are wrapped numpy arrays of shape (channels, height, width) with
 float32 samples in [0, 1], channel order RGB; the memory layout behind that
 shape is free (see ImageF32). All operations are pure: they return new
 values and never mutate their inputs. Heavier arithmetic runs in float64
-internally and is quantized back to float32 on the way out.
+internally and is clamped straight into the float32 result, so no float64
+copy of a whole image is made on the way out. The HSV conversions run in
+row bands of about _BAND_PIXELS pixels, so their float64 temporaries do
+not grow with the image height; bands never change a bit.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ class ImageF32:
     def from_array(cls, arr) -> "ImageF32":
         """Build an image from any (3, h, w) float array, clamped to [0, 1]."""
         a = np.asarray(arr, dtype=np.float64)
-        return cls(np.clip(a, 0.0, 1.0).astype(np.float32))
+        return cls(_clip_into(a, np.empty_like(a, dtype=np.float32)))
 
     @property
     def channels(self) -> int:
@@ -156,8 +159,10 @@ def load_ppm(path) -> ImageF32:
             f"payload has {len(payload)} bytes, header promises {need}"
         )
     interleaved = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    samples = interleaved.transpose(2, 0, 1).astype(np.float64) / 255.0
-    return ImageF32(samples.astype(np.float32))
+    samples = np.empty((height, width, 3), dtype=np.float32)
+    # float64 quotient, rounded once to float32, with no float64 array
+    np.divide(interleaved, 255.0, out=samples, dtype=np.float64, casting="same_kind")
+    return ImageF32(samples.transpose(2, 0, 1))
 
 
 def save_ppm(img: ImageF32, path) -> None:
@@ -166,8 +171,9 @@ def save_ppm(img: ImageF32, path) -> None:
     Quantizes with round-half-away-from-zero; loading the result back differs
     from the original by at most 1/510 per sample.
     """
-    scaled = img.data.astype(np.float64) * 255.0
-    bytes_ = np.floor(scaled + 0.5).astype(np.uint8)
+    scaled = np.multiply(img.data, 255.0, dtype=np.float64)
+    scaled += 0.5
+    bytes_ = np.floor(scaled, out=scaled).astype(np.uint8)
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
     try:
         write_atomic(path, header + bytes_.transpose(1, 2, 0).tobytes())
@@ -198,12 +204,47 @@ def write_atomic(path, data: bytes) -> None:
 
 # --------------------------------------------------------- color conversions
 
+# Pixels per row band of a per-pixel conversion: 64 rows at 256 px. A band's
+# float64 temporaries stay a few hundred KB however large the image. Bands
+# never change a bit, since every step is elementwise. Shorter bands were
+# slower on a 2-thread pool: shorter ufunc calls contend for the GIL.
+_BAND_PIXELS = 1 << 14
+
+
+def _map_bands(data: np.ndarray, convert) -> ImageF32:
+    """The image whose rows are ``convert(band, rows)`` for each row band.
+
+    ``data`` is (3, h, w); each band holds max(1, _BAND_PIXELS // w) of its
+    rows (the last band fewer). ``convert`` gets the band as float64 and
+    its row slice and returns three float64 planes, which are clamped to
+    [0, 1] straight into the float32 result.
+    """
+    _, height, width = data.shape
+    out = np.empty(data.shape, dtype=np.float32)
+    step = max(1, _BAND_PIXELS // width)
+    for r0 in range(0, height, step):
+        rows = slice(r0, min(r0 + step, height))
+        for c, plane in enumerate(convert(data[:, rows].astype(np.float64), rows)):
+            _clip_into(plane, out[c, rows])
+    return ImageF32(out)
+
+
+def _clip_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Clamp float64 ``x`` to [0, 1] into float32 ``out``: the bits of
+    ``np.clip(x, 0.0, 1.0).astype(np.float32)`` without the float64 copy."""
+    return np.clip(x, 0.0, 1.0, out=out, casting="same_kind")
+
+
 def rgb_to_hsv(img: ImageF32) -> ImageF32:
     """Standard hexcone RGB -> HSV; hue is stored scaled to [0, 1] (deg/360).
 
     Achromatic pixels get H = 0 by convention, and S = 0 where V = 0.
     """
-    r, g, b = img.data.astype(np.float64)
+    return _map_bands(img.data, _hsv_band)
+
+
+def _hsv_band(rgb: np.ndarray, _rows) -> tuple:
+    r, g, b = rgb
     maxc = np.maximum(np.maximum(r, g), b)
     minc = np.minimum(np.minimum(r, g), b)
     delta = maxc - minc
@@ -220,12 +261,16 @@ def rgb_to_hsv(img: ImageF32) -> ImageF32:
         default=((r - g) / safe_delta + 4.0) / 6.0,
     )
     s = np.where(maxc > 0.0, delta / np.where(maxc > 0.0, maxc, 1.0), 0.0)
-    return ImageF32.from_array(np.stack([h, s, v]))
+    return h, s, v
 
 
 def hsv_to_rgb(img: ImageF32) -> ImageF32:
     """Inverse hexcone conversion; round-trips with rgb_to_hsv to ~1e-7."""
-    h, s, v = img.data.astype(np.float64)
+    return _map_bands(img.data, _rgb_band)
+
+
+def _rgb_band(hsv: np.ndarray, _rows) -> tuple:
+    h, s, v = hsv
     h6 = h * 6.0
     sector = np.floor(h6).astype(np.int64) % 6
     f = h6 - np.floor(h6)
@@ -235,7 +280,7 @@ def hsv_to_rgb(img: ImageF32) -> ImageF32:
     r = np.choose(sector, [v, q, p, p, t, v])
     g = np.choose(sector, [t, v, v, q, p, p])
     b = np.choose(sector, [p, p, t, v, v, q])
-    return ImageF32.from_array(np.stack([r, g, b]))
+    return r, g, b
 
 
 # sRGB (D65) linear-light to XYZ; white point taken as the exact row sums so

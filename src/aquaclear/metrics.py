@@ -77,8 +77,11 @@ def psnr(reference: ImageF32, test: ImageF32) -> float:
         raise DimMismatchError(
             f"shapes differ: {reference.data.shape} vs {test.data.shape}"
         )
-    diff = reference.data.astype(np.float64) - test.data.astype(np.float64)
-    mse = float(np.mean(diff * diff, dtype=np.float64))
+    # laid out as reference.data, as reference.data.astype(np.float64) is:
+    # the mean sums in memory order
+    diff = np.empty_like(reference.data, dtype=np.float64)
+    np.subtract(reference.data, test.data, out=diff, dtype=np.float64)
+    mse = float(np.mean(np.multiply(diff, diff, out=diff), dtype=np.float64))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)

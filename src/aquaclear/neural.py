@@ -6,8 +6,7 @@ are float32 (matching the on-disk manifest format) and promoted to float64
 for arithmetic. Everything is inference-only and deterministic: each conv
 layer is one BLAS matrix product per block of output rows, so every output
 value is one BLAS dot product over all (kernel position, input channel)
-pairs of its window, and the same numpy/BLAS build gives the same bits at
-any BLAS thread count; seeded initialization uses a PCG64 generator.
+pairs of its window; seeded initialization uses a PCG64 generator.
 
 A head runs over an image in bands of rows and yields its output a band at
 a time (``BoundExtractor.bands``); it never builds a whole-image
@@ -21,15 +20,12 @@ its input rows until conv_b's rows arrive. No row is computed twice: the
 traced MACs equal the whole-image count. So a head's memory grows with the
 image width, not its area: at 256 px a VGG pass peaks near 13 MB of heap
 (a whole-tensor pass took 104 MB), and ``enhance --method unite`` holds
-about 290 B per pixel at 1024 px, close to ``classic``'s 240, where
+about 130 B per pixel at 1024 px (``classic`` about 80), where
 whole-tensor heads took about 1.6 KB. The schedule depends only on the
-image size, never on threads. A band's GEMMs have fewer columns than a
-whole-tensor call's; on the OpenBLAS build measured, a column's bits do
-not depend on the column count when that count is a multiple of 16 (and
-the product is not tiny), so streamed features equal whole-tensor ones bit
-for bit whenever every layer's output width is a multiple of 16, as at the
-benchmark's 128 px, and otherwise may differ in the last bits (at most
-1.6e-14 seen).
+image size, never on threads. Every GEMM runs on a column count padded
+with zeros to a multiple of 16, and at least 32 (_gemm_columns), so
+streamed features equal whole-tensor ones bit for bit, and one numpy/BLAS
+build gives the same bits at any BLAS thread count, at every image width.
 """
 
 from __future__ import annotations
@@ -162,10 +158,20 @@ def conv_output_dim(extent: int, kernel: int, stride: int, padding: int) -> int:
 _COLS_BYTES = 2 << 20
 
 
+def _gemm_columns(n: int) -> int:
+    """Columns of the GEMM that makes n output columns: n rounded up to a
+    multiple of 16, and at least 32. On the OpenBLAS measured, a column's
+    bits depend on the product's column count, and at 2 threads on the
+    thread count, unless that count is such a multiple; the zero columns
+    added make every output value independent of both."""
+    return max(32, -(-n // 16) * 16)
+
+
 class _ConvWork:
     """What a conv layer's calls in one forward pass share: the weights
     reordered once to a (c_out, k*k*c_in) float64 matrix with the bias as a
-    float64 column, and a flat column buffer that grows to the largest call.
+    float64 column, and flat column and (for padded products) product
+    buffers that grow to the largest call.
     ``buffers`` may be shared with the pass's other convs, since one conv
     call ends before the next begins."""
 
@@ -176,13 +182,13 @@ class _ConvWork:
         self.bias = layer.bias.astype(np.float64)[:, None]
         self._buffers = {} if buffers is None else buffers
 
-    def buffer(self, shape: tuple) -> np.ndarray:
+    def buffer(self, key: str, shape: tuple) -> np.ndarray:
         """An uninitialized float64 array of ``shape``, reusing the memory
-        of the last one."""
+        of the last one under ``key``."""
         size = math.prod(shape)
-        flat = self._buffers.get("columns")
+        flat = self._buffers.get(key)
         if flat is None or flat.size < size:
-            flat = self._buffers["columns"] = np.empty(size, dtype=np.float64)
+            flat = self._buffers[key] = np.empty(size, dtype=np.float64)
         return flat[:size].reshape(shape)
 
 
@@ -198,9 +204,11 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, work=None) -> np.ndarray:
     into one reusable (k*k*c_in, rows*w_out) float64 column buffer, and one
     matrix product with the weight matrix writes the block's output: every
     output value is one BLAS dot product over all (kernel position, channel)
-    pairs. Bias and activation are applied to the block in place. Rows per
-    block are as many as fit in a fixed byte budget. The same numpy/BLAS
-    build gives the same bits at any BLAS thread count.
+    pairs. The product runs on _gemm_columns(n) columns: the block's n and,
+    where n is not already such a count, zero columns, whose products are
+    dropped. So a value's bits do not depend on the block's size.
+    Bias and activation are applied to the block in place. Rows per block
+    are as many as fit in a fixed byte budget.
     """
     if x.ndim != 3:
         raise ShapeMismatchError(f"input must be rank 3, got rank {x.ndim}")
@@ -225,10 +233,17 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, work=None) -> np.ndarray:
     rows = max(1, min(h_out, _COLS_BYTES // (8 * depth * w_out)))
     for r0 in range(0, h_out, rows):
         r1 = min(r0 + rows, h_out)
-        cols = work.buffer((k, k, c_in, r1 - r0, w_out))
-        np.copyto(cols, windows[:, :, :, r0:r1])
+        n = (r1 - r0) * w_out
+        cols = work.buffer("columns", (depth, _gemm_columns(n)))
+        np.copyto(cols[:, :n].reshape(k, k, c_in, r1 - r0, w_out), windows[:, :, :, r0:r1])
         block = out[:, r0:r1].reshape(c_out, -1)
-        np.matmul(work.wmat, cols.reshape(depth, -1), out=block)
+        if cols.shape[1] == n:
+            np.matmul(work.wmat, cols, out=block)
+        else:
+            cols[:, n:] = 0.0
+            product = work.buffer("product", (c_out, cols.shape[1]))
+            np.matmul(work.wmat, cols, out=product)
+            np.copyto(block, product[:, :n])
         block += work.bias
         if layer.activation == "relu":
             np.maximum(block, 0.0, out=block)

@@ -1,6 +1,7 @@
 import errno
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 import aquaclear.image as image_module
+from aquaclear.enhance import _blend_axis, _clahe_luts
 from aquaclear.image import ImageF32
 
 
@@ -175,3 +177,146 @@ def nlm_oracle(plane, params):
                     den += wgt
             out[y, x] = padded[cy, cx] + num / den
     return out
+
+
+# Whole-image float64 forms of the colour conversions, filters and PSNR, as
+# they ran before each was split into channels and row bands; the split
+# forms must keep their bits exactly. Each takes and returns raw arrays.
+
+def clip_reference(a):
+    return np.clip(np.asarray(a, dtype=np.float64), 0.0, 1.0).astype(np.float32)
+
+
+def rgb_to_hsv_reference(data):
+    r, g, b = data.astype(np.float64)
+    maxc = np.maximum(np.maximum(r, g), b)
+    minc = np.minimum(np.minimum(r, g), b)
+    delta = maxc - minc
+    safe_delta = np.where(delta > 0.0, delta, 1.0)
+    h = np.select(
+        [delta == 0.0, maxc == r, maxc == g],
+        [
+            np.zeros_like(delta),
+            np.mod((g - b) / safe_delta, 6.0) / 6.0,
+            ((b - r) / safe_delta + 2.0) / 6.0,
+        ],
+        default=((r - g) / safe_delta + 4.0) / 6.0,
+    )
+    s = np.where(maxc > 0.0, delta / np.where(maxc > 0.0, maxc, 1.0), 0.0)
+    return clip_reference(np.stack([h, s, maxc]))
+
+
+def hsv_to_rgb_reference(data):
+    h, s, v = data.astype(np.float64)
+    h6 = h * 6.0
+    sector = np.floor(h6).astype(np.int64) % 6
+    f = h6 - np.floor(h6)
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    r = np.choose(sector, [v, q, p, p, t, v])
+    g = np.choose(sector, [t, v, v, q, p, p])
+    b = np.choose(sector, [p, p, t, v, v, q])
+    return clip_reference(np.stack([r, g, b]))
+
+
+def gray_world_reference(data):
+    means = [float(np.mean(data[c], dtype=np.float64)) for c in range(3)]
+    avg = sum(means) / 3.0
+    planes = data.astype(np.float64)
+    out = np.empty_like(planes)
+    for c, mean_c in enumerate(means):
+        out[c] = planes[c] if mean_c <= 1e-6 else planes[c] * (avg / mean_c)
+    return clip_reference(out)
+
+
+def clahe_blend_reference(data, params):
+    """clahe_v with the LUT blend over the whole V plane at once."""
+    hsv = rgb_to_hsv_reference(data).astype(np.float64)
+    v = hsv[2]
+    h_img, w_img = v.shape
+    bin_idx = np.minimum((v * params.bins).astype(np.int64), params.bins - 1)
+    luts, identity, centers_y, centers_x = _clahe_luts(bin_idx, params)
+    y0, y1, wy = (t[:, None] for t in _blend_axis(np.arange(h_img, dtype=np.float64), centers_y))
+    x0, x1, wx = _blend_axis(np.arange(w_img, dtype=np.float64), centers_x)
+
+    def tile_value(iy, ix):
+        return np.where(identity[iy, ix], v, luts[iy, ix, bin_idx])
+
+    v_new = (
+        (1.0 - wy) * (1.0 - wx) * tile_value(y0, x0)
+        + (1.0 - wy) * wx * tile_value(y0, x1)
+        + wy * (1.0 - wx) * tile_value(y1, x0)
+        + wy * wx * tile_value(y1, x1)
+    )
+    return hsv_to_rgb_reference(clip_reference(np.stack([hsv[0], hsv[1], v_new])))
+
+
+def sharpen_reference(data, params):
+    planes = data.astype(np.float64)
+    out = np.empty_like(planes)
+    for c in range(3):
+        plane = planes[c]
+        padded = np.pad(plane, 1, mode="edge")
+        h_img, w_img = plane.shape
+        response = np.zeros_like(plane)
+        for dy in range(3):
+            for dx in range(3):
+                if (dy, dx) != (1, 1):
+                    response += plane - padded[dy : dy + h_img, dx : dx + w_img]
+        if params.kernel_mode == "paper":
+            response -= 17.0 * plane
+        out[c] = plane + params.strength * response
+    return clip_reference(out)
+
+
+def psnr_reference(reference, test):
+    diff = reference.astype(np.float64) - test.astype(np.float64)
+    mse = float(np.mean(diff * diff, dtype=np.float64))
+    return math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
+
+
+def layouts(a):
+    """A (3, h, w) float32 array as a planar and a pixel-interleaved image."""
+    planar = np.ascontiguousarray(a, dtype=np.float32)
+    interleaved = np.ascontiguousarray(planar.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return {"planar": ImageF32(planar), "interleaved": ImageF32(interleaved)}
+
+
+def heap_peak(fn, *args):
+    """(bytes of the traced heap peak while fn(*args) runs, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def band_shapes():
+    """(h, w) pairs around the conversions' row-band edges at each width."""
+    shapes = []
+    for w in (1, 7, 300):
+        band = max(1, image_module._BAND_PIXELS // w)
+        shapes += [(h, w) for h in (1, band - 1, band, band + 1, 257)]
+    return shapes
+
+
+def level_data(h, w, seed=0):
+    """(3, h, w) float32 8-bit levels, a tenth of the pixels gray, so
+    channel ties, zeros and ones all occur."""
+    rng = np.random.default_rng([seed, h, w])
+    levels = rng.integers(0, 256, size=(3, h, w))
+    gray = rng.random((h, w)) < 0.1
+    levels[:, gray] = levels[0, gray]
+    return (levels / 255.0).astype(np.float32)
+
+
+def same_bits(got, want) -> bool:
+    """Equal float32 arrays, -0.0 told apart from 0.0."""
+    return (
+        got.dtype == want.dtype == np.float32
+        and got.shape == want.shape
+        and np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    )

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import aquaclear.enhance as enhance_module
 from aquaclear.enhance import (
     ClaheParams,
     EnhancementPlan,
@@ -31,9 +32,17 @@ from aquaclear.image import ImageF32, channel_stats, convolve2d, rgb_to_hsv
 from conftest import (
     SHARPEN_KERNEL_PAPER_MODE,
     SHARPEN_KERNEL_ZERO_SUM,
+    band_shapes,
+    clahe_blend_reference,
     constant_image,
+    gray_world_reference,
+    heap_peak,
+    layouts,
+    level_data,
     nlm_oracle,
     random_image,
+    same_bits,
+    sharpen_reference,
 )
 
 
@@ -292,6 +301,97 @@ class TestNlm:
     def test_window_must_cover_patch(self):
         with pytest.raises(ValueError):
             NlmParams(patch_radius=3, window_radius=2, h=0.1)
+
+    @staticmethod
+    def count_slabs(monkeypatch, stub=False):
+        """Record the shape of every slab nlm_denoise hands to _nlm_slab;
+        a stub returns zeros instead of running it."""
+        shapes = []
+        real = enhance_module._nlm_slab
+
+        def spy(padded, params, buffers):
+            shapes.append(padded.shape)
+            if stub:
+                pad = params.window_radius + params.patch_radius
+                return np.zeros((padded.shape[0] - 2 * pad, padded.shape[1] - 2 * pad))
+            return real(padded, params, buffers)
+
+        monkeypatch.setattr(enhance_module, "_nlm_slab", spy)
+        return shapes
+
+    @pytest.mark.parametrize("h, w, params, band_rows", [
+        (40, 30, NlmParams(), 10),
+        (41, 23, NlmParams(), 7),
+        (9, 14, NlmParams(), 2),
+        (40, 30, NlmParams(patch_radius=1, window_radius=2, h=0.1), 1),
+        (9, 14, NlmParams(patch_radius=1, window_radius=2, h=0.1), 3),
+    ])
+    def test_bands_keep_the_one_band_bits(self, monkeypatch, h, w, params, band_rows):
+        img = random_image(np.random.default_rng([h, w]), h, w)
+        whole = nlm_denoise(img, params).data
+        # the budget of band_rows rows: four buffers and num and den
+        p, win = params.patch_radius, params.window_radius
+        stride = w + 2 * (win + p)
+        budget = 8 * stride * (6 * band_rows + 4 * (win + 2 * p))
+        monkeypatch.setattr(enhance_module, "_NLM_BYTES", budget)
+        shapes = self.count_slabs(monkeypatch)
+        assert same_bits(nlm_denoise(img, params).data, whole)
+        assert len(shapes) >= 3 * 3
+        assert sum(s[0] - 2 * (win + p) for s in shapes) == 3 * h
+
+    @pytest.mark.parametrize("size", [256, 128])
+    def test_benchmark_sizes_run_as_one_band(self, monkeypatch, size):
+        shapes = self.count_slabs(monkeypatch, stub=True)
+        nlm_denoise(constant_image(0.5, h=size, w=size))
+        assert shapes == [(size + 26, size + 26)] * 3
+
+
+class TestSameBitsAsWholeImage:
+    """Filters run a channel or a row band at a time keep the bits of the
+    whole-image float64 formulas."""
+
+    @pytest.mark.parametrize("h, w", band_shapes())
+    @pytest.mark.parametrize("layout", ["planar", "interleaved"])
+    def test_filters(self, h, w, layout):
+        img = layouts(level_data(h, w))[layout]
+        assert same_bits(gray_world_correct(img).data, gray_world_reference(img.data))
+        for params in (ClaheParams(), ClaheParams(3, 5, 1.5, 17)):
+            assert same_bits(clahe_v(img, params).data, clahe_blend_reference(img.data, params))
+        for params in (SharpenParams(0.7, "zero_sum"), SharpenParams(0.7, "paper")):
+            assert same_bits(sharpen(img, params).data, sharpen_reference(img.data, params))
+
+    @pytest.mark.parametrize("layout", ["planar", "interleaved"])
+    def test_gray_world_with_a_zero_mean_channel(self, layout):
+        data = level_data(20, 30)
+        data[1] = 0.0
+        img = layouts(data)[layout]
+        with pytest.warns(ZeroChannelMeanWarning):
+            got = gray_world_correct(img).data
+        assert same_bits(got, gray_world_reference(img.data))
+
+    def test_outputs_keep_the_input_layout(self):
+        img = layouts(level_data(9, 11))["interleaved"]
+        for fn in (gray_world_correct, sharpen, nlm_denoise):
+            assert fn(img).data.strides == img.data.strides
+
+
+class TestHeapPeaks:
+    """Each filter holds about one float64 plane beside its float32 output.
+    The whole-image forms peaked at 84, 210, 100 and 149 bytes per pixel."""
+
+    @pytest.mark.parametrize("fn, bound", [
+        (gray_world_correct, 40), (clahe_v, 110), (sharpen, 60), (nlm_denoise, 120),
+    ], ids=["gray_world", "clahe", "sharpen", "nlm"])
+    def test_bytes_per_pixel_at_256(self, rng, fn, bound):
+        peak, _ = heap_peak(fn, random_image(rng, 256, 256))
+        assert peak / (256 * 256) < bound
+
+    def test_nlm_scratch_grows_with_width_not_height(self, rng):
+        def scratch(h, w):
+            peak, out = heap_peak(nlm_denoise, random_image(rng, h, w))
+            return peak - out.data.nbytes
+
+        assert scratch(1024, 256) < 1.3 * scratch(256, 256)
 
 
 class TestPlans:

@@ -35,12 +35,20 @@ from aquaclear.image import (
 
 from conftest import (
     FUZZ,
+    band_shapes,
     byte_edits,
+    clip_reference,
     constant_image,
     fail_writes_midway,
+    heap_peak,
+    hsv_to_rgb_reference,
+    layouts,
+    level_data,
     mutate,
     plane_conv_oracle,
     random_image,
+    rgb_to_hsv_reference,
+    same_bits,
 )
 
 
@@ -120,6 +128,38 @@ class TestPpm:
         save_ppm(img, p1)
         save_ppm(load_ppm(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_keeps_the_whole_array_bits_and_interleaving(self, tmp_path, rng):
+        h, w = 5, 7
+        payload = rng.integers(0, 256, size=h * w * 3, dtype=np.uint8)
+        path = tmp_path / "b.ppm"
+        path.write_bytes(b"P6\n7 5\n255\n" + payload.tobytes())
+        data = load_ppm(path).data
+        whole = payload.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
+        assert same_bits(data, whole.astype(np.float32))
+        assert data.strides == (4, 12 * w, 12)
+
+    def test_save_keeps_the_whole_array_bytes(self, tmp_path, rng):
+        # every level, its half-steps and points just beside them
+        steps = np.arange(0, 511) / 510.0
+        values = np.clip(np.concatenate([steps, steps + 1e-9, steps - 1e-9]), 0, 1)
+        data = rng.permutation(values.astype(np.float32))[: 3 * 511].reshape(3, 7, 73)
+        for img in layouts(data).values():
+            save_ppm(img, tmp_path / "s.ppm")
+            scaled = img.data.astype(np.float64) * 255.0
+            want = np.floor(scaled + 0.5).astype(np.uint8).transpose(1, 2, 0).tobytes()
+            assert (tmp_path / "s.ppm").read_bytes().endswith(want)
+
+    def test_load_and_save_hold_at_most_one_float64_copy(self, tmp_path, rng):
+        # bytes per pixel: a float64 copy of the image is 24, the file 3;
+        # whole-array load and save peaked at 33 beyond the result and 72
+        px = 256 * 256
+        path = tmp_path / "m.ppm"
+        save_ppm(random_image(rng, 256, 256), path)
+        load_peak, img = heap_peak(load_ppm, path)
+        save_peak, _ = heap_peak(save_ppm, img, path)
+        assert load_peak - img.data.nbytes < 12 * px
+        assert save_peak < 40 * px
 
     def test_tolerant_header_whitespace(self, tmp_path):
         path = tmp_path / "w.ppm"
@@ -280,6 +320,31 @@ class TestHsv:
         img = random_image(rng, 12, 10)
         back = hsv_to_rgb(rgb_to_hsv(img))
         assert np.allclose(back.data, img.data, atol=1e-6)
+
+
+class TestSameBitsInBands:
+    """The conversions and from_array keep the whole-image formulas' bits."""
+
+    @pytest.mark.parametrize("h, w", band_shapes())
+    @pytest.mark.parametrize("layout", ["planar", "interleaved"])
+    def test_hsv_conversions(self, h, w, layout):
+        img = layouts(level_data(h, w))[layout]
+        assert same_bits(rgb_to_hsv(img).data, rgb_to_hsv_reference(img.data))
+        assert same_bits(hsv_to_rgb(img).data, hsv_to_rgb_reference(img.data))
+
+    def test_from_array(self, rng):
+        edges = [-1.0, -0.0, 0.0, 1e-300, 1e-45, 0.5, 1.0 - 1e-17, 1.0, 1.0 + 1e-16, 2.0]
+        values = np.concatenate([edges, rng.uniform(-0.5, 1.5, 3 * 40 * 50 - len(edges))])
+        data = values.reshape(3, 40, 50)
+        for a in (data, data.transpose(0, 2, 1), data.astype(np.float32)):
+            assert same_bits(ImageF32.from_array(a).data, clip_reference(a))
+
+    def test_conversions_stay_in_band_sized_temporaries(self, rng):
+        # the whole-image forms peaked at 132 and 156 bytes per pixel
+        img = random_image(rng, 1024, 256)
+        for convert in (rgb_to_hsv, hsv_to_rgb):
+            peak, out = heap_peak(convert, img)
+            assert peak - out.data.nbytes < 2e6
 
 
 def lab_scalar_reference(r, g, b):

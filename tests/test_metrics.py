@@ -29,7 +29,15 @@ from aquaclear.metrics import (
 from aquaclear.metrics import _sobel_magnitude
 from aquaclear.synth import write_corpus
 
-from conftest import FUZZ, constant_image, random_image
+from conftest import (
+    FUZZ,
+    constant_image,
+    heap_peak,
+    layouts,
+    level_data,
+    psnr_reference,
+    random_image,
+)
 
 
 class TestPsnr:
@@ -55,6 +63,21 @@ class TestPsnr:
     def test_shape_mismatch(self, rng):
         with pytest.raises(DimMismatchError):
             psnr(random_image(rng, 8, 8), random_image(rng, 8, 9))
+
+    # The mean sums in memory order, so the layout of each operand counts.
+    @pytest.mark.parametrize("h, w", [(1, 1), (37, 300), (256, 256)])
+    @pytest.mark.parametrize("ref_layout", ["planar", "interleaved"])
+    @pytest.mark.parametrize("test_layout", ["planar", "interleaved"])
+    def test_same_bits_as_whole_float64_operands(self, h, w, ref_layout, test_layout):
+        ref = layouts(level_data(h, w, seed=1))[ref_layout]
+        test = layouts(level_data(h, w, seed=2))[test_layout]
+        assert psnr(ref, test) == psnr_reference(ref.data, test.data)
+
+    def test_builds_one_float64_array(self, rng):
+        # two float64 copies and their product peaked at 48 bytes per pixel
+        a, b = random_image(rng, 256, 256), random_image(rng, 256, 256)
+        peak, _ = heap_peak(psnr, a, b)
+        assert peak < 30 * 256 * 256
 
 
 class TestUciqe:

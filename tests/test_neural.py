@@ -152,11 +152,10 @@ def band_call(x, layer, r0, m):
 
 class TestBandedConv:
     """The unpadded layer on the padded rows a band reads gives the same bits
-    as the matching rows of the whole-input call. Output widths here are
-    multiples of 16: on the OpenBLAS builds measured, a GEMM column's bits
-    depend on the column count unless it is a multiple of 16 (and the
-    product not tiny), and a band's GEMMs have fewer columns than the whole
-    call's."""
+    as the matching rows of the whole-input call. A band's GEMMs have fewer
+    columns than the whole call's; conv2d_forward pads each to a multiple
+    of 16, so this holds at any width (TestStreamedHeads covers widths that
+    are not such multiples)."""
 
     # (out_c, in_c, k, stride, padding, h, w)
     CASES = {
@@ -210,13 +209,18 @@ def whole_tensor_features(ext, x):
 class TestStreamedHeads:
     """Heads run in row bands equal the whole-tensor layer ops."""
 
-    # Every layer's output width is a multiple of 16, so the bits match (see
-    # TestBandedConv); heights are not multiples of the band.
+    # Heights are not multiples of the band. The last five cases have
+    # layer widths that are not multiples of 16 (from 8 to 68 columns):
+    # every GEMM is padded to such a multiple, so their bits match too.
     @pytest.mark.parametrize("band_rows", [1, 3, 8, 16])
     @pytest.mark.parametrize("build, h, w", [
         (build_vgg_head, 64, 64), (build_vgg_head, 36, 96), (build_vgg_head, 68, 32),
         (build_resnet_head, 128, 128),
-    ], ids=["vgg-64x64", "vgg-36x96", "vgg-68x32", "resnet-128x128"])
+        (build_vgg_head, 100, 68), (build_vgg_head, 34, 50),
+        (build_resnet_head, 64, 96), (build_resnet_head, 36, 32),
+        (build_resnet_head, 100, 68),
+    ], ids=["vgg-64x64", "vgg-36x96", "vgg-68x32", "resnet-128x128",
+            "vgg-100x68", "vgg-34x50", "resnet-64x96", "resnet-36x32", "resnet-100x68"])
     def test_same_bits_as_whole_tensor_ops(self, monkeypatch, band_rows, build, h, w):
         monkeypatch.setattr(aquaclear.neural, "_BAND_ROWS", band_rows)
         ext = init_weights(build(), seed=3)
@@ -464,14 +468,14 @@ class TestHeadShapes:
         assert extract_features(img, ext).shape == (128, 25, 25)
 
 
-# Hashes both heads' features on a fixed 64 px image with seeded weights.
+# Hashes both heads' features on a fixed h x w image with seeded weights.
 FEATURE_DIGEST = """
 import hashlib
 import numpy as np
 from aquaclear.image import ImageF32
 from aquaclear.neural import build_resnet_head, build_vgg_head, extract_features, init_weights
 rng = np.random.Generator(np.random.PCG64(3))
-img = ImageF32(rng.uniform(0.0, 1.0, size=(3, 64, 64)).astype(np.float32))
+img = ImageF32(rng.uniform(0.0, 1.0, size=(3, {h}, {w})).astype(np.float32))
 digest = hashlib.sha256()
 for spec, seed in ((build_vgg_head(), 7), (build_resnet_head(), 8)):
     digest.update(extract_features(img, init_weights(spec, seed)).tobytes())
@@ -479,13 +483,13 @@ print(digest.hexdigest())
 """
 
 
-def feature_digest(blas_threads):
-    """FEATURE_DIGEST in a fresh interpreter, since BLAS reads its thread
-    count once at load time."""
+def feature_digest(blas_threads, h=64, w=64):
+    """FEATURE_DIGEST of an h x w image in a fresh interpreter, since BLAS
+    reads its thread count once at load time."""
     src = str(Path(aquaclear.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-c", FEATURE_DIGEST],
+        [sys.executable, "-c", FEATURE_DIGEST.format(h=h, w=w)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return done.stdout.strip()
@@ -496,6 +500,10 @@ class TestDeterminism:
         one = feature_digest(1)
         assert len(one) == 64
         assert feature_digest(2) == one
+
+    def test_same_bits_at_a_width_that_is_not_a_multiple_of_16(self):
+        # 68 px: VGG's convs make 68 and 34 output columns a row
+        assert feature_digest(2, 100, 68) == feature_digest(1, 100, 68)
 
 
 class TestWeights:
