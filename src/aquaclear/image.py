@@ -153,7 +153,7 @@ def load_ppm(path) -> ImageF32:
     if maxval != 255:
         raise UnsupportedMaxvalError(f"maxval {maxval}, only 255 supported")
     need = width * height * 3
-    payload = raw[m.end() : m.end() + need]
+    payload = memoryview(raw)[m.end() : m.end() + need]  # no copy
     if len(payload) < need:
         raise TruncatedPayloadError(
             f"payload has {len(payload)} bytes, header promises {need}"
