@@ -77,8 +77,8 @@ def psnr(reference: ImageF32, test: ImageF32) -> float:
         raise DimMismatchError(
             f"shapes differ: {reference.data.shape} vs {test.data.shape}"
         )
-    # laid out as reference.data, as reference.data.astype(np.float64) is:
-    # the mean sums in memory order
+    # laid out as reference.data, as its float64 copy was, which numpy
+    # reused for the difference from 256 KiB: the mean sums in memory order
     diff = np.empty_like(reference.data, dtype=np.float64)
     np.subtract(reference.data, test.data, out=diff, dtype=np.float64)
     mse = float(np.mean(np.multiply(diff, diff, out=diff), dtype=np.float64))

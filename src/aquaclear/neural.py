@@ -24,8 +24,9 @@ about 130 B per pixel at 1024 px (``classic`` about 80), where
 whole-tensor heads took about 1.6 KB. The schedule depends only on the
 image size, never on threads. Every GEMM runs on a column count padded
 with zeros to a multiple of 16, and at least 32 (_gemm_columns), so
-streamed features equal whole-tensor ones bit for bit, and one numpy/BLAS
-build gives the same bits at any BLAS thread count, at every image width.
+streamed features equal whole-tensor ones bit for bit, and the OpenBLAS
+build measured gives the same bits at 1 and 2 BLAS threads at every image
+size tested (README lists them).
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ def _gemm_columns(n: int) -> int:
 class _ConvWork:
     """What a conv layer's calls in one forward pass share: the weights
     reordered once to a (c_out, k*k*c_in) float64 matrix with the bias as a
-    float64 column, and flat column and (for padded products) product
-    buffers that grow to the largest call.
+    float64 column, and flat column and product buffers that grow to the
+    largest call.
     ``buffers`` may be shared with the pass's other convs, since one conv
     call ends before the next begins."""
 
@@ -204,10 +205,10 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, work=None) -> np.ndarray:
     into one reusable (k*k*c_in, rows*w_out) float64 column buffer, and one
     matrix product with the weight matrix writes the block's output: every
     output value is one BLAS dot product over all (kernel position, channel)
-    pairs. The product runs on _gemm_columns(n) columns: the block's n and,
-    where n is not already such a count, zero columns, whose products are
-    dropped. So a value's bits do not depend on the block's size.
-    Bias and activation are applied to the block in place. Rows per block
+    pairs. The product runs on _gemm_columns(n) columns, the block's n and
+    zero columns after them, into a reusable product buffer whose first n
+    columns are copied to the block. So a value's bits do not depend on the
+    block's size. Bias and activation are applied to the block in place. Rows per block
     are as many as fit in a fixed byte budget.
     """
     if x.ndim != 3:
@@ -236,14 +237,11 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, work=None) -> np.ndarray:
         n = (r1 - r0) * w_out
         cols = work.buffer("columns", (depth, _gemm_columns(n)))
         np.copyto(cols[:, :n].reshape(k, k, c_in, r1 - r0, w_out), windows[:, :, :, r0:r1])
+        cols[:, n:] = 0.0
+        product = work.buffer("product", (c_out, cols.shape[1]))
+        np.matmul(work.wmat, cols, out=product)
         block = out[:, r0:r1].reshape(c_out, -1)
-        if cols.shape[1] == n:
-            np.matmul(work.wmat, cols, out=block)
-        else:
-            cols[:, n:] = 0.0
-            product = work.buffer("product", (c_out, cols.shape[1]))
-            np.matmul(work.wmat, cols, out=product)
-            np.copyto(block, product[:, :n])
+        np.copyto(block, product[:, :n])
         block += work.bias
         if layer.activation == "relu":
             np.maximum(block, 0.0, out=block)

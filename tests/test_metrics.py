@@ -40,6 +40,9 @@ from conftest import (
 )
 
 
+VIEW_LAYOUTS = ["planar", "interleaved", "fortran", "planar crop", "interleaved crop"]
+
+
 class TestPsnr:
     def test_identical_images_are_infinite(self, rng):
         img = random_image(rng, 8, 8)
@@ -71,6 +74,24 @@ class TestPsnr:
     def test_same_bits_as_whole_float64_operands(self, h, w, ref_layout, test_layout):
         ref = layouts(level_data(h, w, seed=1))[ref_layout]
         test = layouts(level_data(h, w, seed=2))[test_layout]
+        assert psnr(ref, test) == psnr_reference(ref.data, test.data)
+
+    # Fortran-order and cropped views too. From 256 KiB of float64 numpy
+    # reused the reference's float64 copy for the old difference, which so
+    # took the reference's layout whatever the test's; psnr's difference
+    # does the same. (105 x 105 is the first square size that large.)
+    @pytest.mark.parametrize("h, w", [(105, 105), (55, 300), (1, 10923)])
+    @pytest.mark.parametrize("ref_layout", VIEW_LAYOUTS)
+    @pytest.mark.parametrize("test_layout", VIEW_LAYOUTS)
+    def test_same_bits_as_whole_float64_operands_of_views(self, h, w, ref_layout, test_layout):
+        def image(layout, seed):
+            if layout == "fortran":
+                return ImageF32(np.asfortranarray(level_data(h, w, seed)))
+            if layout.endswith(" crop"):
+                whole = layouts(level_data(h + 2, w + 3, seed))[layout[:-5]].data
+                return ImageF32(whole[:, 1:h + 1, 2:w + 2])
+            return layouts(level_data(h, w, seed))[layout]
+        ref, test = image(ref_layout, 1), image(test_layout, 2)
         assert psnr(ref, test) == psnr_reference(ref.data, test.data)
 
     def test_builds_one_float64_array(self, rng):

@@ -505,6 +505,11 @@ class TestDeterminism:
         # 68 px: VGG's convs make 68 and 34 output columns a row
         assert feature_digest(2, 100, 68) == feature_digest(1, 100, 68)
 
+    def test_same_bits_with_hundreds_of_padded_columns(self):
+        # 852 px: GEMMs of 426, 852 and 1704 columns, padded to 432, 864
+        # and 1712, and of 6816 unpadded ones
+        assert feature_digest(2, 16, 852) == feature_digest(1, 16, 852)
+
 
 class TestWeights:
     def test_init_is_deterministic(self):
