@@ -4,13 +4,13 @@ Four defect-targeted methods (gray-world color balance, CLAHE on V, non-local
 means denoising, Laplacian sharpening). A plan is an ordered list of steps;
 build_plan derives one from DegradationFlags.
 
-Each filter works in float64 on one channel, or one row band, at a time
-and clamps it straight into its float32 output, so beside that output it
-holds about one float64 plane at most: at 256 px gray-world peaks near 28
-bytes of heap per pixel, sharpening 45, CLAHE 73 and NLM 80. NLM's scratch
-grows with the image width, not its height (_NLM_BYTES). Channels and
-bands never change a bit: every output equals the whole-image float64
-formula's.
+Each filter works in float64 on one edge-padded row band at a time
+(image._edge_bands; NLM on one channel's band) and clamps it straight into
+its float32 output, which keeps the input's memory layout. So its scratch
+grows with the image width, not its height: at 256 px gray-world peaks
+near 21 bytes of heap per pixel, sharpening 38, CLAHE 69 (its uint16 bin
+indices span the image) and NLM 80. Bands never change a bit: every
+output equals the whole-image float64 formula's.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .errors import (
     PlanStepError,
     ZeroChannelMeanWarning,
 )
-from .image import ImageF32, _clip_into, _map_bands, channel_stats, hsv_to_rgb, rgb_to_hsv
+from .image import (_BAND_PIXELS, ImageF32, _clip_into, _edge_bands, _map_bands,
+                    channel_stats, hsv_to_rgb, rgb_to_hsv)
 
 __all__ = [
     "ClaheParams",
@@ -111,19 +112,16 @@ def gray_world_correct(img: ImageF32) -> ImageF32:
     explode) and a ZeroChannelMeanWarning is issued.
     """
     stats = channel_stats(img)
-    means = (stats.mean_r, stats.mean_g, stats.mean_b)
-    out = np.empty_like(img.data)
-    for c, mean_c in enumerate(means):
-        plane = img.data[c].astype(np.float64)
+    gains = np.ones((3, 1, 1))
+    for c, mean_c in enumerate((stats.mean_r, stats.mean_g, stats.mean_b)):
         if mean_c <= _ZERO_MEAN:
             warnings.warn(
                 f"channel {c} mean {mean_c:.2e} too small for gray-world gain",
                 ZeroChannelMeanWarning,
             )
         else:
-            plane *= stats.mean_avg / mean_c
-        _clip_into(plane, out[c])
-    return ImageF32(out)
+            gains[c] = stats.mean_avg / mean_c
+    return _map_bands(img.data, lambda b, _: np.multiply(b, gains, out=b))
 
 
 def _tile_edges(extent: int, tiles: int) -> list[int]:
@@ -182,14 +180,17 @@ def clahe_v(img: ImageF32, params: ClaheParams = ClaheParams()) -> ImageF32:
     """Contrast-limited adaptive histogram equalization on the HSV V plane.
 
     Pixel values are remapped by bilinearly blending the CDF mappings of the
-    four surrounding tiles; H and S pass through untouched. The blend runs
-    in row bands (image._map_bands); only the bin indices span the image.
+    four surrounding tiles; H and S pass through untouched. The uint16 bin
+    indices and the blend are made in row bands; only the indices span the
+    image.
     """
     hsv = rgb_to_hsv(img).data
     h_img, w_img = hsv.shape[1:]
     bins = params.bins
-    bin_idx = np.multiply(hsv[2], bins, dtype=np.float64).astype(np.int64)
-    np.minimum(bin_idx, bins - 1, out=bin_idx)
+    bin_idx = np.empty((h_img, w_img), dtype=np.uint16)  # bins <= 4096
+    for rows, v in _edge_bands(hsv[2:], max(1, _BAND_PIXELS // w_img), 0):
+        np.multiply(v[0], bins, out=v[0])
+        np.minimum(v[0], bins - 1, out=bin_idx[rows], casting="unsafe")
 
     luts, identity, centers_y, centers_x = _clahe_luts(bin_idx, params)
 
@@ -226,24 +227,24 @@ def sharpen(img: ImageF32, params: SharpenParams = SharpenParams()) -> ImageF32:
     zero-sum one minus 17 times the pixel, which drives constant regions to
     hard clamp.
     """
-    out = np.empty_like(img.data)
-    for c in range(img.channels):
-        plane = img.data[c].astype(np.float64)
-        padded = np.pad(plane, 1, mode="edge")
-        h_img, w_img = plane.shape
+
+    def boost(padded, _rows):
+        plane = padded[:, 1:-1, 1:-1]
+        _, h_band, w_img = plane.shape
         response = np.zeros_like(plane)
         for dy in range(3):
             for dx in range(3):
                 if dy == 1 and dx == 1:
                     continue
-                response += plane - padded[dy : dy + h_img, dx : dx + w_img]
+                response += plane - padded[:, dy : dy + h_band, dx : dx + w_img]
         if params.kernel_mode == "paper":
             response -= 17.0 * plane
         # the bits of plane + strength * response
         response *= params.strength
         response += plane
-        _clip_into(response, out[c])
-    return ImageF32(out)
+        return response
+
+    return _map_bands(img.data, boost, halo=1)
 
 
 def _shifted_sum(a: np.ndarray, side: int, step: int, out: np.ndarray) -> np.ndarray:
@@ -264,9 +265,10 @@ def _shifted_sum(a: np.ndarray, side: int, step: int, out: np.ndarray) -> np.nda
 
 # Bytes of a band's float64 scratch in nlm_denoise: four buffers of the
 # band's rows plus w + 2p, and num and den of its rows, all padded-plane
-# rows. A band takes as many rows as fit, and the rows are then spread
-# evenly over the bands. At the default radii 256 px and 128 px images run
-# as one band, a 1024 x 256 image as four and a 1024 px one as fifteen.
+# rows. The band count is the fewest whose rows fit, and each band takes
+# ceil(h / count) rows, the last fewer. At the default radii 256 px and
+# 128 px images run as one band, a 1024 x 256 image as four and a 1024 px
+# one as fifteen.
 _NLM_BYTES = 4 << 20
 
 
@@ -280,9 +282,9 @@ def nlm_denoise(img: ImageF32, params: NlmParams = NlmParams()) -> ImageF32:
     images are returned bit-identically.
 
     Each plane runs in bands of rows (_nlm_slab), each on its own slab of
-    the replicate-padded plane, so the scratch grows with the image width,
-    not its height. A pixel's sums do not depend on where its band starts,
-    so bands never change a bit.
+    the replicate-padded plane (image._edge_bands), so the scratch grows
+    with the image width, not its height. A pixel's sums do not depend on
+    where its band starts, so bands never change a bit.
     """
     p = params.patch_radius
     w = params.window_radius
@@ -295,18 +297,12 @@ def nlm_denoise(img: ImageF32, params: NlmParams = NlmParams()) -> ImageF32:
     stride = w_img + 2 * pad
     fit = max(1, (_NLM_BYTES // (8 * stride) - 4 * (w + 2 * p)) // 6)
     n_bands = -(-h_img // fit)
-    edges = [(i * h_img) // n_bands for i in range(n_bands + 1)]
-    size = (-(-h_img // n_bands) + w + 2 * p) * stride
-    buffers = [np.empty(size) for _ in range(4)]
+    band_rows = -(-h_img // n_bands)
+    buffers = [np.empty((band_rows + w + 2 * p) * stride) for _ in range(4)]
     out = np.empty_like(img.data)
     for c in range(img.channels):
-        for r0, r1 in zip(edges, edges[1:]):
-            # rows r0 - pad .. r1 + pad of the whole padded plane
-            lo, hi = max(r0 - pad, 0), min(r1 + pad, h_img)
-            slab = np.pad(
-                img.data[c, lo:hi], ((pad - (r0 - lo), pad - (hi - r1)), (pad, pad)), mode="edge"
-            ).astype(np.float64)
-            _clip_into(_nlm_slab(slab, params, buffers), out[c, r0:r1])
+        for rows, slab in _edge_bands(img.data[c : c + 1], band_rows, pad):
+            _clip_into(_nlm_slab(slab[0], params, buffers), out[c, rows])
     return ImageF32(out)
 
 

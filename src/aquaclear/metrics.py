@@ -7,11 +7,12 @@ and block contrast (UIConM). Components are kept in normalized units (L and
 chroma divided by 100) so scores land in a small dimensionless range.
 
 score_image scores one image in a single pass: it converts the image to
-float64 once, in strips of 16 rows with a one-pixel edge-replicated border,
-and hands each strip to every metric. Each metric keeps only what its final
-reduction needs: full-size L, chroma and saturation planes for UCIQE, RG
-and YB planes for UICM (whose sums and sorts run over whole planes, in row
-order), and per-block maxima and minima for UISM and UIConM. The public
+float64 once, in 16-row strips with a one-pixel edge-replicated border
+(image._edge_bands), and hands each strip to every metric. At 256 px the
+pass peaks near 51 bytes of heap per pixel. Each metric keeps only what its
+final reduction needs: full-size L, chroma and saturation planes for UCIQE,
+RG and YB planes for UICM (whose sums and sorts run over whole planes, in
+row order), and per-block maxima and minima for UISM and UIConM. The public
 per-metric functions run the same pass with only their own metric, so the
 scores do not depend on which function computed them, nor on the memory
 layout of the image. report_csv writes scored rows as scores.csv, each
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatchError, ImageTooSmallError
-from .image import ImageF32, _luma, _srgb_to_lab
+from .image import ImageF32, _edge_bands, _luma, _srgb_to_lab
 
 __all__ = [
     "UCIQE_WEIGHTS",
@@ -89,31 +90,11 @@ def psnr(reference: ImageF32, test: ImageF32) -> float:
 
 # ------------------------------------------------------------ scoring pass
 
-def _strips(data: np.ndarray):
-    """Yield (rows, strip) for each run of _STRIP rows of a (c, h, w) image.
-
-    ``strip`` is float64 of shape (c, len(rows) + 2, w + 2): those rows with
-    a one-pixel edge-replicated border. One buffer serves every strip, so a
-    consumer copies out what it keeps before the next one.
-    """
-    c, h, w = data.shape
-    buf = np.empty((c, min(_STRIP, h) + 2, w + 2))
-    for y0 in range(0, h, _STRIP):
-        y1 = min(y0 + _STRIP, h)
-        strip = buf[:, : y1 - y0 + 2]
-        strip[:, 1:-1, 1:-1] = data[:, y0:y1]
-        strip[:, 0, 1:-1] = data[:, max(y0 - 1, 0)]
-        strip[:, -1, 1:-1] = data[:, min(y1, h - 1)]
-        strip[:, :, 0] = strip[:, :, 1]
-        strip[:, :, -1] = strip[:, :, -2]
-        yield slice(y0, y1), strip
-
-
 def _measure(img: ImageF32, *metrics) -> list:
     """Run the scoring pass for the given metric classes; their results in
     order. Each class checks that it can score ``img`` before any strip."""
     parts = [metric(img) for metric in metrics]
-    for rows, strip in _strips(img.data):
+    for rows, strip in _edge_bands(img.data, _STRIP, 1):
         for part in parts:
             part.add(rows, strip)
     return [part.result() for part in parts]

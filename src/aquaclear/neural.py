@@ -20,7 +20,7 @@ its input rows until conv_b's rows arrive. No row is computed twice: the
 traced MACs equal the whole-image count. So a head's memory grows with the
 image width, not its area: at 256 px a VGG pass peaks near 13 MB of heap
 (a whole-tensor pass took 104 MB), and ``enhance --method unite`` holds
-about 130 B per pixel at 1024 px (``classic`` about 80), where
+about 107 B per pixel at 1024 px (``classic`` about 65), where
 whole-tensor heads took about 1.6 KB. The schedule depends only on the
 image size, never on threads. Every GEMM runs on a column count padded
 with zeros to a multiple of 16, and at least 32 (_gemm_columns), so
@@ -51,7 +51,7 @@ from .errors import (
     ShapeMismatchError,
     ShapeMismatchInManifestError,
 )
-from .image import ImageF32
+from .image import ImageF32, _map_bands
 
 __all__ = [
     "ConvLayer",
@@ -208,8 +208,8 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, work=None) -> np.ndarray:
     pairs. The product runs on _gemm_columns(n) columns, the block's n and
     zero columns after them, into a reusable product buffer whose first n
     columns are copied to the block. So a value's bits do not depend on the
-    block's size. Bias and activation are applied to the block in place. Rows per block
-    are as many as fit in a fixed byte budget.
+    block's size. Bias and activation are applied to the block in place.
+    Rows per block are as many as fit in a fixed byte budget.
     """
     if x.ndim != 3:
         raise ShapeMismatchError(f"input must be rank 3, got rank {x.ndim}")
@@ -669,7 +669,8 @@ def attention_adjust(img: ImageF32, attn: np.ndarray, gain: float = 0.5) -> Imag
 
     Implemented as a per-pixel RGB scale with the factor capped at 1/V, which
     realizes V' = clamp(V * factor) while leaving hue and saturation exactly
-    unchanged; gain 0 is a bit-exact identity.
+    unchanged; gain 0 is a bit-exact identity. Runs in row bands
+    (image._map_bands); only mean(attn) is taken over the whole map.
     """
     if attn.shape != (img.height, img.width):
         raise DimMismatchError(
@@ -677,15 +678,19 @@ def attention_adjust(img: ImageF32, attn: np.ndarray, gain: float = 0.5) -> Imag
         )
     if gain < 0.0:
         raise ValueError("gain must be >= 0")
-    planes = img.data.astype(np.float64)
-    v = planes.max(axis=0)
-    factor = attn - float(np.mean(attn, dtype=np.float64))
-    factor *= gain
-    factor += 1.0
-    np.maximum(factor, 0.0, out=factor)
-    cap = np.divide(1.0, v, out=np.full_like(v, np.inf), where=v > 0.0)
-    planes *= np.minimum(factor, cap, out=cap)
-    return ImageF32.from_array(planes)
+    mean = float(np.mean(attn, dtype=np.float64))
+
+    def scale(planes, rows):
+        v = planes.max(axis=0)
+        factor = attn[rows] - mean
+        factor *= gain
+        factor += 1.0
+        np.maximum(factor, 0.0, out=factor)
+        cap = np.divide(1.0, v, out=np.full_like(v, np.inf), where=v > 0.0)
+        planes *= np.minimum(factor, cap, out=cap)
+        return planes
+
+    return _map_bands(img.data, scale)
 
 
 def feature_guided_enhance(

@@ -54,6 +54,7 @@ from .errors import (
 )
 from .image import (
     ImageF32,
+    _map_bands,
     channel_stats,
     laplacian_variance,
     load_ppm,
@@ -584,12 +585,10 @@ def cmd_augment(input_dir, config: PipelineConfig, output_dir=None,
             left = int(rng.integers(0, img.width - crop_w + 1))
             gains = rng.uniform(
                 1.0 - aug.jitter_amplitude, 1.0 + aug.jitter_amplitude, size=3
-            )
+            )[:, None, None]
             cropped = img.data[:, top : top + crop_h, left : left + crop_w]
-            jittered = cropped.astype(np.float64) * gains[:, None, None]
-            save_ppm(
-                ImageF32.from_array(jittered), out / f"{path.stem}.aug{k}.ppm"
-            )
+            jittered = _map_bands(cropped, lambda b, _: np.multiply(b, gains, out=b))
+            save_ppm(jittered, out / f"{path.stem}.aug{k}.ppm")
         return aug.samples_per_image
 
     _make_dir(out)

@@ -270,6 +270,19 @@ def sharpen_reference(data, params):
     return clip_reference(out)
 
 
+def attention_adjust_reference(data, attn, gain):
+    """attention_adjust over the whole image at once."""
+    planes = data.astype(np.float64)
+    v = planes.max(axis=0)
+    factor = attn - float(np.mean(attn, dtype=np.float64))
+    factor *= gain
+    factor += 1.0
+    np.maximum(factor, 0.0, out=factor)
+    cap = np.divide(1.0, v, out=np.full_like(v, np.inf), where=v > 0.0)
+    planes *= np.minimum(factor, cap, out=cap)
+    return clip_reference(planes)
+
+
 def psnr_reference(reference, test):
     diff = reference.astype(np.float64) - test.astype(np.float64)
     mse = float(np.mean(diff * diff, dtype=np.float64))

@@ -27,7 +27,8 @@ from aquaclear.errors import (
     PlanStepError,
     ZeroChannelMeanWarning,
 )
-from aquaclear.image import ImageF32, channel_stats, convolve2d, rgb_to_hsv
+from aquaclear.image import ImageF32, channel_stats, convolve2d, hsv_to_rgb, rgb_to_hsv
+from aquaclear.neural import attention_adjust
 
 from conftest import (
     SHARPEN_KERNEL_PAPER_MODE,
@@ -355,7 +356,7 @@ class TestSameBitsAsWholeImage:
     def test_filters(self, h, w, layout):
         img = layouts(level_data(h, w))[layout]
         assert same_bits(gray_world_correct(img).data, gray_world_reference(img.data))
-        for params in (ClaheParams(), ClaheParams(3, 5, 1.5, 17)):
+        for params in (ClaheParams(), ClaheParams(3, 5, 1.5, 17), ClaheParams(bins=4096)):
             assert same_bits(clahe_v(img, params).data, clahe_blend_reference(img.data, params))
         for params in (SharpenParams(0.7, "zero_sum"), SharpenParams(0.7, "paper")):
             assert same_bits(sharpen(img, params).data, sharpen_reference(img.data, params))
@@ -371,7 +372,9 @@ class TestSameBitsAsWholeImage:
 
     def test_outputs_keep_the_input_layout(self):
         img = layouts(level_data(9, 11))["interleaved"]
-        for fn in (gray_world_correct, sharpen, nlm_denoise):
+        attn = np.random.default_rng(0).random((9, 11))
+        for fn in (gray_world_correct, sharpen, nlm_denoise, clahe_v, rgb_to_hsv, hsv_to_rgb,
+                   lambda i: attention_adjust(i, attn)):
             assert fn(img).data.strides == img.data.strides
 
 
@@ -386,12 +389,19 @@ class TestHeapPeaks:
         peak, _ = heap_peak(fn, random_image(rng, 256, 256))
         assert peak / (256 * 256) < bound
 
-    def test_nlm_scratch_grows_with_width_not_height(self, rng):
-        def scratch(h, w):
-            peak, out = heap_peak(nlm_denoise, random_image(rng, h, w))
-            return peak - out.data.nbytes
+    @staticmethod
+    def scratch(fn, rng, h, w):
+        peak, out = heap_peak(fn, random_image(rng, h, w))
+        return peak - out.data.nbytes
 
-        assert scratch(1024, 256) < 1.3 * scratch(256, 256)
+    def test_nlm_scratch_grows_with_width_not_height(self, rng):
+        scratch = self.scratch
+        assert scratch(nlm_denoise, rng, 1024, 256) < 1.3 * scratch(nlm_denoise, rng, 256, 256)
+
+    def test_sharpen_scratch_grows_with_width_not_height(self, rng):
+        # the per-plane form held three float64 planes: 4x from 256 to 1024 rows
+        scratch = self.scratch
+        assert scratch(sharpen, rng, 1024, 256) < 1.3 * scratch(sharpen, rng, 256, 256)
 
 
 class TestPlans:

@@ -22,6 +22,7 @@ from aquaclear.image import (
     LAPLACIAN_KERNEL,
     ChannelStats,
     ImageF32,
+    _edge_bands,
     channel_stats,
     convolve2d,
     hsv_to_rgb,
@@ -84,6 +85,19 @@ class TestImageF32:
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             ImageF32(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_rejects_a_non_finite_sample_anywhere_as_such(self, bad, interleaved):
+        # the check reads only the sample min and max, which every nan and
+        # infinity reaches
+        for pos in [(0, 0, 0), (1, 17, 5), (2, 33, 40)]:
+            data = np.full((3, 34, 41), 0.5, dtype=np.float32)
+            data[pos] = bad
+            if interleaved:
+                data = np.ascontiguousarray(data.transpose(1, 2, 0)).transpose(2, 0, 1)
+            with pytest.raises(ValueError, match="finite"):
+                ImageF32(data)
 
     def test_from_array_clamps_and_casts(self):
         arr = np.linspace(-0.5, 1.5, 12).reshape(3, 2, 2)
@@ -346,6 +360,24 @@ class TestSameBitsInBands:
         for convert in (rgb_to_hsv, hsv_to_rgb):
             peak, out = heap_peak(convert, img)
             assert peak - out.data.nbytes < 2e6
+
+
+class TestEdgeBands:
+    """_edge_bands yields np.pad's edge-mode values, one band at a time."""
+
+    @pytest.mark.parametrize("halo", [0, 1, 13])
+    @pytest.mark.parametrize("rows", [1, 3, 9, 14])
+    @pytest.mark.parametrize("layout", ["planar", "interleaved"])
+    def test_slabs_match_np_pad(self, halo, rows, layout):
+        data = layouts(level_data(9, 14))[layout].data
+        want = np.pad(data.astype(np.float64), ((0, 0), (halo, halo), (halo, halo)), mode="edge")
+        starts = []
+        for band, slab in _edge_bands(data, rows, halo):
+            starts.append(band.start)
+            assert band.stop == min(band.start + rows, 9)
+            assert slab.dtype == np.float64
+            assert np.array_equal(slab, want[:, band.start : band.stop + 2 * halo])
+        assert starts == list(range(0, 9, rows))
 
 
 def lab_scalar_reference(r, g, b):

@@ -1,5 +1,6 @@
-"""No module in src/, tests/ or demos/ imports a name it never uses, and
-every private module-level name in src/aquaclear is used somewhere there."""
+"""No module in src/, tests/ or demos/ imports a name it never uses,
+every private module-level name in src/aquaclear is used somewhere there,
+and src/aquaclear pads with edge replication in one function only."""
 
 import ast
 from pathlib import Path
@@ -85,3 +86,39 @@ def test_no_unreferenced_private_names():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert len(sources) > 5
     assert unreferenced_private_names(sources) == []
+
+
+def edge_pad_callers(sources: dict) -> list:
+    """(file name, innermost enclosing function) of every ``pad(...)`` call
+    with ``mode="edge"`` in ``sources`` (file name -> source)."""
+    found = []
+
+    def visit(node, name, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "pad"
+                and any(k.arg == "mode" and getattr(k.value, "value", None) == "edge"
+                        for k in node.keywords)):
+            found.append((name, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, where)
+
+    for name, source in sources.items():
+        visit(ast.parse(source), name, "<module>")
+    return sorted(found)
+
+
+def test_scan_finds_edge_pads_by_function():
+    sources = {
+        "a.py": "import numpy as np\nnp.pad(x, 1, mode='edge')\n"
+                "def f(x):\n    def g():\n        return pad(x, 2, mode='edge')\n"
+                "    return np.pad(x, 1), np.pad(x, 1, mode='reflect')\n",
+    }
+    assert edge_pad_callers(sources) == [("a.py", "<module>"), ("a.py", "g")]
+
+
+def test_only_convolve2d_pads_with_edge_replication():
+    """Every other edge-padded pass takes its bands from image._edge_bands."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert edge_pad_callers(sources) == [("image.py", "convolve2d")]

@@ -51,7 +51,18 @@ from aquaclear.neural import (
 
 from aquaclear.pipeline import _center_crop, _channel_mean, _largest_valid
 
-from conftest import FUZZ, JSON_VALUES, cnn_conv_oracle, random_image
+from conftest import (
+    FUZZ,
+    JSON_VALUES,
+    attention_adjust_reference,
+    band_shapes,
+    cnn_conv_oracle,
+    heap_peak,
+    layouts,
+    level_data,
+    random_image,
+    same_bits,
+)
 
 
 def make_layer(rng, out_c, in_c, k, stride=1, padding=0, activation="relu"):
@@ -361,6 +372,16 @@ class TestStreamingMemory:
             tracemalloc.stop()
         assert peak / 512**2 < 96, f"{peak / 512**2:.0f} B/px"
 
+    def test_attention_adjust_scratch_grows_with_width_not_height(self):
+        # the whole-image form held two float64 copies of the image
+        def scratch(h, w):
+            rng = np.random.default_rng(0)
+            img = ImageF32(rng.uniform(0, 1, (3, h, w)).astype(np.float32))
+            peak, out = heap_peak(attention_adjust, img, rng.uniform(0, 1, (h, w)))
+            return peak - out.data.nbytes
+
+        assert scratch(1024, 256) < 1.3 * scratch(256, 256)
+
 
 class TestTracerContract:
     """A tracer that rebinds ``neural.conv2d_forward`` and ``max_pool2`` sees
@@ -646,6 +667,17 @@ class TestAttention:
         v = out.data.max(axis=0)
         assert v.max() <= 1.0 + 1e-7
         assert v[0, 0] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("h, w", band_shapes())
+    @pytest.mark.parametrize("layout", ["planar", "interleaved"])
+    def test_adjust_keeps_the_whole_image_bits(self, h, w, layout):
+        data = level_data(h, w)
+        data[:, ::5, ::3] = 0.0  # black pixels, where the cap is infinite
+        img = layouts(data)[layout]
+        attn = np.random.default_rng([h, w]).random((h, w))
+        for gain in (0.0, 0.5, 3.0):
+            assert same_bits(attention_adjust(img, attn, gain).data,
+                             attention_adjust_reference(img.data, attn, gain))
 
     def test_adjust_shape_mismatch(self, rng):
         img = random_image(rng, 8, 8)
