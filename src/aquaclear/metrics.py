@@ -8,11 +8,14 @@ chroma divided by 100) so scores land in a small dimensionless range.
 
 score_image scores one image in a single pass: it converts the image to
 float64 once, in 16-row strips with a one-pixel edge-replicated border
-(image._edge_bands), and hands each strip to every metric. At 256 px the
-pass peaks near 51 bytes of heap per pixel. Each metric keeps only what its
-final reduction needs: full-size L, chroma and saturation planes for UCIQE,
-RG and YB planes for UICM (whose sums and sorts run over whole planes, in
-row order), and per-block maxima and minima for UISM and UIConM. The public
+(image._edge_bands), and hands each strip to every metric. Each metric
+keeps only what its final reduction needs: full-size L, chroma and
+saturation planes for UCIQE (whose sums and sorts run over whole planes,
+in row order), per-block maxima and minima for UISM and UIConM. UICM
+takes no strips: it builds its RG, then its YB plane from the image into
+one buffer. Variances run in place and each metric's state is dropped
+with its result: the pass peaks near 32 bytes of heap per pixel at 256 px.
+The public
 per-metric functions run the same pass with only their own metric, so the
 scores do not depend on which function computed them, nor on the memory
 layout of the image. report_csv writes scored rows as scores.csv, each
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatchError, ImageTooSmallError
-from .image import ImageF32, _edge_bands, _luma, _srgb_to_lab
+from .image import ImageF32, _edge_bands, _luma, _srgb_to_lab, _var_in_place
 
 __all__ = [
     "UCIQE_WEIGHTS",
@@ -92,12 +95,14 @@ def psnr(reference: ImageF32, test: ImageF32) -> float:
 
 def _measure(img: ImageF32, *metrics) -> list:
     """Run the scoring pass for the given metric classes; their results in
-    order. Each class checks that it can score ``img`` before any strip."""
+    order. Each class checks that it can score ``img`` before any strip,
+    and each one's state is dropped as soon as its result is taken."""
     parts = [metric(img) for metric in metrics]
     for rows, strip in _edge_bands(img.data, _STRIP, 1):
         for part in parts:
             part.add(rows, strip)
-    return [part.result() for part in parts]
+    parts.reverse()
+    return [parts.pop().result() for _ in metrics]
 
 
 def _require_blocks(img: ImageF32) -> None:
@@ -160,7 +165,7 @@ class _Uciqe:
 
     def result(self) -> tuple[float, dict]:
         lum = self.lum.ravel()
-        sigma_c = float(np.std(self.chroma.ravel())) / 100.0
+        sigma_c = math.sqrt(_var_in_place(self.chroma.ravel())) / 100.0
         n = lum.size
         k = math.ceil(0.01 * n)
         lum.sort()
@@ -183,23 +188,26 @@ def _trimmed_mean(values: np.ndarray) -> float:
 
 
 class _Uicm:
-    """Keeps the full-size RG and YB opponent planes."""
+    """Takes no part in the strips: builds the RG plane from the image at
+    reduction time, then the YB plane in the same buffer."""
 
     def __init__(self, img: ImageF32):
-        self.rg, self.yb = np.empty((2, img.height, img.width))
+        self.data = img.data
 
     def add(self, rows: slice, strip: np.ndarray) -> None:
-        r, g, b = strip[:, 1:-1, 1:-1]
-        np.subtract(r, g, out=self.rg[rows])
-        yb = np.add(r, g, out=self.yb[rows])
-        yb /= 2.0
-        yb -= b
+        pass
 
     def result(self) -> float:
-        rg, yb = self.rg.ravel(), self.yb.ravel()
-        mu_rg, mu_yb = _trimmed_mean(rg), _trimmed_mean(yb)
-        var_rg = float(np.mean((rg - mu_rg) ** 2))
-        var_yb = float(np.mean((yb - mu_yb) ** 2))
+        r, g, b = self.data
+        plane = np.empty(r.shape)  # C order: sums and sorts run in row order
+        np.subtract(r, g, out=plane, dtype=np.float64)
+        mu_rg = _trimmed_mean(plane.ravel())
+        var_rg = _var_in_place(plane.ravel(), mu_rg)
+        np.add(r, g, out=plane, dtype=np.float64)
+        plane /= 2.0
+        np.subtract(plane, b, out=plane, dtype=np.float64)
+        mu_yb = _trimmed_mean(plane.ravel())
+        var_yb = _var_in_place(plane.ravel(), mu_yb)
         return -0.0268 * math.hypot(mu_rg, mu_yb) + 0.1586 * math.sqrt(var_rg + var_yb)
 
 

@@ -15,13 +15,11 @@ absolute paths or timestamps.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
@@ -253,6 +251,7 @@ def _pmap(fn, items, threads: int) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for it
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -551,6 +550,7 @@ def cmd_split(input_dir, config: PipelineConfig, output_dir=None,
 # ------------------------------------------------------------------ augment
 
 def _augment_rng(seed: int, name: str, sample: int) -> np.random.Generator:
+    import hashlib  # loads libcrypto: only augment needs it
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     file_key = int.from_bytes(digest[:8], "big")
     return np.random.Generator(np.random.PCG64(

@@ -16,6 +16,9 @@ to the value pattern exactly. The red/green modulation runs near unity
 amplitude: it gives the image strong per-pixel color variation that
 survives white balancing, the way enhancement reveals color in real
 underwater scenes instead of collapsing them to gray.
+All random numbers are drawn first, then rows are built in bands: at 256 px
+an archetype plus its save_ppm peaks near 34 bytes of heap per pixel, 8 of
+them the sharp archetypes' noise, drawn whole to keep the random stream.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import Category8, DegradationFlags, RANK_ORDER
-from .image import ImageF32, save_ppm
+from .image import ImageF32, _BAND_PIXELS, _clip_into, save_ppm
 
 __all__ = [
     "DARK_BAND",
@@ -51,9 +54,10 @@ _BASE_MODES = ((1, 0), (0, 1), (1, 1), (1, -1))
 _MOD_MODES = ((2, 1), (1, 2), (2, -1), (3, 1))
 
 
-def _wave(size: int, mode: tuple, phase: float) -> np.ndarray:
+def _wave(size: int, mode: tuple, phase: float, rows: slice) -> np.ndarray:
+    """The given rows of a full-period wave on the size x size grid."""
     ky, kx = mode
-    y = np.arange(size, dtype=np.float64)[:, None]
+    y = np.arange(size, dtype=np.float64)[rows, None]
     x = np.arange(size, dtype=np.float64)[None, :]
     return np.sin(2.0 * math.pi * (ky * y + kx * x) / size + phase)
 
@@ -61,23 +65,32 @@ def _wave(size: int, mode: tuple, phase: float) -> np.ndarray:
 def _smooth_base(rng: np.random.Generator, size: int):
     """Low-frequency pattern in [0,1] with mean 0.5: two full-period waves.
 
-    Returns the pattern plus the two base modes it did NOT use, which are
-    safe (orthogonal and equally low-frequency) for modulation fields.
+    Returns the pattern (a function of a row slice) plus the two base modes
+    it did NOT use, safe (orthogonal, equally low-frequency) for modulation.
     """
     i, j = rng.choice(len(_BASE_MODES), size=2, replace=False)
-    a = _wave(size, _BASE_MODES[i], rng.uniform(0.0, 2.0 * math.pi))
-    b = _wave(size, _BASE_MODES[j], rng.uniform(0.0, 2.0 * math.pi))
+    phase_a, phase_b = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
     unused = tuple(m for k, m in enumerate(_BASE_MODES) if k not in (i, j))
-    return 0.5 + 0.3 * a + 0.2 * b, unused
+
+    def base(rows: slice) -> np.ndarray:
+        a = _wave(size, _BASE_MODES[i], phase_a, rows)
+        return 0.5 + 0.3 * a + 0.2 * _wave(size, _BASE_MODES[j], phase_b, rows)
+
+    return base, unused
 
 
-def _sharp_base(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Single-pixel checkerboard plus mild uniform texture, mean 0.5."""
-    y = np.arange(size)[:, None]
-    x = np.arange(size)[None, :]
-    checker = ((y + x + rng.integers(0, 2)) % 2).astype(np.float64)
+def _sharp_base(rng: np.random.Generator, size: int):
+    """Single-pixel checkerboard plus mild uniform texture, mean 0.5, by rows."""
+    parity = rng.integers(0, 2)
     noise = rng.uniform(-0.08, 0.08, size=(size, size))
-    return checker * 0.84 + 0.08 + noise
+
+    def base(rows: slice) -> np.ndarray:
+        y = np.arange(size)[rows, None]
+        x = np.arange(size)[None, :]
+        checker = ((y + x + parity) % 2).astype(np.float64)
+        return checker * 0.84 + 0.08 + noise[rows]
+
+    return base
 
 
 def make_archetype(flags: DegradationFlags, seed: int, size: int = 64) -> ImageF32:
@@ -95,18 +108,22 @@ def make_archetype(flags: DegradationFlags, seed: int, size: int = 64) -> ImageF
     else:
         base, mod_pool = _sharp_base(rng, size), _MOD_MODES
     lo, hi = DARK_BAND if flags.low_light else BRIGHT_BAND
-    v = lo + (hi - lo) * base
 
     gains = CAST_GAINS if flags.color_cast else (1.0, 1.0, 1.0)
     amp = _MOD_AMPLITUDE_CAST if flags.color_cast else _MOD_AMPLITUDE_BALANCED
     i, j = rng.choice(len(mod_pool), size=2, replace=False)
-    mod_r = 1.0 + amp * _wave(size, mod_pool[i], rng.uniform(0.0, 2.0 * math.pi))
-    mod_g = 1.0 + amp * _wave(size, mod_pool[j], rng.uniform(0.0, 2.0 * math.pi))
+    phase_r, phase_g = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
 
-    r = v * gains[0] * mod_r
-    g = v * gains[1] * mod_g
-    b = v * gains[2]
-    return ImageF32.from_array(np.stack([r, g, b]))
+    out = np.empty((3, size, size), dtype=np.float32)
+    band = max(1, _BAND_PIXELS // size)
+    for r0 in range(0, size, band):
+        rows = slice(r0, r0 + band)
+        v = lo + (hi - lo) * base(rows)
+        mod_r = 1.0 + amp * _wave(size, mod_pool[i], phase_r, rows)
+        mod_g = 1.0 + amp * _wave(size, mod_pool[j], phase_g, rows)
+        for c, plane in enumerate((v * gains[0] * mod_r, v * gains[1] * mod_g, v * gains[2])):
+            _clip_into(plane, out[c, rows])
+    return ImageF32(out)
 
 
 def archetype_for_category(category: Category8, seed: int, size: int = 64) -> ImageF32:

@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 
 import aquaclear.image as image_module
 from aquaclear.enhance import _blend_axis, _clahe_luts
-from aquaclear.image import ImageF32
+from aquaclear.image import LAPLACIAN_KERNEL, ImageF32, convolve2d
+from aquaclear.synth import (
+    _BASE_MODES,
+    _MOD_AMPLITUDE_BALANCED,
+    _MOD_AMPLITUDE_CAST,
+    _MOD_MODES,
+    BRIGHT_BAND,
+    CAST_GAINS,
+    DARK_BAND,
+)
 
 
 # Fuzz tests are derandomized and bounded, so a run is deterministic and fast.
@@ -281,6 +290,50 @@ def attention_adjust_reference(data, attn, gain):
     cap = np.divide(1.0, v, out=np.full_like(v, np.inf), where=v > 0.0)
     planes *= np.minimum(factor, cap, out=cap)
     return clip_reference(planes)
+
+
+def laplacian_variance_reference(data):
+    planes = data.astype(np.float64)
+    luma = 0.299 * planes[0] + 0.587 * planes[1] + 0.114 * planes[2]
+    return float(np.var(convolve2d(luma, LAPLACIAN_KERNEL)))
+
+
+def ppm_reference(data):
+    """The PPM file of a (3, h, w) array, quantized as one float64 array."""
+    _, h, w = data.shape
+    levels = np.floor(data.astype(np.float64) * 255.0 + 0.5).astype(np.uint8)
+    return f"P6\n{w} {h}\n255\n".encode("ascii") + levels.transpose(1, 2, 0).tobytes()
+
+
+def archetype_reference(flags, seed, size):
+    """make_archetype's (3, size, size) data, built over the whole grid."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        [0xAC5EED, int(flags.color_cast), int(flags.low_light), int(flags.blurred), seed]
+    )))
+    y = np.arange(size, dtype=np.float64)[:, None]
+    x = np.arange(size, dtype=np.float64)[None, :]
+
+    def wave(mode):
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        return np.sin(2.0 * math.pi * (mode[0] * y + mode[1] * x) / size + phase)
+
+    if flags.blurred:
+        i, j = rng.choice(len(_BASE_MODES), size=2, replace=False)
+        base = 0.5 + 0.3 * wave(_BASE_MODES[i]) + 0.2 * wave(_BASE_MODES[j])
+        pool = tuple(m for k, m in enumerate(_BASE_MODES) if k not in (i, j))
+    else:
+        parity = rng.integers(0, 2)
+        checker = ((np.arange(size)[:, None] + np.arange(size) + parity) % 2).astype(np.float64)
+        base = checker * 0.84 + 0.08 + rng.uniform(-0.08, 0.08, size=(size, size))
+        pool = _MOD_MODES
+    lo, hi = DARK_BAND if flags.low_light else BRIGHT_BAND
+    v = lo + (hi - lo) * base
+    gains = CAST_GAINS if flags.color_cast else (1.0, 1.0, 1.0)
+    amp = _MOD_AMPLITUDE_CAST if flags.color_cast else _MOD_AMPLITUDE_BALANCED
+    i, j = rng.choice(len(pool), size=2, replace=False)
+    mod_r = 1.0 + amp * wave(pool[i])
+    mod_g = 1.0 + amp * wave(pool[j])
+    return clip_reference(np.stack([v * gains[0] * mod_r, v * gains[1] * mod_g, v * gains[2]]))
 
 
 def psnr_reference(reference, test):

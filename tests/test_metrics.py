@@ -247,6 +247,13 @@ class TestScoreImage:
         s = score_image(img, reference=img)
         assert s.psnr == math.inf
 
+    def test_heap_peak_at_256(self, rng):
+        # bytes per pixel: UCIQE's L, chroma and saturation planes are 24;
+        # with UICM's planes kept through the strips, and np.std's and the
+        # variances' temporaries, the pass peaked at 51
+        peak, _ = heap_peak(score_image, random_image(rng, 256, 256))
+        assert peak < 36 * 256 * 256
+
 
 def uism_oracle(img):
     sx = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])

@@ -1,6 +1,10 @@
-"""The package's public names."""
+"""The package's public names, and what importing it loads."""
 
+import os
+import subprocess
+import sys
 from importlib import import_module
+from pathlib import Path
 
 import aquaclear
 from aquaclear import errors
@@ -68,3 +72,14 @@ def test_errors_exports_every_exception_and_warning_class():
     }
     assert set(errors.__all__) == defined
     assert "AquaClearError" in defined and "ZeroChannelMeanWarning" in defined
+
+
+def test_importing_the_cli_loads_no_crypto_or_thread_pool():
+    # hashlib pulls in libcrypto and concurrent.futures its executors, ~4 MB
+    # of RSS in every CLI process; only augment and threaded runs use them
+    src = str(Path(aquaclear.__file__).resolve().parents[1])
+    code = ("import sys, aquaclear.cli; "
+            "print(sorted({'_hashlib', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"
