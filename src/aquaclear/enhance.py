@@ -7,10 +7,8 @@ build_plan derives one from DegradationFlags.
 Each filter works in float64 on one edge-padded row band at a time
 (image._edge_bands; NLM on one channel's band) and clamps it straight into
 its float32 output, which keeps the input's memory layout. So its scratch
-grows with the image width, not its height: at 256 px gray-world peaks
-near 21 bytes of heap per pixel, sharpening 38, CLAHE 69 (its uint16 bin
-indices span the image) and NLM 80. Bands never change a bit: every
-output equals the whole-image float64 formula's.
+grows with the image width, not its height. Bands never change a bit:
+every output equals the whole-image float64 formula's.
 """
 
 from __future__ import annotations
@@ -28,8 +26,8 @@ from .errors import (
     PlanStepError,
     ZeroChannelMeanWarning,
 )
-from .image import (_BAND_PIXELS, ImageF32, _clip_into, _edge_bands, _map_bands,
-                    channel_stats, hsv_to_rgb, rgb_to_hsv)
+from .image import (_BAND_PIXELS, ImageF32, _clip_into, _edge_bands, _hsv_band, _map_bands,
+                    _rgb_band, channel_stats)
 
 __all__ = [
     "ClaheParams",
@@ -180,17 +178,22 @@ def clahe_v(img: ImageF32, params: ClaheParams = ClaheParams()) -> ImageF32:
     """Contrast-limited adaptive histogram equalization on the HSV V plane.
 
     Pixel values are remapped by bilinearly blending the CDF mappings of the
-    four surrounding tiles; H and S pass through untouched. The uint16 bin
-    indices and the blend are made in row bands; only the indices span the
-    image.
+    four surrounding tiles; H and S pass through untouched. Two walks over
+    the RGB row bands do it: the first makes the uint16 bin indices of V,
+    the only whole-image array besides the output; the second converts each
+    band to HSV, blends V and converts it back to RGB. Each band rounds H, S
+    and V to float32 where rgb_to_hsv and the blend store them, so the
+    result has the bits of hsv_to_rgb of the blended rgb_to_hsv image.
     """
-    hsv = rgb_to_hsv(img).data
-    h_img, w_img = hsv.shape[1:]
+    h_img, w_img = img.height, img.width
     bins = params.bins
     bin_idx = np.empty((h_img, w_img), dtype=np.uint16)  # bins <= 4096
-    for rows, v in _edge_bands(hsv[2:], max(1, _BAND_PIXELS // w_img), 0):
-        np.multiply(v[0], bins, out=v[0])
-        np.minimum(v[0], bins - 1, out=bin_idx[rows], casting="unsafe")
+    # the bands of _map_bands below
+    for band_rows, rgb in _edge_bands(img.data, max(1, _BAND_PIXELS // w_img), 0):
+        # V = max(r, g, b): float32 samples, so rgb_to_hsv stores it exactly
+        v = np.maximum(np.maximum(rgb[0], rgb[1], out=rgb[0]), rgb[2], out=rgb[0])
+        np.multiply(v, bins, out=v)
+        np.minimum(v, bins - 1, out=bin_idx[band_rows], casting="unsafe")
 
     luts, identity, centers_y, centers_x = _clahe_luts(bin_idx, params)
 
@@ -199,22 +202,30 @@ def clahe_v(img: ImageF32, params: ClaheParams = ClaheParams()) -> ImageF32:
     y0, y1, wy = (t[:, None] for t in _blend_axis(np.arange(h_img, dtype=np.float64), centers_y))
     x0, x1, wx = _blend_axis(np.arange(w_img, dtype=np.float64), centers_x)
 
-    def blend(band, rows):
-        v, idx = band[2], bin_idx[rows]
+    def as_stored(plane, into):
+        """``into`` = ``plane`` clamped and rounded as a float32 image holds it."""
+        into[...] = _clip_into(plane, np.empty(plane.shape, dtype=np.float32))
+
+    def blend(rgb, band_rows):
+        # the slab becomes the band's HSV, as rgb_to_hsv stores it
+        for c, plane in enumerate(_hsv_band(rgb, band_rows)):
+            as_stored(plane, rgb[c])
+        v, idx = rgb[2], bin_idx[band_rows]
 
         def tile_value(iy, ix):
             return np.where(identity[iy, ix], v, luts[iy, ix, idx])
 
-        by0, by1, bwy = y0[rows], y1[rows], wy[rows]
+        by0, by1, bwy = y0[band_rows], y1[band_rows], wy[band_rows]
         v_new = (
             (1.0 - bwy) * (1.0 - wx) * tile_value(by0, x0)
             + (1.0 - bwy) * wx * tile_value(by0, x1)
             + bwy * (1.0 - wx) * tile_value(by1, x0)
             + bwy * wx * tile_value(by1, x1)
         )
-        return band[0], band[1], v_new
+        as_stored(v_new, v)
+        return _rgb_band(rgb, band_rows)
 
-    return hsv_to_rgb(_map_bands(hsv, blend))
+    return _map_bands(img.data, blend)
 
 
 def sharpen(img: ImageF32, params: SharpenParams = SharpenParams()) -> ImageF32:
@@ -263,13 +274,14 @@ def _shifted_sum(a: np.ndarray, side: int, step: int, out: np.ndarray) -> np.nda
     return out
 
 
-# Bytes of a band's float64 scratch in nlm_denoise: four buffers of the
+# Bytes of a band's float64 scratch in nlm_denoise: three buffers of the
 # band's rows plus w + 2p, and num and den of its rows, all padded-plane
 # rows. The band count is the fewest whose rows fit, and each band takes
-# ceil(h / count) rows, the last fewer. At the default radii 256 px and
-# 128 px images run as one band, a 1024 x 256 image as four and a 1024 px
-# one as fifteen.
-_NLM_BYTES = 4 << 20
+# ceil(h / count) rows, the last fewer. At the default radii a 128 px image
+# runs as one band, a 256 px one as two, a 1024 x 256 one as seven and a
+# 1024 px one as 26. Smaller budgets were slower on a 2-thread pool:
+# shorter ufunc calls contend for the GIL.
+_NLM_BYTES = 2 << 20
 
 
 def nlm_denoise(img: ImageF32, params: NlmParams = NlmParams()) -> ImageF32:
@@ -295,10 +307,10 @@ def nlm_denoise(img: ImageF32, params: NlmParams = NlmParams()) -> ImageF32:
     pad = w + p
     h_img, w_img = img.height, img.width
     stride = w_img + 2 * pad
-    fit = max(1, (_NLM_BYTES // (8 * stride) - 4 * (w + 2 * p)) // 6)
+    fit = max(1, (_NLM_BYTES // (8 * stride) - 3 * (w + 2 * p)) // 5)
     n_bands = -(-h_img // fit)
     band_rows = -(-h_img // n_bands)
-    buffers = [np.empty((band_rows + w + 2 * p) * stride) for _ in range(4)]
+    buffers = [np.empty((band_rows + w + 2 * p) * stride) for _ in range(3)]
     out = np.empty_like(img.data)
     for c in range(img.channels):
         for rows, slab in _edge_bands(img.data[c : c + 1], band_rows, pad):
@@ -308,7 +320,7 @@ def nlm_denoise(img: ImageF32, params: NlmParams = NlmParams()) -> ImageF32:
 
 def _nlm_slab(padded: np.ndarray, params: NlmParams, buffers) -> np.ndarray:
     """NLM of the rows of ``padded`` that are pad = w + p rows and columns
-    inside its edges, as float64; ``buffers`` are four flat float64 arrays
+    inside its edges, as float64; ``buffers`` are three flat float64 arrays
     of at least (rows + w + 2p) * padded's width elements.
 
     Only half of the window is visited: the offsets with dy > 0, or dy == 0
@@ -325,7 +337,9 @@ def _nlm_slab(padded: np.ndarray, params: NlmParams, buffers) -> np.ndarray:
 
     Every array is a flat run of the padded rows, so each step is one
     contiguous 1-D operation; the columns outside the box hold finite
-    values that are never read into the result.
+    values that are never read into the result. Each buffer is reused once
+    its contents are read: the column sums go where the squares were, the
+    weighted differences where the row sums were.
     """
     p = params.patch_radius
     w = params.window_radius
@@ -338,7 +352,7 @@ def _nlm_slab(padded: np.ndarray, params: NlmParams, buffers) -> np.ndarray:
     centre = p * stride + p  # e's offset from a box centre's own index
 
     flat = padded.ravel()
-    e_buf, sq_buf, rows_buf, wgt_buf = buffers
+    e_buf, sq_buf, rows_buf = buffers
     num = np.zeros(h_img * stride)
     den = np.ones(h_img * stride)  # center offset
     for dy in range(w + 1):
@@ -355,10 +369,10 @@ def _nlm_slab(padded: np.ndarray, params: NlmParams, buffers) -> np.ndarray:
             np.subtract(flat[shift : shift + n_e], flat[first : first + n_e], out=e)
             sq = np.multiply(e, e, out=sq_buf[:n_e])
             rows = _shifted_sum(sq, side, stride, rows_buf[:n_rows])
-            wgt = _shifted_sum(rows, side, 1, wgt_buf[:n_box])
+            wgt = _shifted_sum(rows, side, 1, sq_buf[:n_box])
             np.multiply(wgt, scale, out=wgt)
             np.exp(wgt, out=wgt)
-            prod = np.multiply(wgt, e[centre : centre + n_box], out=sq_buf[:n_box])
+            prod = np.multiply(wgt, e[centre : centre + n_box], out=rows_buf[:n_box])
             # +d reads the box at the image's own centres, -d at the
             # image's centres shifted by -d.
             plus = dy * stride + max(dx, 0)

@@ -24,6 +24,8 @@ image's row and then each method's mean row.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -349,17 +351,26 @@ def _mean_psnr(scores) -> float | None:
     return math.inf if any(s.psnr == math.inf for s in scores) else None
 
 
+def _csv_text(rows) -> str:
+    """``rows`` as CSV text, lines ending in "\n": a cell is quoted only
+    when it holds a comma, a quote or a line feed, so plain cells keep the
+    bytes a comma join gives them."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def report_csv(rows) -> str:
     """Fixed-header CSV of (image, method, QualityScores) rows: one row per
     image, then one mean row per method, in canonical method order."""
     rows = list(rows)
-    lines = [",".join(SCORES_HEADER)]
+    lines = [SCORES_HEADER]
     for image, method, s in rows:
-        lines.append(",".join([image, method] + [_cell(getattr(s, c)) for c in _COLUMNS]))
+        lines.append([image, method] + [_cell(getattr(s, c)) for c in _COLUMNS])
     for method in sorted({m for _, m, _ in rows}, key=_method_sort_key):
         scores = [s for _, m, s in rows if m == method]
         cells = [_cell(_mean_psnr(scores))] + [
             _cell(sum(getattr(s, c) for s in scores) / len(scores)) for c in _COLUMNS[1:]
         ]
-        lines.append(",".join(["mean", method] + cells))
-    return "\n".join(lines) + "\n"
+        lines.append(["mean", method] + cells)
+    return _csv_text(lines)

@@ -63,6 +63,7 @@ from .metrics import (
     METHOD_LABELS,
     METHOD_ORDER,
     SCORES_HEADER,
+    _csv_text,
     report_csv,
     score_image,
 )
@@ -263,12 +264,17 @@ def _skipped(result) -> bool:
 def _run(files, one, threads: int) -> list:
     """``one(path)`` for every file, results in input order.
 
-    An AquaClearError or MemoryError turns that file's result into the skip
-    record {"file": name, "error": reason} and prints one ``skipping`` line
-    on stderr.
+    A file whose name is not valid UTF-8, which no output can hold, is not
+    read. That, an AquaClearError or a MemoryError turns the file's result
+    into the skip record {"file": name, "error": reason} and prints one
+    ``skipping`` line on stderr.
     """
 
     def item(path):
+        try:
+            path.name.encode("utf-8")
+        except UnicodeEncodeError:
+            return {"file": path.name, "error": "file name is not valid UTF-8"}
         try:
             return one(path)
         except (AquaClearError, MemoryError) as exc:
@@ -305,10 +311,8 @@ def cmd_classify(input_dir, config: PipelineConfig, output_dir=None) -> int:
 
     def one(path):
         flags, category = classify(load_ppm(path), config.thresholds)
-        row = (
-            f"{path.name},{int(flags.color_cast)},{int(flags.low_light)},"
-            f"{int(flags.blurred)},{category.name.lower()}"
-        )
+        row = (path.name, int(flags.color_cast), int(flags.low_light),
+               int(flags.blurred), category.name.lower())
         return row, category
 
     done = [r for r in _run(files, one, config.threads) if not _skipped(r)]
@@ -317,7 +321,7 @@ def cmd_classify(input_dir, config: PipelineConfig, output_dir=None) -> int:
         return EXIT_EMPTY
     rows = [row for row, _ in done]
     labels = [category for _, category in done]
-    _write(out / "labels.csv", "\n".join([",".join(_LABELS_HEADER), *rows]) + "\n")
+    _write(out / "labels.csv", _csv_text([_LABELS_HEADER, *rows]))
     counts = summarize(labels)
     _write(out / "summary.csv", summary_csv(counts))
     _write(out / "cooccurrence.csv", cooccurrence_csv(counts))
@@ -526,7 +530,8 @@ def cmd_split(input_dir, config: PipelineConfig, output_dir=None,
     """Shuffle the file list and allocate train/val/test by largest remainder."""
     out = Path(output_dir or config.output_dir)
     seed = config.seed if seed is None else seed
-    files = _list_ppms(input_dir)
+    # split reads no file, so only _run's name check can skip one
+    files = [r for r in _run(_list_ppms(input_dir), lambda path: path, 1) if not _skipped(r)]
     if len(files) < 3:
         print("need at least 3 files to split", file=sys.stderr)
         return EXIT_EMPTY
@@ -539,8 +544,8 @@ def cmd_split(input_dir, config: PipelineConfig, output_dir=None,
         for idx in order[cursor : cursor + n]:
             buckets[files[int(idx)].name] = bucket
         cursor += n
-    lines = ["file,bucket"] + [f"{f.name},{buckets[f.name]}" for f in files]
-    _write(out / "split.csv", "\n".join(lines) + "\n")
+    lines = [("file", "bucket")] + [(f.name, buckets[f.name]) for f in files]
+    _write(out / "split.csv", _csv_text(lines))
     print(
         f"split {len(files)} files: train={counts[0]} val={counts[1]} test={counts[2]}"
     )
@@ -697,7 +702,7 @@ def cmd_report(input_dir, config: PipelineConfig, output_dir=None) -> int:
     _write(out / "report.md", "\n".join(md) + "\n")
 
     # method, psnr, uciqe, uiqm, as the mean rows hold them
-    csv_lines = ["method,psnr,uciqe,uiqm"] + [",".join(row[1:5]) for row in mean_rows]
-    _write(out / "report.csv", "\n".join(csv_lines) + "\n")
+    csv_rows = [("method", "psnr", "uciqe", "uiqm")] + [row[1:5] for row in mean_rows]
+    _write(out / "report.csv", _csv_text(csv_rows))
     print("report written")
     return EXIT_OK

@@ -1,5 +1,6 @@
 """Feature extractors, manifest IO, and attention-guided enhancement."""
 
+import functools
 import gc
 import json
 import os
@@ -504,7 +505,8 @@ print(digest.hexdigest())
 """
 
 
-def feature_digest(blas_threads, h=64, w=64):
+@functools.lru_cache(maxsize=None)
+def feature_digest(blas_threads, h, w):
     """FEATURE_DIGEST of an h x w image in a fresh interpreter, since BLAS
     reads its thread count once at load time."""
     src = str(Path(aquaclear.__file__).resolve().parents[1])
@@ -517,19 +519,19 @@ def feature_digest(blas_threads, h=64, w=64):
 
 
 class TestDeterminism:
-    def test_features_same_bits_at_one_and_two_blas_threads(self):
-        one = feature_digest(1)
-        assert len(one) == 64
-        assert feature_digest(2) == one
-
-    def test_same_bits_at_a_width_that_is_not_a_multiple_of_16(self):
+    @pytest.mark.parametrize("blas_threads", [2, 3, 4])
+    @pytest.mark.parametrize("h, w", [
+        (64, 64),
         # 68 px: VGG's convs make 68 and 34 output columns a row
-        assert feature_digest(2, 100, 68) == feature_digest(1, 100, 68)
-
-    def test_same_bits_with_hundreds_of_padded_columns(self):
+        (100, 68),
         # 852 px: GEMMs of 426, 852 and 1704 columns, padded to 432, 864
         # and 1712, and of 6816 unpadded ones
-        assert feature_digest(2, 16, 852) == feature_digest(1, 16, 852)
+        (16, 852),
+    ])
+    def test_features_same_bits_as_at_one_blas_thread(self, h, w, blas_threads):
+        one = feature_digest(1, h, w)
+        assert len(one) == 64
+        assert feature_digest(blas_threads, h, w) == one
 
 
 class TestWeights:

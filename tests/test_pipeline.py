@@ -1,5 +1,6 @@
 """Batch commands, config handling, and the CLI front end."""
 
+import csv
 import json
 import os
 import resource
@@ -1009,6 +1010,48 @@ class TestCli:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc or {}))
         return str(path)
+
+    def test_csv_special_names_round_trip(self, tmp_path, capsys):
+        names = ["a,b.ppm", 'q"uote.ppm', "new\nline.ppm"]
+        src, out = tmp_path / "in", tmp_path / "out"
+        for path, name in zip(corpus(src, count=3), names):
+            path.rename(src / name)
+        cfg = self.write_config(tmp_path)
+        for command in ("classify", "evaluate", "split", "report"):
+            where = out if command == "report" else src
+            assert main([command, "--config", cfg, "--input", str(where),
+                         "--output", str(out)]) == EXIT_OK, capsys.readouterr().err
+
+        def rows(name):
+            with open(out / name, encoding="utf-8", newline="") as f:
+                return list(csv.reader(f))[1:]
+
+        assert sorted(r[0] for r in rows("labels.csv")) == sorted(names)
+        assert sorted(r[0] for r in rows("split.csv")) == sorted(names)
+        per_image = [r for r in rows("scores.csv") if r[0] != "mean"]
+        assert sorted(r[0] for r in per_image) == sorted(n[:-4] for n in names)
+        report = (out / "report.md").read_text()
+        counts = [int(line.split("|")[3]) for line in report.splitlines()
+                  if line.startswith("| ") and line.split("|")[3].strip().isdigit()]
+        assert sum(counts) == len(names)
+        assert [r[0] for r in rows("report.csv")] == [METHOD_ORDER[0]]
+
+    @pytest.mark.parametrize("command", ["classify", "enhance", "evaluate", "split", "augment"])
+    def test_name_that_is_not_utf8_is_skipped(self, tmp_path, capfd, command):
+        src, out = tmp_path / "in", tmp_path / "out"
+        good = corpus(src, count=3)
+        bad = os.fsdecode(b"\xff.ppm")
+        (src / bad).write_bytes(good[0].read_bytes())
+        argv = [command, "--config", self.write_config(tmp_path),
+                "--input", str(src), "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        err = capfd.readouterr().err.splitlines()
+        # how the name prints depends on stderr's error handler
+        skips = [line for line in err if line.startswith("skipping")]
+        assert len(skips) == 1
+        assert skips[0].endswith(".ppm: file name is not valid UTF-8")
+        produced = [p.name for p in out.iterdir()]
+        assert not [n for n in produced if n.startswith(bad[0])]
 
     def test_classify_end_to_end(self, tmp_path):
         src = tmp_path / "in"
