@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError, NearBlackImageWarning
 from .image import ImageF32, channel_stats, laplacian_variance
+from .metrics import _csv_text
 
 __all__ = [
     "DegradationFlags",
@@ -189,17 +190,16 @@ def summary_rows(counts: dict) -> list:
 
 def summary_csv(counts: dict) -> str:
     """Category table as CSV: rank,description,count,proportion (4 decimals)."""
-    rows = [",".join(map(str, row)) for row in summary_rows(counts)]
-    return "\n".join(["rank,description,count,proportion", *rows]) + "\n"
+    return _csv_text([("rank", "description", "count", "proportion"), *summary_rows(counts)])
 
 
 def cooccurrence_csv(counts: dict) -> str:
     """Co-occurrence grid as CSV: lowlight,cast,blur,count (flags as 0/1),
     one row per category."""
-    lines = ["lowlight,cast,blur,count"]
+    rows = [("lowlight", "cast", "blur", "count")]
     for low in (False, True):
         for cast in (False, True):
             for blur in (False, True):
                 n = counts[_BY_FLAGS[DegradationFlags(cast, low, blur)]]
-                lines.append(f"{int(low)},{int(cast)},{int(blur)},{n}")
-    return "\n".join(lines) + "\n"
+                rows.append((int(low), int(cast), int(blur), n))
+    return _csv_text(rows)

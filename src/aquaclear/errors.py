@@ -47,10 +47,6 @@ class NonIntegralOutputDimError(AquaClearError):
     """Convolution cannot produce at least one output position."""
 
 
-class OddSpatialDimError(AquaClearError):
-    """2x2 pooling needs even spatial dimensions."""
-
-
 class ShapeMismatchInManifestError(AquaClearError):
     """Weight manifest is malformed or disagrees with the extractor layout."""
 

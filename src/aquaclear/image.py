@@ -8,9 +8,7 @@ internally and is clamped straight into the float32 result, which keeps
 the input's memory layout. The HSV conversions, the enhancement filters,
 laplacian_variance and the scoring pass take their float64 rows from one
 walker, _edge_bands: edge-padded row bands in one reused buffer, so they
-make no float64 copy of a whole image, and bands never change a bit. Heap
-peaks at 256 px, in bytes per pixel: HSV conversions 39 (19 at 1024 x
-256), laplacian_variance 23 (8 its response plane), save_ppm 10 (3 the file).
+make no float64 copy of a whole image, and bands never change a bit.
 """
 
 from __future__ import annotations

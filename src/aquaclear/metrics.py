@@ -14,9 +14,7 @@ saturation planes for UCIQE (whose sums and sorts run over whole planes,
 in row order), per-block maxima and minima for UISM and UIConM. UICM
 takes no strips: it builds its RG, then its YB plane from the image into
 one buffer. Variances run in place and each metric's state is dropped
-with its result: the pass peaks near 32 bytes of heap per pixel at 256 px.
-The public
-per-metric functions run the same pass with only their own metric, so the
+with its result. The public per-metric functions run the same pass with only their own metric, so the
 scores do not depend on which function computed them, nor on the memory
 layout of the image. report_csv writes scored rows as scores.csv, each
 image's row and then each method's mean row.

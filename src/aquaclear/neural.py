@@ -18,15 +18,14 @@ its input into a padded buffer and every call but each layer's last covers
 a full band; a pool keeps at most one odd row, and a residual block holds
 its input rows until conv_b's rows arrive. No row is computed twice: the
 traced MACs equal the whole-image count. So a head's memory grows with the
-image width, not its area: at 256 px a VGG pass peaks near 13 MB of heap
-(a whole-tensor pass took 104 MB), and ``enhance --method unite`` holds
-about 107 B per pixel at 1024 px (``classic`` about 65), where
-whole-tensor heads took about 1.6 KB. The schedule depends only on the
-image size, never on threads. Every GEMM runs on a column count padded
-with zeros to a multiple of 16, and at least 32 (_gemm_columns), so
-streamed features equal whole-tensor ones bit for bit, and the OpenBLAS
-build measured gives the same bits at 1 and 2 BLAS threads at every image
-size tested (README lists them).
+image width, not its area. A pool drops an odd last row or column, so a
+head takes any image its convs can read: at least 2 px a side for VGG and
+3 for ResNet. The schedule depends only on the image size, never on
+threads. Every GEMM runs on a column count padded with zeros to a multiple
+of 16, and at least 32 (_gemm_columns), so streamed features equal
+whole-tensor ones bit for bit, and the OpenBLAS build measured gives the
+same bits at 1 and 2 BLAS threads at every image size tested (README lists
+them).
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .errors import (
     IndivisibleDimsError,
     IoFailureError,
     NonIntegralOutputDimError,
-    OddSpatialDimError,
     ShapeMismatchError,
     ShapeMismatchInManifestError,
 )
@@ -154,8 +152,7 @@ def conv_output_dim(extent: int, kernel: int, stride: int, padding: int) -> int:
 # Bytes of one call's column buffer. Rows per block are as many as fit,
 # which bounds the GEMM operand: in a streamed head a call covers one band
 # of at most _BAND_ROWS output rows, so the buffer holds at most that band's
-# columns. An 8 MB budget raised the unite workload's peak RSS by about 10%
-# for little speed.
+# columns.
 _COLS_BYTES = 2 << 20
 
 
@@ -255,10 +252,10 @@ def residual_forward(x: np.ndarray, block: ResidualBlock) -> np.ndarray:
 
 
 def max_pool2(t: np.ndarray) -> np.ndarray:
-    """Non-overlapping 2x2 max pooling; spatial dims must be even."""
+    """Non-overlapping 2x2 max pooling; an odd last row or column is
+    dropped (floor mode)."""
     c, h, w = t.shape
-    if h % 2 or w % 2:
-        raise OddSpatialDimError(f"cannot 2x2-pool odd dims {h}x{w}")
+    t = t[:, : h - h % 2, : w - w % 2]
     return np.maximum(
         np.maximum(t[:, 0::2, 0::2], t[:, 0::2, 1::2]),
         np.maximum(t[:, 1::2, 0::2], t[:, 1::2, 1::2]),
@@ -326,19 +323,16 @@ def _conv_bands(layer: ConvLayer, bands, buffers: dict):
 
 
 def _pool_bands(bands):
-    """2x2 max pooling of row pairs; an odd last row waits for the next band."""
+    """2x2 max pooling of row pairs; an odd row waits for the next band, and
+    one left at the end of the input is dropped."""
     odd = None
-    rows_in = 0
     for band in bands:
-        rows_in += band.shape[1]
         if odd is not None:
             band = np.concatenate([odd, band], axis=1)
         pairs = band.shape[1] // 2
         odd = band[:, 2 * pairs :] if band.shape[1] % 2 else None
         if pairs:
             yield max_pool2(band[:, : 2 * pairs])
-    if odd is not None:
-        raise OddSpatialDimError(f"cannot 2x2-pool odd dims {rows_in}x{odd.shape[2]}")
 
 
 def _residual_bands(block: ResidualBlock, bands, buffers: dict):
@@ -593,26 +587,25 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
 # ------------------------------------------------------ feature extraction
 
 def validate_dims(spec: ExtractorSpec, h: int, w: int) -> None:
-    """Raise IndivisibleDims unless an h x w input survives the head's convs
-    and poolings."""
+    """Raise IndivisibleDims unless each conv of the head, a residual
+    block's included, gets an input at least its kernel wide and tall once
+    zero-padded. A pooling halves each side with floor."""
     for layer in spec.layers:
-        if layer.kind == "conv":
-            try:
-                h = conv_output_dim(h, layer.kernel, layer.stride, layer.padding)
-                w = conv_output_dim(w, layer.kernel, layer.stride, layer.padding)
-            except NonIntegralOutputDimError as exc:
-                raise IndivisibleDimsError(str(exc)) from exc
-        elif layer.kind == "pool":
-            if h % 2 or w % 2:
-                raise IndivisibleDimsError(
-                    f"{spec.name}: {layer.name} needs even dims, got {h}x{w}"
-                )
+        if layer.kind == "pool":
             h, w = h // 2, w // 2
+            continue
+        # a residual block's two convs keep its input's shape
+        try:
+            h = conv_output_dim(h, layer.kernel, layer.stride, layer.padding)
+            w = conv_output_dim(w, layer.kernel, layer.stride, layer.padding)
+        except NonIntegralOutputDimError as exc:
+            raise IndivisibleDimsError(
+                f"image too small for {spec.name} {layer.name}: {exc}") from exc
 
 
 def extract_features(img: ImageF32, extractor: BoundExtractor) -> np.ndarray:
     """Forward an RGB image (values in [0,1], no mean normalization) through
-    the extractor's layers. Dims that break a pooling or stride raise
+    the extractor's layers. An image too small for a conv raises
     IndivisibleDims before any arithmetic runs."""
     return np.concatenate(list(feature_bands(img, extractor)), axis=1)
 

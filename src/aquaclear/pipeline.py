@@ -47,7 +47,6 @@ from .errors import (
     ConfigError,
     CsvParseError,
     ImageTooSmallError,
-    IndivisibleDimsError,
     IoFailureError,
 )
 from .image import (
@@ -76,7 +75,6 @@ from .neural import (
     fuse_attention,
     init_weights,
     load_weights,
-    validate_dims,
 )
 
 __all__ = [
@@ -264,10 +262,11 @@ def _skipped(result) -> bool:
 def _run(files, one, threads: int) -> list:
     """``one(path)`` for every file, results in input order.
 
-    A file whose name is not valid UTF-8, which no output can hold, is not
-    read. That, an AquaClearError or a MemoryError turns the file's result
-    into the skip record {"file": name, "error": reason} and prints one
-    ``skipping`` line on stderr.
+    A file whose name is not valid UTF-8, which no output can hold, or
+    holds a carriage return, which a CSV reader takes for a line end, is
+    not read. That, an AquaClearError or a MemoryError turns the file's
+    result into the skip record {"file": name, "error": reason} and prints
+    one ``skipping`` line on stderr.
     """
 
     def item(path):
@@ -275,6 +274,8 @@ def _run(files, one, threads: int) -> list:
             path.name.encode("utf-8")
         except UnicodeEncodeError:
             return {"file": path.name, "error": "file name is not valid UTF-8"}
+        if "\r" in path.name:
+            return {"file": path.name, "error": "file name holds a carriage return"}
         try:
             return one(path)
         except (AquaClearError, MemoryError) as exc:
@@ -331,24 +332,6 @@ def cmd_classify(input_dir, config: PipelineConfig, output_dir=None) -> int:
 
 # ------------------------------------------------------------------ enhance
 
-def _largest_valid(heads, extent: int) -> int:
-    """The largest extent, at most 64 below ``extent``, every head accepts."""
-    for e in range(extent, max(extent - 64, 7), -1):
-        try:
-            for head in heads:
-                validate_dims(head.spec, e, e)
-            return e
-        except IndivisibleDimsError:
-            pass
-    raise IndivisibleDimsError("image too small for extractor")
-
-
-def _center_crop(img: ImageF32, h: int, w: int) -> ImageF32:
-    top = (img.height - h) // 2
-    left = (img.width - w) // 2
-    return ImageF32(np.ascontiguousarray(img.data[:, top : top + h, left : left + w]))
-
-
 def _channel_mean(img: ImageF32, head) -> np.ndarray:
     """The channel mean of the head's features, taken band by band as the
     head streams them, so the whole feature tensor never exists. Each band's
@@ -380,8 +363,7 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
 
     classic runs the flag-driven filter plan; vgg/resnet/unite first apply
     attention-guided V adjustment from the respective head(s), then the same
-    plan. Images whose dims break a head are center-cropped to the nearest
-    valid size first.
+    plan. Every output has its input's size.
     """
     out = Path(output_dir or config.output_dir)
     method = method or config.neural.method
@@ -423,19 +405,12 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
             )
 
         hook = on_step if verbose else None
-        if heads:
-            h_ok = _largest_valid(heads, img.height)
-            w_ok = _largest_valid(heads, img.width)
-            if (h_ok, w_ok) != (img.height, img.width):
-                record["cropped"] = [h_ok, w_ok]
-                print(f"{path.name}: center-cropped to {w_ok}x{h_ok}", file=sys.stderr)
-                img = _center_crop(img, h_ok, w_ok)
-            maps = [attention_map(_channel_mean(img, h), img.height, img.width)
-                    for h in heads]
-            attn = fuse_attention(*maps) if len(maps) == 2 else maps[0]
         flags, category = classify(img, config.thresholds)
         plan = build_plan(flags, overrides)
         if heads:
+            maps = [attention_map(_channel_mean(img, h), img.height, img.width)
+                    for h in heads]
+            attn = fuse_attention(*maps) if len(maps) == 2 else maps[0]
             enhanced = feature_guided_enhance(
                 img, attn, config.neural.gain, config.thresholds, overrides, hook
             )
@@ -477,13 +452,16 @@ def _parse_enhanced_name(name: str):
 
 def cmd_evaluate(input_dir, config: PipelineConfig, output_dir=None) -> int:
     """Score each enhanced image and write scores.csv (fixed header); PSNR
-    needs a same-named image in config.reference_dir."""
+    needs a same-named image in config.reference_dir. An image whose stem
+    is ``mean``, which names scores.csv's mean rows, is skipped."""
     out = Path(output_dir or config.output_dir)
     files = _list_ppms(input_dir)
     ref_dir = Path(config.reference_dir) if config.reference_dir else None
 
     def one(path):
         stem, label = _parse_enhanced_name(path.name)
+        if stem == "mean":
+            return {"file": path.name, "error": "the stem 'mean' is reserved for mean rows"}
         test = load_ppm(path)
         reference = None
         if ref_dir is not None:

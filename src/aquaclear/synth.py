@@ -16,9 +16,8 @@ to the value pattern exactly. The red/green modulation runs near unity
 amplitude: it gives the image strong per-pixel color variation that
 survives white balancing, the way enhancement reveals color in real
 underwater scenes instead of collapsing them to gray.
-All random numbers are drawn first, then rows are built in bands: at 256 px
-an archetype plus its save_ppm peaks near 34 bytes of heap per pixel, 8 of
-them the sharp archetypes' noise, drawn whole to keep the random stream.
+All random numbers are drawn first, the sharp archetypes' noise whole to
+keep the random stream, then rows are built in bands.
 """
 
 from __future__ import annotations

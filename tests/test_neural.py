@@ -23,7 +23,6 @@ from aquaclear.errors import (
     CorruptBlobError,
     DimMismatchError,
     IndivisibleDimsError,
-    OddSpatialDimError,
     ShapeMismatchError,
     ShapeMismatchInManifestError,
 )
@@ -50,7 +49,7 @@ from aquaclear.neural import (
     save_weights,
 )
 
-from aquaclear.pipeline import _center_crop, _channel_mean, _largest_valid
+from aquaclear.pipeline import _channel_mean
 
 from conftest import (
     FUZZ,
@@ -221,9 +220,10 @@ def whole_tensor_features(ext, x):
 class TestStreamedHeads:
     """Heads run in row bands equal the whole-tensor layer ops."""
 
-    # Heights are not multiples of the band. The last five cases have
+    # Heights are not multiples of the band. The next five cases have
     # layer widths that are not multiples of 16 (from 8 to 68 columns):
     # every GEMM is padded to such a multiple, so their bits match too.
+    # The last five have odd sizes at a pool, which drops a row or column.
     @pytest.mark.parametrize("band_rows", [1, 3, 8, 16])
     @pytest.mark.parametrize("build, h, w", [
         (build_vgg_head, 64, 64), (build_vgg_head, 36, 96), (build_vgg_head, 68, 32),
@@ -231,8 +231,12 @@ class TestStreamedHeads:
         (build_vgg_head, 100, 68), (build_vgg_head, 34, 50),
         (build_resnet_head, 64, 96), (build_resnet_head, 36, 32),
         (build_resnet_head, 100, 68),
+        (build_vgg_head, 33, 33), (build_vgg_head, 37, 45),
+        (build_resnet_head, 71, 33), (build_resnet_head, 50, 50),
+        (build_resnet_head, 17, 130),
     ], ids=["vgg-64x64", "vgg-36x96", "vgg-68x32", "resnet-128x128",
-            "vgg-100x68", "vgg-34x50", "resnet-64x96", "resnet-36x32", "resnet-100x68"])
+            "vgg-100x68", "vgg-34x50", "resnet-64x96", "resnet-36x32", "resnet-100x68",
+            "vgg-33x33", "vgg-37x45", "resnet-71x33", "resnet-50x50", "resnet-17x130"])
     def test_same_bits_as_whole_tensor_ops(self, monkeypatch, band_rows, build, h, w):
         monkeypatch.setattr(aquaclear.neural, "_BAND_ROWS", band_rows)
         ext = init_weights(build(), seed=3)
@@ -259,19 +263,18 @@ class TestStreamedHeads:
         assert sum(b.shape[1] for b in bands) == 25
         assert all(b.shape[::2] == (128, 20) for b in bands)
 
-    def test_odd_height_fails_at_the_pool(self):
+    def test_odd_height_floors_at_the_pool(self):
         ext = init_weights(build_vgg_head(), seed=0)
-        with pytest.raises(OddSpatialDimError):
-            np.concatenate(list(ext.bands(np.zeros((3, 33, 34)))), axis=1)
+        out = np.concatenate(list(ext.bands(np.zeros((3, 33, 34)))), axis=1)
+        assert out.shape == (128, 16, 17)
 
     @pytest.mark.parametrize("build", [build_vgg_head, build_resnet_head])
     @pytest.mark.parametrize("h, w", [(37, 45), (71, 33), (64, 130)])
     def test_streamed_mean_is_the_whole_mean(self, rng, build, h, w):
         """The pipeline's band-by-band channel mean has the bits of the
-        whole tensor's mean, at odd sizes center-cropped as enhance does."""
+        whole tensor's mean, at odd sizes too."""
         ext = init_weights(build(), seed=5)
         img = random_image(rng, h, w)
-        img = _center_crop(img, _largest_valid([ext], h), _largest_valid([ext], w))
         want = extract_features(img, ext).mean(axis=0, dtype=np.float64)
         assert np.array_equal(_channel_mean(img, ext), want)
 
@@ -434,9 +437,9 @@ class TestPoolAndResidual:
                     want[c, y, x] = t[c, 2 * y : 2 * y + 2, 2 * x : 2 * x + 2].max()
         assert np.array_equal(max_pool2(t), want)
 
-    def test_max_pool_odd_dims_rejected(self):
-        with pytest.raises(OddSpatialDimError):
-            max_pool2(np.zeros((1, 3, 4)))
+    def test_max_pool_drops_odd_last_row_and_column(self):
+        t = np.arange(15, dtype=np.float64).reshape(1, 3, 5)
+        assert np.array_equal(max_pool2(t), [[[6, 8]]])
 
     def test_zero_weight_residual_is_identity_on_nonnegative(self, rng):
         w = np.zeros((4, 4, 3, 3), dtype=np.float32)
@@ -472,17 +475,26 @@ class TestHeadShapes:
         img = ImageF32(np.full((3, 64, 64), 0.5, dtype=np.float32))
         assert extract_features(img, ext).shape == (64, 16, 16)
 
-    def test_odd_dims_fail_inside_raw_forward(self):
+    def test_odd_dims_floor_inside_raw_forward(self):
         ext = init_weights(build_vgg_head(), seed=0)
-        with pytest.raises(OddSpatialDimError):
-            np.concatenate(list(ext.bands(np.zeros((3, 33, 33)))), axis=1)
+        out = np.concatenate(list(ext.bands(np.zeros((3, 33, 33)))), axis=1)
+        assert out.shape == (128, 16, 16)
 
-    def test_indivisible_dims_caught_before_arithmetic(self):
-        # resnet stem halves 50 to 25, which the pool cannot split
-        ext = init_weights(build_resnet_head(), seed=0)
+    def test_indivisible_dims_caught_before_arithmetic(self, monkeypatch):
+        # resnet stem halves 50 to 25, which the pool floors to 12
+        resnet = init_weights(build_resnet_head(), seed=0)
         img = ImageF32(np.full((3, 50, 50), 0.5, dtype=np.float32))
-        with pytest.raises(IndivisibleDimsError):
-            extract_features(img, ext)
+        assert extract_features(img, resnet).shape == (64, 12, 12)
+        # a pool floors 1 px to 0, which the next conv cannot read
+        calls = []
+        monkeypatch.setattr(aquaclear.neural, "conv2d_forward",
+                            lambda *args, **kwargs: calls.append(args))
+        vgg = init_weights(build_vgg_head(), seed=0)
+        for ext, side in ((vgg, 1), (resnet, 1), (resnet, 2)):
+            tiny = ImageF32(np.full((3, side, side), 0.5, dtype=np.float32))
+            with pytest.raises(IndivisibleDimsError):
+                extract_features(tiny, ext)
+        assert calls == []
 
     def test_vgg_tolerates_any_even_size(self):
         ext = init_weights(build_vgg_head(), seed=0)

@@ -456,26 +456,28 @@ class TestEnhance:
         img = load_ppm(outputs[0])
         assert (img.height, img.width) == (32, 32)
 
-    def test_odd_input_center_cropped(self, tmp_path, config, rng):
+    def test_odd_input_keeps_its_size(self, tmp_path, config, rng):
         src = tmp_path / "in"
         src.mkdir()
         save_ppm(random_image(rng, 33, 33), src / "odd.ppm")
         out = tmp_path / "out"
         assert cmd_enhance(src, config, out, method="vgg") == EXIT_OK
         img = load_ppm(out / "odd.vgg.ppm")
-        assert (img.height, img.width) == (32, 32)
+        assert (img.height, img.width) == (33, 33)
         rec = json.loads((out / "enhance_log.jsonl").read_text())
-        assert rec["cropped"] == [32, 32]
+        assert "cropped" not in rec
 
-    def test_fifty_pixel_input_cropped_for_unite(self, tmp_path, config, rng):
-        # resnet stem halves 50 to 25 which cannot pool; 48 is the next fit
+    def test_fifty_pixel_input_keeps_its_size_for_unite(self, tmp_path, config, rng):
+        # resnet stem halves 50 to 25, which its pool floors to 12
         src = tmp_path / "in"
         src.mkdir()
         save_ppm(random_image(rng, 50, 50), src / "fifty.ppm")
         out = tmp_path / "out"
         assert cmd_enhance(src, config, out, method="unite") == EXIT_OK
         img = load_ppm(out / "fifty.unite.ppm")
-        assert (img.height, img.width) == (48, 48)
+        assert (img.height, img.width) == (50, 50)
+        rec = json.loads((out / "enhance_log.jsonl").read_text())
+        assert "cropped" not in rec
 
     def test_missing_manifest_exits_three(self, tmp_path, config):
         src = tmp_path / "in"
@@ -621,6 +623,39 @@ class TestEvaluate:
         d = tmp_path / "empty"
         d.mkdir()
         assert cmd_evaluate(d, config, output_dir=tmp_path / "out") == EXIT_EMPTY
+
+    def test_odd_sizes_score_against_the_reference(self, tmp_path, config, rng):
+        src, enhanced = tmp_path / "in", tmp_path / "enhanced"
+        src.mkdir()
+        save_ppm(random_image(rng, 33, 33), src / "odd.ppm")
+        save_ppm(random_image(rng, 50, 50), src / "fifty.ppm")
+        for method in METHOD_LABELS:
+            assert cmd_enhance(src, config, enhanced, method=method) == EXIT_OK
+        out = tmp_path / "out"
+        cfg = PipelineConfig(reference_dir=str(src))
+        assert cmd_evaluate(enhanced, cfg, output_dir=out) == EXIT_OK
+        with open(out / "scores.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        # two images per method, then one mean row per method
+        assert len(rows) == 3 * len(METHOD_LABELS)
+        assert all(row[2] for row in rows)
+
+    def test_stem_mean_is_skipped(self, tmp_path, config, rng, capsys):
+        # scores.csv names its mean rows "mean"; report refuses a second one
+        src = tmp_path / "in"
+        src.mkdir()
+        for name in ("mean.ppm", "mean.classic.ppm", "a.classic.ppm"):
+            save_ppm(random_image(rng, 16, 16), src / name)
+        out = tmp_path / "out"
+        assert cmd_evaluate(src, config, output_dir=out) == EXIT_OK
+        skips = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("skipping")]
+        assert skips == [f"skipping {name}: the stem 'mean' is reserved for mean rows"
+                         for name in ("mean.classic.ppm", "mean.ppm")]
+        rows = [r.split(",")[:2] for r in (out / "scores.csv").read_text().splitlines()[1:]]
+        assert rows == [["a", "Classic"], ["mean", "Classic"]]
+        assert cmd_classify(src, config, out) == EXIT_OK
+        assert cmd_report(out, config, out) == EXIT_OK
 
 
 class TestSplit:
@@ -1053,6 +1088,20 @@ class TestCli:
         produced = [p.name for p in out.iterdir()]
         assert not [n for n in produced if n.startswith(bad[0])]
 
+    @pytest.mark.parametrize("command", ["classify", "enhance", "evaluate", "split", "augment"])
+    def test_name_with_a_carriage_return_is_skipped(self, tmp_path, capfd, command):
+        # csv.writer does not quote a lone CR, and a reader ends the row there
+        src, out = tmp_path / "in", tmp_path / "out"
+        good = corpus(src, count=3)
+        (src / "a\rb.ppm").write_bytes(good[0].read_bytes())
+        argv = [command, "--config", self.write_config(tmp_path),
+                "--input", str(src), "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        err = capfd.readouterr().err.split("\n")
+        skips = [line for line in err if line.startswith("skipping")]
+        assert skips == ["skipping a\rb.ppm: file name holds a carriage return"]
+        assert not [p.name for p in out.iterdir() if "\r" in p.name]
+
     def test_classify_end_to_end(self, tmp_path):
         src = tmp_path / "in"
         corpus(src, count=3)
@@ -1242,43 +1291,66 @@ def print_warning_as_python_does(message, category, filename, lineno, file=None,
     sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
+# File-name pieces that CSV, Markdown, the shell or scores.csv's mean rows
+# treat specially, and a byte that is not UTF-8.
+NOT_UTF8 = os.fsdecode(b"\xff")
+NAME_PIECES = (",", '"', "\r", "\n", "|", "é", "-", "mean", "img", NOT_UTF8)
+
+
 class TestCommandFuzz:
     """Every command, in pipeline order, on small black, white or random PPMs
-    under a few valid configs and each enhance method, ends in a documented
-    exit code with no traceback and no raw Python warning on stderr."""
+    with generated names, under a few valid configs and each enhance method,
+    ends in a documented exit code with no traceback and no raw Python
+    warning on stderr; labels.csv names every file classify reads, and
+    report reads what classify wrote. Stderr is captured at the descriptor,
+    whose stream, like Python's own stderr, does not fail on a name that is
+    not UTF-8."""
 
     @settings(FUZZ, max_examples=40)
     @given(
         images=st.lists(
-            st.tuples(st.integers(1, 32), st.integers(1, 32),
+            st.tuples(st.lists(st.sampled_from(NAME_PIECES), min_size=1, max_size=3)
+                      .map(lambda pieces: "".join(pieces) + ".ppm"),
+                      st.integers(1, 32), st.integers(1, 32),
                       st.sampled_from(("black", "white", "random")),
                       st.integers(0, 2**32 - 1)),
-            min_size=1, max_size=4,
+            min_size=1, max_size=4, unique_by=lambda image: image[0],
         ),
         doc=st.sampled_from(COMMAND_FUZZ_CONFIGS),
         method=st.sampled_from(sorted(METHOD_LABELS)),
     )
-    def test_every_command_ends_cleanly(self, tmp_path, capsys, images, doc, method):
+    def test_every_command_ends_cleanly(self, tmp_path, capfd, images, doc, method):
         run = Path(tempfile.mkdtemp(dir=tmp_path))
         src, out = run / "in", run / "out"
         src.mkdir()
-        for i, (h, w, fill, seed) in enumerate(images):
+        for name, h, w, fill, seed in images:
             if fill == "random":
                 rng = np.random.default_rng(seed)
                 pixels = rng.integers(0, 256, h * w * 3, dtype=np.uint8).tobytes()
             else:
                 pixels = bytes([0 if fill == "black" else 255]) * (h * w * 3)
-            (src / f"img{i}.ppm").write_bytes(f"P6\n{w} {h}\n255\n".encode() + pixels)
+            (src / name).write_bytes(f"P6\n{w} {h}\n255\n".encode() + pixels)
         config = run / "config.json"
         config.write_text(json.dumps(doc))
+        codes = {}
         for command, input_dir in (("classify", src), ("enhance", src), ("evaluate", out),
                                    ("split", src), ("augment", src), ("report", out)):
             with warnings.catch_warnings():
                 warnings.simplefilter("always")
                 warnings.showwarning = print_warning_as_python_does
-                code = main([command, "--config", str(config), "--input", str(input_dir),
-                             "--output", str(out), "--method", method])
-            err = capsys.readouterr().err
-            assert code in (EXIT_OK, EXIT_EMPTY, EXIT_MISSING_WEIGHTS, EXIT_BAD_PARAMS)
+                codes[command] = main([command, "--config", str(config), "--input",
+                                       str(input_dir), "--output", str(out),
+                                       "--method", method])
+            err = capfd.readouterr().err
+            assert codes[command] in (EXIT_OK, EXIT_EMPTY, EXIT_MISSING_WEIGHTS,
+                                      EXIT_BAD_PARAMS)
             for raw in ("Traceback", "Warning:", "warnings.warn("):
                 assert raw not in err, (command, err)
+        # _run's name check skips these two, in every command
+        read = sorted(name for name, *_ in images
+                      if "\r" not in name and NOT_UTF8 not in name)
+        assert codes["classify"] == (EXIT_OK if read else EXIT_EMPTY)
+        if read:
+            assert codes["report"] == EXIT_OK
+            with open(out / "labels.csv", encoding="utf-8", newline="") as f:
+                assert sorted(row[0] for row in list(csv.reader(f))[1:]) == read
