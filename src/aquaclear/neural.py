@@ -4,9 +4,10 @@ feature-extraction heads, and attention-guided pixel adjustment.
 Tensors are plain numpy arrays of shape (channels, height, width); weights
 are float32 (matching the on-disk manifest format) and promoted to float64
 for arithmetic. Everything is inference-only and deterministic: each conv
-layer is one BLAS matrix product per block of output rows, so every output
-value is one BLAS dot product over all (kernel position, input channel)
-pairs of its window; seeded initialization uses a PCG64 generator.
+layer is one BLAS matrix product per block of output rows, written
+straight into the layer's output, so every output value is one BLAS dot
+product over all (kernel position, input channel) pairs of its window;
+seeded initialization uses a PCG64 generator.
 
 A head runs over an image in bands of rows and yields its output a band at
 a time (``BoundExtractor.bands``); it never builds a whole-image
@@ -16,16 +17,21 @@ its next _BAND_ROWS output rows read, padding columns included, and makes
 them with an unpadded call on the ring once it is full, so no call copies
 its input into a padded buffer and every call but each layer's last covers
 a full band; a pool keeps at most one odd row, and a residual block holds
-its input rows until conv_b's rows arrive. No row is computed twice: the
-traced MACs equal the whole-image count. So a head's memory grows with the
-image width, not its area. A pool drops an odd last row or column, so a
-head takes any image its convs can read: at least 2 px a side for VGG and
-3 for ResNet. The schedule depends only on the image size, never on
-threads. Every GEMM runs on a column count padded with zeros to a multiple
-of 16, and at least 32 (_gemm_columns), so streamed features equal
-whole-tensor ones bit for bit, and the OpenBLAS build measured gives the
-same bits at 1 and 2 BLAS threads at every image size tested (README lists
-them).
+its input rows until conv_b's rows arrive. One band in flight per layer:
+a conv or a pool makes all the output its current input band feeds and
+lets go of that band before it yields, and the consumer
+(pipeline._channel_mean) lets go of each band before it asks for the next.
+So while a layer works, the only bands alive are its input band, its own
+output and the residual shortcut rows; the rest is the convs' rings and
+one shared column buffer. No row is computed twice: the traced MACs equal
+the whole-image count. So a head's memory grows with the image width, not
+its area. A pool drops an odd last row or column, so a head takes any image
+its convs can read: at least 2 px a side for VGG and 3 for ResNet. The
+schedule depends only on the image size, never on threads. Every GEMM runs
+on a column count padded with zeros to a multiple of 16, and at least 32
+(_gemm_columns), so streamed features equal whole-tensor ones bit for bit,
+and the OpenBLAS build measured gives the same bits at 1 and 2 BLAS threads
+at every image size tested (README lists them).
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from .errors import (
     ShapeMismatchError,
     ShapeMismatchInManifestError,
 )
-from .image import ImageF32, _map_bands
+from .image import _BAND_PIXELS, ImageF32, _map_bands
 
 __all__ = [
     "ConvLayer",
@@ -152,7 +158,8 @@ def conv_output_dim(extent: int, kernel: int, stride: int, padding: int) -> int:
 # Bytes of one call's column buffer. Rows per block are as many as fit,
 # which bounds the GEMM operand: in a streamed head a call covers one band
 # of at most _BAND_ROWS output rows, so the buffer holds at most that band's
-# columns.
+# columns. A block holds at least one row, so an output row wider than the
+# budget holds more (a VGG conv2 row at 1024 px takes 4.7 MB).
 _COLS_BYTES = 2 << 20
 
 
@@ -165,11 +172,14 @@ def _gemm_columns(n: int) -> int:
     return max(32, -(-n // 16) * 16)
 
 
+# The most zero columns _gemm_columns adds to a block.
+_GEMM_PAD = _gemm_columns(1) - 1
+
+
 class _ConvWork:
     """What a conv layer's calls in one forward pass share: the weights
     reordered once to a (c_out, k*k*c_in) float64 matrix with the bias as a
-    float64 column, and flat column and product buffers that grow to the
-    largest call.
+    float64 column, and a flat column buffer that grows to the largest call.
     ``buffers`` may be shared with the pass's other convs, since one conv
     call ends before the next begins."""
 
@@ -180,13 +190,13 @@ class _ConvWork:
         self.bias = layer.bias.astype(np.float64)[:, None]
         self._buffers = {} if buffers is None else buffers
 
-    def buffer(self, key: str, shape: tuple) -> np.ndarray:
+    def columns(self, shape: tuple) -> np.ndarray:
         """An uninitialized float64 array of ``shape``, reusing the memory
-        of the last one under ``key``."""
+        of the last one."""
         size = math.prod(shape)
-        flat = self._buffers.get(key)
+        flat = self._buffers.get("columns")
         if flat is None or flat.size < size:
-            flat = self._buffers[key] = np.empty(size, dtype=np.float64)
+            flat = self._buffers["columns"] = np.empty(size, dtype=np.float64)
         return flat[:size].reshape(shape)
 
 
@@ -197,16 +207,23 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, work=None) -> np.ndarray:
     x. ``work`` (a _ConvWork of the layer) lets many calls share the
     reordered weights and column buffer.
 
-    With p > 0, x is first copied into a zero-padded array. For each block
-    of output rows, the k*k strided input windows the block reads are copied
-    into one reusable (k*k*c_in, rows*w_out) float64 column buffer, and one
-    matrix product with the weight matrix writes the block's output: every
-    output value is one BLAS dot product over all (kernel position, channel)
-    pairs. The product runs on _gemm_columns(n) columns, the block's n and
-    zero columns after them, into a reusable product buffer whose first n
-    columns are copied to the block. So a value's bits do not depend on the
-    block's size. Bias and activation are applied to the block in place.
-    Rows per block are as many as fit in a fixed byte budget.
+    With p > 0, x is first copied into a zero-padded array. The output is
+    made in blocks of whole rows, as many as fit in a fixed byte budget and
+    at least one. For each block the k*k strided input windows it reads are
+    copied into one reusable (k*k*c_in, n) float64 column buffer, and one
+    matrix product with the weight matrix writes the block's n outputs:
+    every output value is one BLAS dot product over all (kernel position,
+    channel) pairs. The product runs on _gemm_columns(n) columns, the
+    block's n and zero columns after them, so a value's bits do not depend
+    on the block's size. It writes straight into the output, whose channels
+    each have _GEMM_PAD spare values after their last row: a block's zero
+    columns land on the next block's rows, or on the spare values, before
+    that block is made. Bias and activation are applied to the block in
+    place.
+
+    So the result is a view: each channel's (h_out, w_out) values are
+    C-contiguous, but channels lie h_out*w_out + _GEMM_PAD values apart.
+    np.ascontiguousarray gives a packed copy.
     """
     if x.ndim != 3:
         raise ShapeMismatchError(f"input must be rank 3, got rank {x.ndim}")
@@ -219,7 +236,7 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, work=None) -> np.ndarray:
     h_out = conv_output_dim(h_in, k, s, p)
     w_out = conv_output_dim(w_in, k, s, p)
     c_out = layer.out_channels
-    out = np.empty((c_out, h_out, w_out), dtype=np.float64)
+    flat = np.empty((c_out, h_out * w_out + _GEMM_PAD), dtype=np.float64)
     if work is None:
         work = _ConvWork(layer)
     if p:
@@ -232,17 +249,16 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, work=None) -> np.ndarray:
     for r0 in range(0, h_out, rows):
         r1 = min(r0 + rows, h_out)
         n = (r1 - r0) * w_out
-        cols = work.buffer("columns", (depth, _gemm_columns(n)))
+        cols = work.columns((depth, _gemm_columns(n)))
         np.copyto(cols[:, :n].reshape(k, k, c_in, r1 - r0, w_out), windows[:, :, :, r0:r1])
         cols[:, n:] = 0.0
-        product = work.buffer("product", (c_out, cols.shape[1]))
-        np.matmul(work.wmat, cols, out=product)
-        block = out[:, r0:r1].reshape(c_out, -1)
-        np.copyto(block, product[:, :n])
+        start = r0 * w_out
+        np.matmul(work.wmat, cols, out=flat[:, start : start + cols.shape[1]])
+        block = flat[:, start : start + n]
         block += work.bias
         if layer.activation == "relu":
             np.maximum(block, 0.0, out=block)
-    return out
+    return flat[:, : h_out * w_out].reshape(c_out, h_out, w_out)
 
 
 def residual_forward(x: np.ndarray, block: ResidualBlock) -> np.ndarray:
@@ -256,10 +272,8 @@ def max_pool2(t: np.ndarray) -> np.ndarray:
     dropped (floor mode)."""
     c, h, w = t.shape
     t = t[:, : h - h % 2, : w - w % 2]
-    return np.maximum(
-        np.maximum(t[:, 0::2, 0::2], t[:, 0::2, 1::2]),
-        np.maximum(t[:, 1::2, 0::2], t[:, 1::2, 1::2]),
-    )
+    top = np.maximum(t[:, 0::2, 0::2], t[:, 0::2, 1::2])
+    return np.maximum(top, np.maximum(t[:, 1::2, 0::2], t[:, 1::2, 1::2]), out=top)
 
 
 # ------------------------------------------------------- band streaming
@@ -284,7 +298,8 @@ def _conv_bands(layer: ConvLayer, bands, buffers: dict):
     of the layer makes those outputs from them and the ring moves the k - s
     rows still needed to the top. At the end of the input the rows below the
     last input row are zeroed, as the bottom padding, and the layer makes
-    the rest.
+    the rest. An input band is let go of once all its rows are in the ring,
+    and the outputs it completed are yielded after that.
     """
     k, s, p = layer.kernel, layer.stride, layer.padding
     if p > k // 2 or s > k:
@@ -301,7 +316,10 @@ def _conv_bands(layer: ConvLayer, bands, buffers: dict):
         nonlocal fill, done
         out = conv2d_forward(ring[:, : (m - 1) * s + k], valid, work=work)
         keep = max(fill - m * s, 0)
-        ring[:, :keep] = ring[:, m * s : fill]
+        # by channel: a whole-ring copy's bounds overlap, so numpy would
+        # copy it through a temporary
+        for plane in ring:
+            plane[:keep] = plane[m * s : fill]
         fill, done = keep, done + m
         return out
 
@@ -309,13 +327,18 @@ def _conv_bands(layer: ConvLayer, bands, buffers: dict):
         if ring is None:
             ring = np.zeros((band.shape[0], need, band.shape[2] + 2 * p))
         rows_in += band.shape[1]
-        while band.shape[1]:
+        # what this band completes, popped as yielded: no local holds an
+        # output band while the generator waits
+        outs = []
+        while band is not None:
             n = min(band.shape[1], need - fill)
             ring[:, fill : fill + n, p : p + band.shape[2]] = band[:, :n]
             fill += n
-            band = band[:, n:]
+            band = band[:, n:] if n < band.shape[1] else None
             if fill == need:
-                yield run(_BAND_ROWS)
+                outs.append(run(_BAND_ROWS))
+        while outs:
+            yield outs.pop(0)
     h_out = conv_output_dim(rows_in, k, s, p)
     while done < h_out:
         ring[:, fill:] = 0.0
@@ -323,21 +346,26 @@ def _conv_bands(layer: ConvLayer, bands, buffers: dict):
 
 
 def _pool_bands(bands):
-    """2x2 max pooling of row pairs; an odd row waits for the next band, and
-    one left at the end of the input is dropped."""
+    """2x2 max pooling of row pairs; an odd row waits, copied, for the next
+    band, and one left at the end of the input is dropped. Each input band
+    is let go of before its pooled rows are yielded."""
     odd = None
     for band in bands:
         if odd is not None:
             band = np.concatenate([odd, band], axis=1)
         pairs = band.shape[1] // 2
-        odd = band[:, 2 * pairs :] if band.shape[1] % 2 else None
-        if pairs:
-            yield max_pool2(band[:, : 2 * pairs])
+        odd = band[:, 2 * pairs :].copy() if band.shape[1] % 2 else None
+        outs = [max_pool2(band[:, : 2 * pairs])] if pairs else []
+        del band
+        while outs:
+            yield outs.pop()
 
 
 def _residual_bands(block: ResidualBlock, bands, buffers: dict):
     """relu(x + conv_b(conv_a(x))): each input band goes to conv_a and is
-    held for the shortcut until conv_b's output rows arrive."""
+    held for the shortcut until conv_b's output rows arrive. ``map``,
+    unlike a generator's loop variable, holds no output band while the next
+    one is made."""
     held = []  # input bands not yet added, oldest first
 
     def tee():
@@ -345,8 +373,7 @@ def _residual_bands(block: ResidualBlock, bands, buffers: dict):
             held.append(band)
             yield band
 
-    inner = _conv_bands(block.conv_a, tee(), buffers)
-    for out in _conv_bands(block.conv_b, inner, buffers):
+    def add_shortcut(out):
         r = 0
         while r < out.shape[1]:
             n = min(out.shape[1] - r, held[0].shape[1])
@@ -355,7 +382,10 @@ def _residual_bands(block: ResidualBlock, bands, buffers: dict):
             if not held[0].shape[1]:
                 held.pop(0)
             r += n
-        yield np.maximum(out, 0.0, out=out)
+        return np.maximum(out, 0.0, out=out)
+
+    inner = _conv_bands(block.conv_a, tee(), buffers)
+    return map(add_shortcut, _conv_bands(block.conv_b, inner, buffers))
 
 
 # ------------------------------------------------------------ head specs
@@ -618,7 +648,10 @@ def feature_bands(img: ImageF32, extractor: BoundExtractor):
 
 
 def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Half-pixel-center bilinear resampling with clamped borders."""
+    """Half-pixel-center bilinear resampling with clamped borders, made in
+    row bands of about image._BAND_PIXELS outputs straight into the result,
+    so its temporaries are a band's. Every step is elementwise, so bands
+    never change a bit."""
     in_h, in_w = plane.shape
     ys = (np.arange(out_h, dtype=np.float64) + 0.5) * in_h / out_h - 0.5
     xs = (np.arange(out_w, dtype=np.float64) + 0.5) * in_w / out_w - 0.5
@@ -630,9 +663,14 @@ def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.clip(x0f.astype(np.int64) + 1, 0, in_w - 1)
     wy = wy[:, None]
     wx = wx[None, :]
-    top = (1.0 - wx) * plane[np.ix_(y0, x0)] + wx * plane[np.ix_(y0, x1)]
-    bottom = (1.0 - wx) * plane[np.ix_(y1, x0)] + wx * plane[np.ix_(y1, x1)]
-    return (1.0 - wy) * top + wy * bottom
+    out = np.empty((out_h, out_w))
+    step = max(1, _BAND_PIXELS // out_w)
+    for r0 in range(0, out_h, step):
+        r = slice(r0, r0 + step)
+        top = (1.0 - wx) * plane[np.ix_(y0[r], x0)] + wx * plane[np.ix_(y0[r], x1)]
+        bottom = (1.0 - wx) * plane[np.ix_(y1[r], x0)] + wx * plane[np.ix_(y1[r], x1)]
+        out[r] = (1.0 - wy[r]) * top + wy[r] * bottom
+    return out
 
 
 def attention_map(features: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -699,8 +737,11 @@ def feature_guided_enhance(
     The plan is built from the original image's degradation flags, so at
     gain 0 the output matches the purely classical path bit-for-bit.
     ``plan_overrides`` maps a StepKind to its step's parameter object.
+    ``attn`` is let go of once applied, so when the caller keeps no
+    reference to it the plan's steps run without it.
     """
     adjusted = attention_adjust(img, attn, gain)
+    del attn
     flags, _ = classify(img, thresholds)
     plan = build_plan(flags, plan_overrides)
     return apply_plan(adjusted, plan, on_step)

@@ -259,6 +259,11 @@ def _skipped(result) -> bool:
     return isinstance(result, dict) and "error" in result
 
 
+# Backslash escapes for the C0 control characters, so a name holding a
+# carriage return or a line feed prints on its own skip line, whole.
+_C0_ESCAPES = {c: repr(chr(c))[1:-1] for c in range(0x20)}
+
+
 def _run(files, one, threads: int) -> list:
     """``one(path)`` for every file, results in input order.
 
@@ -266,7 +271,8 @@ def _run(files, one, threads: int) -> list:
     holds a carriage return, which a CSV reader takes for a line end, is
     not read. That, an AquaClearError or a MemoryError turns the file's
     result into the skip record {"file": name, "error": reason} and prints
-    one ``skipping`` line on stderr.
+    one ``skipping`` line on stderr, with any C0 control character in it
+    escaped (``a\\rb.ppm``).
     """
 
     def item(path):
@@ -284,7 +290,8 @@ def _run(files, one, threads: int) -> list:
     results = _pmap(item, files, threads)
     for r in results:
         if _skipped(r):
-            print(f"skipping {r['file']}: {r['error']}", file=sys.stderr)
+            print(f"skipping {r['file']}: {r['error']}".translate(_C0_ESCAPES),
+                  file=sys.stderr)
     return results
 
 
@@ -336,9 +343,21 @@ def _channel_mean(img: ImageF32, head) -> np.ndarray:
     """The channel mean of the head's features, taken band by band as the
     head streams them, so the whole feature tensor never exists. Each band's
     mean has the bits of the whole tensor's: numpy reduces axis 0 in order."""
-    return np.concatenate(
-        [band.mean(axis=0, dtype=np.float64) for band in feature_bands(img, head)]
-    )
+    means = []
+    for band in feature_bands(img, head):
+        means.append(band.mean(axis=0, dtype=np.float64))
+        del band  # so the head makes its next band with this one freed
+    return np.concatenate(means)
+
+
+def _attention(img: ImageF32, heads: list) -> np.ndarray:
+    """The attention map of img from each head, fused when there are two.
+    Every head runs before any map of the image's size exists."""
+    means = [_channel_mean(img, h) for h in heads]
+    attn = attention_map(means[0], img.height, img.width)
+    if len(means) == 2:
+        attn = fuse_attention(attn, attention_map(means[1], img.height, img.width))
+    return attn
 
 
 def _load_heads(config: PipelineConfig, method: str, seed: int) -> list:
@@ -408,11 +427,10 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
         flags, category = classify(img, config.thresholds)
         plan = build_plan(flags, overrides)
         if heads:
-            maps = [attention_map(_channel_mean(img, h), img.height, img.width)
-                    for h in heads]
-            attn = fuse_attention(*maps) if len(maps) == 2 else maps[0]
+            # no name here holds the map, so it is freed once applied
             enhanced = feature_guided_enhance(
-                img, attn, config.neural.gain, config.thresholds, overrides, hook
+                img, _attention(img, heads), config.neural.gain, config.thresholds,
+                overrides, hook,
             )
         else:
             enhanced = apply_plan(img, plan, hook)

@@ -119,6 +119,15 @@ class TestConvForward:
             x = rng.standard_normal((case["in_c"], case["h"], case["w"]))
             assert np.allclose(conv2d_forward(x, layer), cnn_conv_oracle(x, layer), atol=1e-9)
 
+    def test_output_channels_lie_apart_by_the_gemm_pad(self, rng):
+        # the GEMMs write straight into the output, so each channel has
+        # _GEMM_PAD spare values after its last row
+        layer = make_layer(rng, 3, 2, 3, stride=1, padding=1)
+        out = conv2d_forward(rng.standard_normal((2, 5, 7)), layer)
+        assert out.shape == (3, 5, 7)
+        assert out.strides == (8 * (5 * 7 + aquaclear.neural._GEMM_PAD), 8 * 7, 8)
+        assert all(plane.flags.c_contiguous for plane in out)
+
     def test_output_dim_floor_semantics(self):
         assert conv_output_dim(64, 7, 2, 3) == 32
         assert conv_output_dim(7, 3, 2, 1) == 4
@@ -364,6 +373,30 @@ class TestStreamingMemory:
         assert after_pass < 100e3, f"{after_pass / 1e3:.1f} kB"
         assert after_drop < 100e3, f"{after_drop / 1e3:.1f} kB"
 
+    # A 1024 px wide strip, where a VGG conv2 output row needs 4.7 MB of
+    # GEMM columns. When each layer let go of its input band only after
+    # making its next output band, and the GEMMs wrote into a product
+    # buffer that was then copied, VGG took 42.5 MB and ResNet 10.6 MB;
+    # with one band in flight per layer they take 26.4 MB and 8.7 MB.
+    @pytest.mark.parametrize("build, bound_mb", [
+        (build_vgg_head, 30.4), (build_resnet_head, 10.0),
+    ], ids=["vgg", "resnet"])
+    def test_channel_mean_heap_peak_on_a_wide_strip(self, build, bound_mb):
+        ext = init_weights(build(), seed=0)
+        img = ImageF32(np.random.default_rng(0).uniform(0, 1, (3, 32, 1024))
+                       .astype(np.float32))
+        peak, _ = heap_peak(_channel_mean, img, ext)
+        assert peak < bound_mb * 1e6, f"{peak / 1e6:.2f} MB"
+
+    def test_attention_map_scratch_grows_with_width_not_height(self):
+        # the whole-map resize held five more maps of the output's size
+        def scratch(h, w):
+            m = np.random.default_rng(0).random((h // 4, w // 4))
+            peak, out = heap_peak(attention_map, m, h, w)
+            return peak - out.nbytes - m.nbytes
+
+        assert scratch(1024, 256) < 1.3 * scratch(256, 256)
+
     def test_attention_adjust_heap_peak_at_512(self):
         rng = np.random.default_rng(0)
         img = ImageF32(rng.uniform(0, 1, (3, 512, 512)).astype(np.float32))
@@ -530,6 +563,47 @@ def feature_digest(blas_threads, h, w):
     return done.stdout.strip()
 
 
+# FEATURE_DIGEST at 1 and 2 BLAS threads, recorded before the conv GEMMs
+# wrote straight into their output, with the build PINNED_BUILD names.
+# OpenBLAS picks its kernels by CPU (DYNAMIC_ARCH), so another build or CPU
+# may round differently and read other digests.
+PINNED_DIGESTS = {
+    (128, 128): "a433fb166a0516437181bebe8dbeb63924490fd42923ba342bb3c66aed5df5b3",
+    (24, 1040): "8a49b4906eb7b7d54763ec2e8913290a14f340ada6c7cdc109fa22a7c8a6ee84",
+}
+PINNED_BUILD = ("2.4.6", "0.3.31.188.0", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
+
+
+def blas_build():
+    """numpy's version, its BLAS's, and the SIMD targets numpy found on this
+    CPU, which stand in for the kernels OpenBLAS picks."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("version")
+    if np.__version__ != PINNED_BUILD[0] or blas != PINNED_BUILD[1]:
+        return np.__version__, blas, None
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return np.__version__, blas, tuple(f for f in __cpu_dispatch__ if __cpu_features__[f])
+
+
+def conv_one_gemm_per_row(x, layer):
+    """conv2d_forward's arithmetic with one GEMM per output row, each into
+    a fresh contiguous product, as before the GEMMs wrote into the output."""
+    k, s, p = layer.kernel, layer.stride, layer.padding
+    c_out = layer.out_channels
+    x = np.pad(x, ((0, 0), (p, p), (p, p)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+    windows = windows[:, ::s, ::s].transpose(3, 4, 0, 1, 2)
+    h_out, w_out = windows.shape[3:]
+    wmat = layer.weights.transpose(0, 2, 3, 1).reshape(c_out, -1).astype(np.float64)
+    out = np.empty((c_out, h_out, w_out))
+    for r in range(h_out):
+        cols = np.zeros((wmat.shape[1], aquaclear.neural._gemm_columns(w_out)))
+        cols[:, :w_out] = windows[:, :, :, r].reshape(-1, w_out)
+        row = np.matmul(wmat, cols)[:, :w_out] + layer.bias.astype(np.float64)[:, None]
+        out[:, r] = np.maximum(row, 0.0) if layer.activation == "relu" else row
+    return out
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("blas_threads", [2, 3, 4])
     @pytest.mark.parametrize("h, w", [
@@ -544,6 +618,41 @@ class TestDeterminism:
         one = feature_digest(1, h, w)
         assert len(one) == 64
         assert feature_digest(blas_threads, h, w) == one
+
+    @pytest.mark.parametrize("blas_threads", [1, 2])
+    @pytest.mark.parametrize("h, w", sorted(PINNED_DIGESTS))
+    def test_features_keep_their_recorded_bits(self, h, w, blas_threads):
+        if blas_build() != PINNED_BUILD:
+            pytest.skip(f"digests recorded with {PINNED_BUILD}, not {blas_build()}")
+        assert feature_digest(blas_threads, h, w) == PINNED_DIGESTS[h, w]
+
+    # Every conv of both heads, fed at the size the head gives it. At 1040
+    # px one VGG conv2 output row needs more columns than the budget holds.
+    @pytest.mark.parametrize("build", [build_vgg_head, build_resnet_head],
+                             ids=["vgg", "resnet"])
+    @pytest.mark.parametrize("h, w", sorted(PINNED_DIGESTS))
+    def test_conv_bits_do_not_depend_on_blocks_or_product_layout(self, monkeypatch,
+                                                                 build, h, w):
+        assert 8 * 9 * 64 * 1040 > aquaclear.neural._COLS_BYTES
+        ext = init_weights(build(), seed=7)
+        rng = np.random.default_rng(0)
+        for spec in ext.spec.layers:
+            if spec.kind == "pool":
+                h, w = h // 2, w // 2
+                continue
+            convs = ([(spec.name, "relu")] if spec.kind == "conv"
+                     else [(f"{spec.name}.a", "relu"), (f"{spec.name}.b", "none")])
+            for name, activation in convs:
+                layer = ext._conv(name, spec, activation)
+                x = rng.uniform(0.0, 1.0, (layer.in_channels, h, w))
+                default = conv2d_forward(x, layer)
+                with monkeypatch.context() as m:
+                    m.setattr(aquaclear.neural, "_COLS_BYTES", 1)
+                    one_row = conv2d_forward(x, layer)
+                assert np.array_equal(default, one_row), name
+                assert np.array_equal(one_row, conv_one_gemm_per_row(x, layer)), name
+            h = conv_output_dim(h, spec.kernel, spec.stride, spec.padding)
+            w = conv_output_dim(w, spec.kernel, spec.stride, spec.padding)
 
 
 class TestWeights:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import aquaclear.pipeline as pipeline
@@ -45,6 +45,7 @@ from conftest import (
     byte_edits,
     constant_image,
     fail_writes_midway,
+    heap_peak,
     mutate,
     random_image,
 )
@@ -478,6 +479,18 @@ class TestEnhance:
         assert (img.height, img.width) == (50, 50)
         rec = json.loads((out / "enhance_log.jsonl").read_text())
         assert "cropped" not in rec
+
+    def test_unite_heap_peak_at_512(self, tmp_path, config):
+        # 30.2 MB when each head layer held its input band until its next
+        # output band was made, and both heads' maps were resized whole
+        # between the passes; 21.0 MB with one band in flight per layer
+        src, out = tmp_path / "in", tmp_path / "out"
+        corpus(src, count=1, size=512)
+        peak, code = heap_peak(cmd_enhance, src, config, out, "unite")
+        assert code == EXIT_OK
+        # a gray-world plan: no NLM, whose scratch would set the peak
+        assert json.loads((out / "enhance_log.jsonl").read_text())["plan"] == ["gray_world"]
+        assert peak < 24.1e6, f"{peak / 1e6:.2f} MB"
 
     def test_missing_manifest_exits_three(self, tmp_path, config):
         src = tmp_path / "in"
@@ -1099,8 +1112,22 @@ class TestCli:
         assert main(argv) == EXIT_OK
         err = capfd.readouterr().err.split("\n")
         skips = [line for line in err if line.startswith("skipping")]
-        assert skips == ["skipping a\rb.ppm: file name holds a carriage return"]
+        assert skips == ["skipping a\\rb.ppm: file name holds a carriage return"]
         assert not [p.name for p in out.iterdir() if "\r" in p.name]
+
+    @pytest.mark.parametrize("command", ["classify", "enhance", "evaluate", "augment"])
+    def test_control_characters_in_a_skip_line_print_escaped(self, tmp_path, capfd,
+                                                              command):
+        # a line feed is a valid name character, so this file is read and fails
+        src, out = tmp_path / "in", tmp_path / "out"
+        corpus(src, count=3)
+        (src / "a\nb\x01.ppm").write_bytes(b"P6\n0 4\n255\n")
+        argv = [command, "--config", self.write_config(tmp_path),
+                "--input", str(src), "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        err = capfd.readouterr().err.split("\n")
+        skips = [line for line in err if line.startswith("skipping")]
+        assert skips == ["skipping a\\nb\\x01.ppm: dimensions 0x4 invalid"]
 
     def test_classify_end_to_end(self, tmp_path):
         src = tmp_path / "in"
@@ -1306,7 +1333,10 @@ class TestCommandFuzz:
     whose stream, like Python's own stderr, does not fail on a name that is
     not UTF-8."""
 
-    @settings(FUZZ, max_examples=40)
+    # no shrink phase: minimising a failing example re-runs every command
+    # for minutes, while every generated example is still checked
+    @settings(FUZZ, max_examples=40,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(
         images=st.lists(
             st.tuples(st.lists(st.sampled_from(NAME_PIECES), min_size=1, max_size=3)
