@@ -39,13 +39,16 @@ with tempfile.TemporaryDirectory(prefix="aquaclear_demo_") as tmp:
     files = write_corpus(corpus, count=20, seed=7, size=32)
     print(f"corpus: {len(files)} images in {corpus}\n")
 
+    # The config's seed (7 by default) draws the unite heads' weights,
+    # split's shuffle and augment's crops; the output directories and the
+    # method are arguments.
     config = PipelineConfig(reference_dir=str(corpus))
 
     cmd_classify(corpus, config, work)
-    cmd_enhance(corpus, config, work / "enhanced", method="unite", seed=7)
+    cmd_enhance(corpus, config, work / "enhanced", method="unite")
     cmd_evaluate(work / "enhanced", config, output_dir=work)
     cmd_split(corpus, config, work)
-    cmd_augment(corpus, config, work / "augmented", seed=7)
+    cmd_augment(corpus, config, work / "augmented")
     cmd_report(work, config, work)
 
     print("\nwork directory now holds:")

@@ -1,10 +1,13 @@
 """Command line front end.
 
     aquaclear <command> --config <path> [--input <dir>] [--output <dir>]
-                        [--seed <u64>] [--method <name>] [--verbose]
+                        [--method <name>] [--verbose]
 
-Commands: classify, enhance, evaluate, split, augment, report. --verbose
-adds per-step traces to enhance's log and affects no other command.
+Commands: classify, enhance, evaluate, split, augment, report. --input
+defaults to the working directory and --output to ``out``. --method
+(classic, vgg, resnet or unite; default classic) and --verbose, which adds
+per-step traces to enhance's log, affect only enhance. The seed, like every
+other setting, comes from the config.
 Exit codes: 0 success, 2 empty input, no image succeeded, or parse failure,
 3 missing weights, 4 bad parameters or an output that cannot be written.
 Each warning raised while a command runs prints as one ``warning:`` line.
@@ -29,7 +32,14 @@ from .pipeline import (
     cmd_split,
 )
 
-COMMANDS = ("classify", "enhance", "evaluate", "split", "augment", "report")
+COMMANDS = {
+    "classify": cmd_classify,
+    "enhance": cmd_enhance,
+    "evaluate": cmd_evaluate,
+    "split": cmd_split,
+    "augment": cmd_augment,
+    "report": cmd_report,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,9 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--input", default=".", help="input directory")
-    parser.add_argument("--output", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--method", default=None,
+    parser.add_argument("--output", default="out", help="output directory")
+    parser.add_argument("--method", default="classic",
                         help="enhancement method: classic|vgg|resnet|unite")
     parser.add_argument("--verbose", action="store_true",
                         help="add per-step traces to enhance_log.jsonl")
@@ -55,9 +64,6 @@ def _warning_line(message, category, filename, lineno, file=None, line=None):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.seed is not None and args.seed < 0:
-        print("seed must be non-negative", file=sys.stderr)
-        return EXIT_BAD_PARAMS
     try:
         config = PipelineConfig.load(args.config)
     except CsvParseError as exc:
@@ -71,20 +77,9 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = _warning_line
+        extra = (args.method, args.verbose) if args.command == "enhance" else ()
         try:
-            if args.command == "classify":
-                return cmd_classify(args.input, config, args.output)
-            if args.command == "enhance":
-                return cmd_enhance(
-                    args.input, config, args.output, args.method, args.seed, args.verbose
-                )
-            if args.command == "evaluate":
-                return cmd_evaluate(args.input, config, args.output)
-            if args.command == "split":
-                return cmd_split(args.input, config, args.output, args.seed)
-            if args.command == "augment":
-                return cmd_augment(args.input, config, args.output, args.seed)
-            return cmd_report(args.input, config, args.output)
+            return COMMANDS[args.command](args.input, config, args.output, *extra)
         except AquaClearError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_PARAMS

@@ -138,6 +138,10 @@ def load_ppm(path) -> ImageF32:
     callers do.
     """
     try:
+        # reading a FIFO might never end; is_file raises what stat does
+        # for a path it cannot search, such as EACCES
+        if not Path(path).is_file():
+            raise IoFailureError("cannot read: missing or not a regular file")
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise IoFailureError(f"cannot read: {exc.strerror}") from exc

@@ -539,10 +539,12 @@ def _is_count(value) -> bool:
 def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
     """Bind a manifest's blob to the spec; shapes must match slot-for-slot."""
     manifest_path = Path(manifest_path)
-    # reading a device or FIFO might never end, or fill memory
-    if not manifest_path.is_file():
-        raise IoFailureError(f"manifest {str(manifest_path)!r} is missing or not a regular file")
     try:
+        # reading a device or FIFO might never end, or fill memory
+        if not manifest_path.is_file():
+            raise IoFailureError(
+                f"manifest {str(manifest_path)!r} is missing or not a regular file"
+            )
         doc = json.loads(manifest_path.read_text())
     except OSError as exc:
         raise IoFailureError(f"cannot read manifest: {exc}") from exc
@@ -561,8 +563,6 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
     if not isinstance(blob_name, str):
         raise CorruptBlobError(f"blob must be a file name, got {blob_name!r}")
     blob_path = manifest_path.parent / blob_name
-    if not blob_path.is_file():
-        raise CorruptBlobError(f"blob {blob_name!r} is missing or not a regular file")
     slices = []  # (name, shape, start, end) per entry
     for entry, (name, shape) in zip(entries, expected):
         if not isinstance(entry, dict) or not _ENTRY_KEYS <= entry.keys():
@@ -600,6 +600,8 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
     # never ask for more than it holds (read(n) allocates n bytes up front).
     need = max(end for *_, end in slices)
     try:
+        if not blob_path.is_file():
+            raise CorruptBlobError(f"blob {blob_name!r} is missing or not a regular file")
         with blob_path.open("rb") as f:
             blob = f.read(min(need, blob_path.stat().st_size))
     except OSError as exc:

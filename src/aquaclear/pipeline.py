@@ -1,15 +1,16 @@
 """Batch commands behind the CLI: classify, enhance, evaluate, split,
 augment, and report.
 
-Every command is a plain function taking parsed inputs plus a PipelineConfig
-and returning a process exit code (0 ok, 2 empty input, no image succeeded
-or parse failure, 3 missing weights, 4 bad parameters); an output directory
-or file that cannot be written raises IoFailureError. The per-image
-commands share one runner: an image that fails is skipped with one stderr
-line and the rest of the batch runs. All outputs are deterministic for a
-given (input set, config, seed) at any thread count: per-image work is
-pure, results are collected in input order, and output files never embed
-absolute paths or timestamps.
+Every command is a plain function taking an input directory, a
+PipelineConfig and an output directory (enhance also a method) and returning
+a process exit code (0 ok, 2 empty input, no image succeeded or parse
+failure, 3 missing weights, 4 bad parameters); an output directory or file
+that cannot be written raises IoFailureError. The per-image commands share
+one runner: an image that fails is skipped with one stderr line and the rest
+of the batch runs. All outputs are deterministic for a given input set and
+config (whose seed drives every random draw) at any thread count: per-image
+work is pure, results are collected in input order, and output files never
+embed absolute paths or timestamps.
 """
 
 from __future__ import annotations
@@ -154,14 +155,11 @@ def _from_json(cls, doc: dict, prefix: str = ""):
 
 @dataclass(frozen=True)
 class NeuralConfig:
-    method: str = "classic"
     gain: float = 0.5
     vgg_manifest: str | None = None
     resnet_manifest: str | None = None
 
     def __post_init__(self):
-        if self.method not in METHOD_LABELS:
-            raise ValueError(f"unknown method {self.method!r}")
         if self.gain < 0.0:
             raise ValueError("gain must be >= 0")
 
@@ -202,14 +200,14 @@ class PipelineConfig:
     neural: NeuralConfig = field(default_factory=NeuralConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-    output_dir: str = "out"
     reference_dir: str | None = None
     seed: int = 7
     threads: int = 1
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        # _pmap starts one thread per image up to this count
+        if not 1 <= self.threads <= 64:
+            raise ConfigError("threads must lie in [1, 64]")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -220,10 +218,10 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        # reading a device or FIFO might never end, or fill memory
-        if not Path(path).is_file():
-            raise CsvParseError(0, f"cannot read config {path}: missing or not a regular file")
         try:
+            # reading a device or FIFO might never end, or fill memory
+            if not Path(path).is_file():
+                raise CsvParseError(0, f"cannot read config {path}: missing or not a regular file")
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         # ValueError covers bad JSON, bytes that are not UTF-8 and integers
         # past the digit limit; RecursionError, nesting too deep to parse.
@@ -312,9 +310,9 @@ def _write(path: Path, text: str) -> None:
 
 # ----------------------------------------------------------------- classify
 
-def cmd_classify(input_dir, config: PipelineConfig, output_dir=None) -> int:
+def cmd_classify(input_dir, config: PipelineConfig, output_dir) -> int:
     """Label every PPM and write labels.csv, summary.csv, cooccurrence.csv."""
-    out = Path(output_dir or config.output_dir)
+    out = Path(output_dir)
     files = _list_ppms(input_dir)
 
     def one(path):
@@ -360,12 +358,12 @@ def _attention(img: ImageF32, heads: list) -> np.ndarray:
     return attn
 
 
-def _load_heads(config: PipelineConfig, method: str, seed: int) -> list:
+def _load_heads(config: PipelineConfig, method: str) -> list:
     """Build and bind the extractors a method needs, VGG first, or raise."""
     heads = []
     for name, build, manifest, head_seed in (
-        ("vgg", build_vgg_head, config.neural.vgg_manifest, seed),
-        ("resnet", build_resnet_head, config.neural.resnet_manifest, seed + 1),
+        ("vgg", build_vgg_head, config.neural.vgg_manifest, config.seed),
+        ("resnet", build_resnet_head, config.neural.resnet_manifest, config.seed + 1),
     ):
         if method in (name, "unite"):
             spec = build()
@@ -375,8 +373,7 @@ def _load_heads(config: PipelineConfig, method: str, seed: int) -> list:
     return heads
 
 
-def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
-                method: str | None = None, seed: int | None = None,
+def cmd_enhance(input_dir, config: PipelineConfig, output_dir, method: str,
                 verbose: bool = False) -> int:
     """Enhance every PPM with the chosen method and log each image's plan.
 
@@ -384,9 +381,7 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
     attention-guided V adjustment from the respective head(s), then the same
     plan. Every output has its input's size.
     """
-    out = Path(output_dir or config.output_dir)
-    method = method or config.neural.method
-    seed = config.seed if seed is None else seed
+    out = Path(output_dir)
     if method not in METHOD_LABELS:
         print(f"unknown method {method!r}", file=sys.stderr)
         return EXIT_BAD_PARAMS
@@ -395,7 +390,7 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir=None,
         print("no input images", file=sys.stderr)
         return EXIT_EMPTY
     try:
-        heads = _load_heads(config, method, seed)
+        heads = _load_heads(config, method)
     except AquaClearError as exc:
         print(f"cannot load weights: {exc}", file=sys.stderr)
         return EXIT_MISSING_WEIGHTS
@@ -468,11 +463,11 @@ def _parse_enhanced_name(name: str):
     return base, METHOD_ORDER[0]
 
 
-def cmd_evaluate(input_dir, config: PipelineConfig, output_dir=None) -> int:
+def cmd_evaluate(input_dir, config: PipelineConfig, output_dir) -> int:
     """Score each enhanced image and write scores.csv (fixed header); PSNR
     needs a same-named image in config.reference_dir. An image whose stem
     is ``mean``, which names scores.csv's mean rows, is skipped."""
-    out = Path(output_dir or config.output_dir)
+    out = Path(output_dir)
     files = _list_ppms(input_dir)
     ref_dir = Path(config.reference_dir) if config.reference_dir else None
 
@@ -521,18 +516,16 @@ def _largest_remainder(total: int, ratios) -> list:
     return counts
 
 
-def cmd_split(input_dir, config: PipelineConfig, output_dir=None,
-              seed: int | None = None) -> int:
+def cmd_split(input_dir, config: PipelineConfig, output_dir) -> int:
     """Shuffle the file list and allocate train/val/test by largest remainder."""
-    out = Path(output_dir or config.output_dir)
-    seed = config.seed if seed is None else seed
+    out = Path(output_dir)
     # split reads no file, so only _run's name check can skip one
     files = [r for r in _run(_list_ppms(input_dir), lambda path: path, 1) if not _skipped(r)]
     if len(files) < 3:
         print("need at least 3 files to split", file=sys.stderr)
         return EXIT_EMPTY
     counts = _largest_remainder(len(files), config.split.ratios)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(config.seed))
     order = rng.permutation(len(files))
     buckets = {}
     cursor = 0
@@ -559,15 +552,13 @@ def _augment_rng(seed: int, name: str, sample: int) -> np.random.Generator:
     ))
 
 
-def cmd_augment(input_dir, config: PipelineConfig, output_dir=None,
-                seed: int | None = None) -> int:
+def cmd_augment(input_dir, config: PipelineConfig, output_dir) -> int:
     """Seeded random crop + per-channel gain jitter, samples_per_image each.
 
-    The per-sample generator is derived from (seed, file name, sample index)
-    and draws, in order: top offset, left offset, then R/G/B gains.
+    The per-sample generator is derived from (config seed, file name, sample
+    index) and draws, in order: top offset, left offset, then R/G/B gains.
     """
-    out = Path(output_dir or config.output_dir)
-    seed = config.seed if seed is None else seed
+    out = Path(output_dir)
     aug = config.augment
     files = _list_ppms(input_dir)
 
@@ -581,7 +572,7 @@ def cmd_augment(input_dir, config: PipelineConfig, output_dir=None,
                 f"{aug.crop_fraction}"
             )
         for k in range(aug.samples_per_image):
-            rng = _augment_rng(seed, path.name, k)
+            rng = _augment_rng(config.seed, path.name, k)
             top = int(rng.integers(0, img.height - crop_h + 1))
             left = int(rng.integers(0, img.width - crop_w + 1))
             gains = rng.uniform(
@@ -606,6 +597,9 @@ def cmd_augment(input_dir, config: PipelineConfig, output_dir=None,
 def _read_csv(path: Path) -> list:
     """(line number, row) for every non-empty row of a UTF-8 CSV file."""
     try:
+        # reading a FIFO might never end
+        if not path.is_file():
+            raise CsvParseError(0, f"cannot read {path.name}: missing or not a regular file")
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CsvParseError(0, f"cannot read {path.name}: {exc}") from exc
@@ -638,7 +632,7 @@ def _markdown_table(header, rows) -> str:
     return "\n".join(lines)
 
 
-def cmd_report(input_dir, config: PipelineConfig, output_dir=None) -> int:
+def cmd_report(input_dir, config: PipelineConfig, output_dir) -> int:
     """Combine labels.csv and scores.csv into report.md plus report.csv.
 
     The Markdown carries the category table and the method-by-metric table;
@@ -646,7 +640,7 @@ def cmd_report(input_dir, config: PipelineConfig, output_dir=None) -> int:
     from the mean rows that evaluate writes to scores.csv.
     """
     src = Path(input_dir)
-    out = Path(output_dir or config.output_dir)
+    out = Path(output_dir)
     labels_path = src / "labels.csv"
     scores_path = src / "scores.csv"
 

@@ -105,6 +105,19 @@ def fail_writes_midway(monkeypatch):
     monkeypatch.setattr(image_module, "open", HalfWriter, raising=False)
 
 
+def deny_stat(monkeypatch, path):
+    """Make ``os.stat`` of ``path`` fail with EACCES, as it does for a file
+    in a directory the user may list but not search."""
+    real_stat = os.stat
+
+    def stat(p, *args, **kwargs):
+        if os.fspath(p) == os.fspath(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(p))
+        return real_stat(p, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", stat)
+
+
 # Reference implementations the numeric tests compare against.
 
 # The 3x3 kernels sharpen's two modes apply: -1s around centre 8 (sums to 0)

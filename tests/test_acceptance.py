@@ -282,7 +282,7 @@ def run_stage_chain(src, work, threads):
     config = PipelineConfig(reference_dir=str(src), threads=threads)  # seed 7 default
     assert cmd_classify(src, config, work) == EXIT_OK
     enhanced = work / "enhanced"
-    assert cmd_enhance(src, config, enhanced, method="unite", seed=7) == EXIT_OK
+    assert cmd_enhance(src, config, enhanced, method="unite") == EXIT_OK
     assert cmd_evaluate(enhanced, config, output_dir=work) == EXIT_OK
     assert cmd_report(work, config, work) == EXIT_OK
 

@@ -42,6 +42,7 @@ from conftest import (
     byte_edits,
     clip_reference,
     constant_image,
+    deny_stat,
     fail_writes_midway,
     heap_peak,
     hsv_to_rgb_reference,
@@ -254,12 +255,17 @@ class TestPpm:
         with pytest.raises(TruncatedPayloadError):
             load_ppm(path)
 
-    def test_unreadable_file_is_io_failure(self, tmp_path):
+    def test_unreadable_file_is_io_failure(self, tmp_path, monkeypatch):
         with pytest.raises(IoFailureError):
             load_ppm(tmp_path / "missing.ppm")
         (tmp_path / "dir.ppm").mkdir()
         with pytest.raises(IoFailureError):
             load_ppm(tmp_path / "dir.ppm")
+        locked = tmp_path / "locked.ppm"
+        save_ppm(ImageF32(np.zeros((3, 1, 1), np.float32)), locked)
+        deny_stat(monkeypatch, locked)
+        with pytest.raises(IoFailureError):
+            load_ppm(locked)
 
 
 class TestAtomicWrite:

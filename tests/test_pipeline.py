@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import aquaclear.cli as cli
 import aquaclear.pipeline as pipeline
 from aquaclear.cli import main
 from aquaclear.classify import DegradationFlags
@@ -44,6 +46,7 @@ from conftest import (
     JSON_VALUES,
     byte_edits,
     constant_image,
+    deny_stat,
     fail_writes_midway,
     heap_peak,
     mutate,
@@ -106,7 +109,6 @@ class TestConfig:
         assert config.seed == 7
         assert config.threads == 1
         assert config.split.ratios == (8.0, 1.0, 1.0)
-        assert config.neural.method == "classic"
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -152,9 +154,31 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(doc)
 
+    # A large count would start one thread per image, each holding a decoded
+    # image and its filter scratch; the config is refused before any starts.
     def test_threads_validated(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig.from_dict({"threads": 0})
+        assert PipelineConfig.from_dict({"threads": 64}).threads == 64
+        for threads in (0, 65):
+            with pytest.raises(ConfigError, match=r"threads must lie in \[1, 64\]"):
+                PipelineConfig.from_dict({"threads": threads})
+
+    # The output directory and the method come only from the command line,
+    # the seed only from the config.
+    @pytest.mark.parametrize("doc, key", [
+        ({"output_dir": "x"}, "output_dir"),
+        ({"neural": {"method": "vgg"}}, "neural.method"),
+    ])
+    def test_removed_key_exits_four(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main(["classify", "--config", str(path), "--input", str(tmp_path),
+                     "--output", str(out)])
+        assert code == EXIT_BAD_PARAMS
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: unknown config keys: [{key!r}]"
+        ]
+        assert not out.exists()
 
     # Each used to escape as a traceback, or was accepted and then made
     # every image fail.
@@ -171,7 +195,7 @@ class TestConfig:
                      id="int-too-large-for-a-float"),
         '{"split": {"ratios": [8, NaN, 1]}}',
         '{"neural": {"vgg_manifest": 5}}',
-        '{"output_dir": 5}',
+        '{"reference_dir": 5}',
         '{"reference_dir": {}}',
         '{"nlm": {"window_radius": 2000000000}}',
     ])
@@ -185,10 +209,8 @@ class TestConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
 
-    # A NUL used to reach the file system: a traceback with exit 1 for
-    # output_dir, and "no reference" for reference_dir.
+    # A NUL used to reach the file system: "no reference" for reference_dir.
     @pytest.mark.parametrize("doc", [
-        {"output_dir": "a\0b"},
         {"reference_dir": "refs\0"},
         {"neural": {"vgg_manifest": "\0vgg.json"}},
         {"neural": {"resnet_manifest": "res\0net.json"}},
@@ -305,13 +327,13 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "thresholds": {"cast_ratio": 0.3},
-            "neural": {"method": "vgg", "gain": 0.25},
+            "neural": {"gain": 0.25},
             "split": {"ratios": [6, 2, 2]},
             "seed": 11,
         }))
         cfg = PipelineConfig.load(path)
         assert cfg.thresholds.cast_ratio == 0.3
-        assert cfg.neural.method == "vgg"
+        assert cfg.neural.gain == 0.25
         assert cfg.split.ratios == (6.0, 2.0, 2.0)
         assert cfg.seed == 11
 
@@ -362,7 +384,7 @@ class TestConfigFuzz:
 
 VALID_CONFIG = json.dumps({
     "thresholds": {"cast_ratio": 0.3},
-    "neural": {"method": "vgg", "gain": 0.25},
+    "neural": {"gain": 0.25},
     "split": {"ratios": [6, 2, 2]},
     "augment": {"samples_per_image": 3},
     "seed": 11,
@@ -380,6 +402,9 @@ class TestConfigLoadFuzz:
             PipelineConfig.load(path)
         except (ConfigError, CsvParseError):
             pass
+
+    def test_valid_config_loads(self):
+        assert PipelineConfig.from_dict(json.loads(VALID_CONFIG)).seed == 11
 
     @FUZZ
     @given(raw=st.binary(max_size=64))
@@ -524,6 +549,21 @@ class TestEnhance:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("cannot load weights:")
 
+    # the PermissionError used to escape as a traceback
+    @pytest.mark.parametrize("locked", ["manifest.json", "weights.bin"])
+    def test_weights_that_cannot_be_stat_exit_three(self, tmp_path, capsys, monkeypatch,
+                                                    locked):
+        from aquaclear.neural import build_vgg_head, init_weights, save_weights
+
+        src = tmp_path / "in"
+        corpus(src, count=1)
+        manifest = save_weights(init_weights(build_vgg_head(), seed=1), tmp_path / "w")
+        deny_stat(monkeypatch, manifest.parent / locked)
+        cfg = PipelineConfig(neural=NeuralConfig(vgg_manifest=str(manifest)))
+        assert cmd_enhance(src, cfg, tmp_path / "out", "vgg") == EXIT_MISSING_WEIGHTS
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot load weights:")
+
     def test_skip_record_holds_base_names_only(self, tmp_path, config, capsys):
         src = tmp_path / "in"
         corpus(src, count=2)
@@ -550,7 +590,7 @@ class TestEnhance:
     def test_empty_dir_exits_two(self, tmp_path, config):
         src = tmp_path / "in"
         src.mkdir()
-        assert cmd_enhance(src, config, tmp_path / "out") == EXIT_EMPTY
+        assert cmd_enhance(src, config, tmp_path / "out", "classic") == EXIT_EMPTY
 
     def test_verbose_log_carries_step_traces(self, tmp_path, config):
         src = tmp_path / "in"
@@ -707,20 +747,20 @@ class TestSplit:
         lines = (out / "split.csv").read_text().splitlines()[1:]
         assert [l.split(",")[0] for l in lines] == sorted(n.name for n in names)
 
-    def test_same_seed_reproduces_split(self, tmp_path, config):
+    def test_same_seed_reproduces_split(self, tmp_path):
         src = tmp_path / "in"
         corpus(src, count=10)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        cmd_split(src, config, out_a, seed=3)
-        cmd_split(src, config, out_b, seed=3)
+        cmd_split(src, PipelineConfig(seed=3), out_a)
+        cmd_split(src, PipelineConfig(seed=3), out_b)
         assert (out_a / "split.csv").read_bytes() == (out_b / "split.csv").read_bytes()
 
-    def test_different_seed_changes_assignment(self, tmp_path, config):
+    def test_different_seed_changes_assignment(self, tmp_path):
         src = tmp_path / "in"
         corpus(src, count=12)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        cmd_split(src, config, out_a, seed=1)
-        cmd_split(src, config, out_b, seed=2)
+        cmd_split(src, PipelineConfig(seed=1), out_a)
+        cmd_split(src, PipelineConfig(seed=2), out_b)
         assert (out_a / "split.csv").read_text() != (out_b / "split.csv").read_text()
 
     def test_fewer_than_three_exits_two(self, tmp_path, config):
@@ -743,12 +783,12 @@ class TestAugment:
         img = load_ppm(out / produced[0])
         assert (img.height, img.width) == (26, 26)  # round(0.8 * 32)
 
-    def test_deterministic_across_runs(self, tmp_path, config):
+    def test_deterministic_across_runs(self, tmp_path):
         src = tmp_path / "in"
         corpus(src, count=2)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        cmd_augment(src, config, out_a, seed=5)
-        cmd_augment(src, config, out_b, seed=5)
+        cmd_augment(src, PipelineConfig(seed=5), out_a)
+        cmd_augment(src, PipelineConfig(seed=5), out_b)
         for path in sorted(out_a.glob("*.ppm")):
             assert path.read_bytes() == (out_b / path.name).read_bytes()
 
@@ -1150,15 +1190,6 @@ class TestCli:
             "classify", "--config", self.write_config(tmp_path, {"bogus": 1}),
         ]) == EXIT_BAD_PARAMS
 
-    def test_negative_seed_exits_four(self, tmp_path):
-        src = tmp_path / "in"
-        corpus(src, count=3)
-        code = main([
-            "split", "--config", self.write_config(tmp_path),
-            "--input", str(src), "--seed", "-1",
-        ])
-        assert code == EXIT_BAD_PARAMS
-
     def test_negative_config_seed_exits_four(self, tmp_path):
         src = tmp_path / "in"
         corpus(src, count=3)
@@ -1167,6 +1198,41 @@ class TestCli:
             "--input", str(src), "--output", str(tmp_path / "out"),
         ])
         assert code == EXIT_BAD_PARAMS
+
+    def test_seed_flag_is_usage_error(self, tmp_path):
+        # the seed comes only from the config
+        with pytest.raises(SystemExit) as exc_info:
+            main(["split", "--config", self.write_config(tmp_path), "--seed", "3"])
+        assert exc_info.value.code == 2
+
+    def test_enhance_defaults_to_classic_into_out(self, tmp_path, monkeypatch):
+        src = tmp_path / "in"
+        (name,) = corpus(src, count=1)
+        monkeypatch.chdir(tmp_path)
+        assert main(["enhance", "--config", self.write_config(tmp_path),
+                     "--input", str(src)]) == EXIT_OK
+        assert sorted(p.name for p in Path("out").iterdir()) == [
+            "enhance_log.jsonl", f"{name.stem}.classic.ppm"
+        ]
+
+    def test_too_many_threads_exits_four(self, tmp_path, capsys):
+        src, out = tmp_path / "in", tmp_path / "out"
+        corpus(src, count=3)
+        code = main(["classify", "--config", self.write_config(tmp_path, {"threads": 65}),
+                     "--input", str(src), "--output", str(out)])
+        assert code == EXIT_BAD_PARAMS
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: threads must lie in [1, 64]"
+        ]
+        assert not out.exists()
+
+    def test_config_that_cannot_be_stat_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the PermissionError used to escape as a traceback
+        path = self.write_config(tmp_path)
+        deny_stat(monkeypatch, path)
+        assert main(["classify", "--config", path, "--input", str(tmp_path)]) == EXIT_EMPTY
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
 
     def test_unknown_command_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
@@ -1227,15 +1293,15 @@ class TestCli:
         assert err == ["warning: channel means too small for cast detection"] * 3
 
     @staticmethod
-    def run_capped(argv):
+    def run_capped(argv, timeout=120):
         """Run the CLI in a child process under a 1 GiB address-space cap
-        and a timeout, so a read that fills memory fails fast instead of
-        taking the host."""
+        and a timeout, so a read that fills memory or never ends fails fast
+        instead of taking the host or hanging the suite."""
         package_root = Path(pipeline.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(package_root), "OPENBLAS_NUM_THREADS": "1"}
         return subprocess.run(
             [sys.executable, "-m", "aquaclear.cli", *argv],
-            capture_output=True, text=True, timeout=120, env=env,
+            capture_output=True, text=True, timeout=timeout, env=env,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
         )
 
@@ -1283,6 +1349,49 @@ class TestCli:
         assert proc.returncode == EXIT_MISSING_WEIGHTS, proc.stderr
         assert len(err) == 1 and err[0].startswith("cannot load weights:")
 
+    # Reading a FIFO that no process writes used to block forever.
+    def test_fifo_image_is_skipped(self, tmp_path):
+        src, out = tmp_path / "in", tmp_path / "out"
+        corpus(src, count=3)
+        os.mkfifo(src / "zz.ppm")
+        proc = self.run_capped(["classify", "--config", self.write_config(tmp_path),
+                                "--input", str(src), "--output", str(out)], timeout=30)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "skipping zz.ppm: cannot read: missing or not a regular file"
+        ]
+        assert len((out / "labels.csv").read_text().splitlines()) == 4
+
+    def test_fifo_reference_is_unusable(self, tmp_path, rng):
+        enhanced, refs, out = tmp_path / "enhanced", tmp_path / "refs", tmp_path / "out"
+        enhanced.mkdir()
+        refs.mkdir()
+        save_ppm(random_image(rng, 16, 16), enhanced / "zz.classic.ppm")
+        os.mkfifo(refs / "zz.ppm")
+        config = self.write_config(tmp_path, {"reference_dir": str(refs)})
+        proc = self.run_capped(["evaluate", "--config", config, "--input", str(enhanced),
+                                "--output", str(out)], timeout=30)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "unusable reference zz.ppm: cannot read: missing or not a regular file"
+        ]
+        assert (out / "scores.csv").read_text().splitlines()[1].split(",")[2] == ""
+
+    @pytest.mark.parametrize("name", ["labels.csv", "scores.csv"])
+    def test_fifo_csv_is_a_parse_failure(self, tmp_path, name):
+        src, out = tmp_path / "results", tmp_path / "out"
+        src.mkdir()
+        if name != "labels.csv":
+            (src / "labels.csv").write_text(LABELS_CSV)
+        os.mkfifo(src / name)
+        proc = self.run_capped(["report", "--config", self.write_config(tmp_path),
+                                "--input", str(src), "--output", str(out)], timeout=30)
+        assert proc.returncode == EXIT_EMPTY, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"parse failure: cannot read {name}: missing or not a regular file"
+        ]
+        assert not out.exists()
+
     def test_blob_is_read_only_as_far_as_its_entries_go(self, tmp_path):
         """The real weights followed by a sparse 2 GiB tail: reading the
         whole blob used to end in a MemoryError traceback under the cap."""
@@ -1296,6 +1405,26 @@ class TestCli:
         proc = self.enhance_vgg_capped(tmp_path, huge)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (tmp_path / "out" / "img_000.vgg.ppm").exists()
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+class TestDocs:
+    """README's config example and the usage lines in README and in the
+    CLI's docstring match the config schema and the parser."""
+
+    def test_readme_config_is_the_default(self):
+        block = README.split("The config is one JSON object", 1)[1]
+        text = block.split("```json\n", 1)[1].split("```", 1)[0]
+        assert PipelineConfig.from_dict(json.loads(text)) == PipelineConfig()
+
+    @pytest.mark.parametrize("doc", [README, cli.__doc__], ids=["readme", "cli"])
+    def test_usage_names_the_parser_flags(self, doc):
+        usage = doc.split("aquaclear <command>", 1)[1].split("\n\n", 1)[0]
+        flags = {flag for action in cli._build_parser()._actions
+                 for flag in action.option_strings if flag.startswith("--")}
+        assert set(re.findall(r"--[a-z]+", usage)) == flags - {"--help"}
 
 
 # Valid configs for the whole-command fuzz: the defaults, two pipeline
