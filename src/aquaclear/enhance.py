@@ -338,8 +338,9 @@ def _nlm_slab(padded: np.ndarray, params: NlmParams, buffers) -> np.ndarray:
     Every array is a flat run of the padded rows, so each step is one
     contiguous 1-D operation; the columns outside the box hold finite
     values that are never read into the result. Each buffer is reused once
-    its contents are read: the column sums go where the squares were, the
-    weighted differences where the row sums were.
+    its contents are read: the column sums go where the squares were, and
+    the weights, once den has read them, become the weighted differences
+    in place.
     """
     p = params.patch_radius
     w = params.window_radius
@@ -367,20 +368,20 @@ def _nlm_slab(padded: np.ndarray, params: NlmParams, buffers) -> np.ndarray:
             shift = first + dy * stride + dx
             e = e_buf[:n_e]
             np.subtract(flat[shift : shift + n_e], flat[first : first + n_e], out=e)
-            sq = np.multiply(e, e, out=sq_buf[:n_e])
+            sq = np.square(e, out=sq_buf[:n_e])
             rows = _shifted_sum(sq, side, stride, rows_buf[:n_rows])
             wgt = _shifted_sum(rows, side, 1, sq_buf[:n_box])
             np.multiply(wgt, scale, out=wgt)
             np.exp(wgt, out=wgt)
-            prod = np.multiply(wgt, e[centre : centre + n_box], out=rows_buf[:n_box])
             # +d reads the box at the image's own centres, -d at the
             # image's centres shifted by -d.
             plus = dy * stride + max(dx, 0)
             minus = max(-dx, 0)
-            num[:n_img] += prod[plus : plus + n_img]
-            num[:n_img] -= prod[minus : minus + n_img]
             den[:n_img] += wgt[plus : plus + n_img]
             den[:n_img] += wgt[minus : minus + n_img]
+            wgt *= e[centre : centre + n_box]  # the weighted differences
+            num[:n_img] += wgt[plus : plus + n_img]
+            num[:n_img] -= wgt[minus : minus + n_img]
     # the bits of plane + num / den
     result = num.reshape(h_img, stride)[:, :w_img]
     result /= den.reshape(h_img, stride)[:, :w_img]
@@ -452,13 +453,16 @@ def apply_plan(img: ImageF32, plan: EnhancementPlan, on_step=None) -> ImageF32:
     ``on_step(index, kind, image)`` is invoked after each step with the
     intermediate result, for diagnostics. Step failures are re-raised as
     PlanStepError carrying the step index.
+
+    No reference to ``img`` is kept past its step: each step's result
+    replaces its input, so when the caller holds no reference either, an
+    image is freed once the next step has read it.
     """
-    current = img
     for i, step in enumerate(plan):
         try:
-            current = _STEP_FUNCS[step.kind](current, step.params)
+            img = _STEP_FUNCS[step.kind](img, step.params)
         except Exception as exc:
             raise PlanStepError(i, step.kind.value, exc) from exc
         if on_step is not None:
-            on_step(i, step.kind, current)
-    return current
+            on_step(i, step.kind, img)
+    return img

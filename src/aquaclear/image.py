@@ -123,6 +123,13 @@ _PPM_GAP = rb"(?:\s|#[^\r\n]*[\r\n])+"
 _PPM_HEADER = re.compile(
     rb"^(P.)" + _PPM_GAP + rb"(\d+)" + _PPM_GAP + rb"(\d+)" + _PPM_GAP + rb"(\d+)\s"
 )
+# The first read of a header; a longer one (comments) doubles it.
+_PPM_HEAD_BYTES = 256
+# Netpbm puts no bound on a header's comments, but the header regex keeps
+# backtracking state for each byte of a gap, ~180 bytes per byte: a 32 MiB
+# run of whitespace after the magic took 5.4 GB. No image's header is
+# longer than this.
+_PPM_HEAD_MAX = 64 << 10
 # int() refuses strings over 4300 digits; no real dimension needs 10.
 _PPM_MAX_DIGITS = 9
 
@@ -136,16 +143,53 @@ def load_ppm(path) -> ImageF32:
     (any whitespace and ``#`` comments between tokens, exactly one
     whitespace byte after maxval). Error messages do not name the file;
     callers do.
+
+    Only the header and the payload it promises are read, so bytes past
+    the payload cost nothing. The header is read from a prefix that
+    doubles until it matches, the file ends or it reaches _PPM_HEAD_MAX
+    bytes.
     """
     try:
         # reading a FIFO might never end; is_file raises what stat does
         # for a path it cannot search, such as EACCES
         if not Path(path).is_file():
             raise IoFailureError("cannot read: missing or not a regular file")
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            width, height = _read_ppm_header(f, size)
+            need = width * height * 3
+            payload = f.read(min(need, size - f.tell()))
     except OSError as exc:
         raise IoFailureError(f"cannot read: {exc.strerror}") from exc
-    m = _PPM_HEADER.match(raw)
+    if len(payload) < need:
+        raise TruncatedPayloadError(
+            f"payload has {len(payload)} bytes, header promises {need}"
+        )
+    interleaved = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+    samples = np.empty((height, width, 3), dtype=np.float32)
+    # float64 quotient, rounded once to float32, with no float64 array
+    np.divide(interleaved, 255.0, out=samples, dtype=np.float64, casting="same_kind")
+    return ImageF32(samples.transpose(2, 0, 1))
+
+
+def _read_ppm_header(f, size: int) -> tuple[int, int]:
+    """(width, height) from the PPM header at the start of the binary file
+    f of ``size`` bytes, which is left at the payload's first byte.
+
+    read(n) allocates n bytes first, so no read asks for more than the
+    file holds, and a longer prefix is read afresh once the shorter one
+    is let go, so at most one prefix is held.
+    """
+    limit = min(size, _PPM_HEAD_MAX)
+    n = _PPM_HEAD_BYTES
+    while True:
+        f.seek(0)
+        head = f.read(min(n, limit))
+        m = _PPM_HEADER.match(head)
+        if m is not None or n >= limit:
+            break
+        del head
+        n *= 2
     if m is None:
         raise MalformedHeaderError("not a binary PPM header")
     if m.group(1) != b"P6":
@@ -159,17 +203,8 @@ def load_ppm(path) -> ImageF32:
         raise MalformedHeaderError(f"dimensions {width}x{height} invalid")
     if maxval != 255:
         raise UnsupportedMaxvalError(f"maxval {maxval}, only 255 supported")
-    need = width * height * 3
-    payload = memoryview(raw)[m.end() : m.end() + need]  # no copy
-    if len(payload) < need:
-        raise TruncatedPayloadError(
-            f"payload has {len(payload)} bytes, header promises {need}"
-        )
-    interleaved = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    samples = np.empty((height, width, 3), dtype=np.float32)
-    # float64 quotient, rounded once to float32, with no float64 array
-    np.divide(interleaved, 255.0, out=samples, dtype=np.float64, casting="same_kind")
-    return ImageF32(samples.transpose(2, 0, 1))
+    f.seek(m.end())
+    return width, height
 
 
 def save_ppm(img: ImageF32, path) -> None:

@@ -739,11 +739,15 @@ def feature_guided_enhance(
     The plan is built from the original image's degradation flags, so at
     gain 0 the output matches the purely classical path bit-for-bit.
     ``plan_overrides`` maps a StepKind to its step's parameter object.
-    ``attn`` is let go of once applied, so when the caller keeps no
-    reference to it the plan's steps run without it.
+
+    No reference to ``img``, ``attn`` or the adjusted image is kept past
+    its last reader: when the caller holds none either, the plan's steps
+    run without the first two, and apply_plan frees the adjusted image
+    once its first step has read it.
     """
-    adjusted = attention_adjust(img, attn, gain)
-    del attn
     flags, _ = classify(img, thresholds)
     plan = build_plan(flags, plan_overrides)
-    return apply_plan(adjusted, plan, on_step)
+    # popped into the call, so apply_plan's frame holds the only reference
+    adjusted = [attention_adjust(img, attn, gain)]
+    del img, attn
+    return apply_plan(adjusted.pop(), plan, on_step)

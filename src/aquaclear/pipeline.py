@@ -399,7 +399,10 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir, method: str,
     overrides = config.plan_overrides()
 
     def one(path):
-        img = load_ppm(path)
+        # the loaded image is popped into the call that enhances it: from
+        # CPython 3.11 a call moves its arguments into the callee's frame,
+        # so that frame holds the only reference and frees it once read
+        held = [load_ppm(path)]
         record = {"file": path.name, "method": method}
         steps = []
 
@@ -419,16 +422,17 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir, method: str,
             )
 
         hook = on_step if verbose else None
-        flags, category = classify(img, config.thresholds)
+        flags, category = classify(held[0], config.thresholds)
         plan = build_plan(flags, overrides)
         if heads:
-            # no name here holds the map, so it is freed once applied
+            # so is its attention map: held holds [image, map]
+            held.append(_attention(held[0], heads))
             enhanced = feature_guided_enhance(
-                img, _attention(img, heads), config.neural.gain, config.thresholds,
+                held.pop(0), held.pop(), config.neural.gain, config.thresholds,
                 overrides, hook,
             )
         else:
-            enhanced = apply_plan(img, plan, hook)
+            enhanced = apply_plan(held.pop(), plan, hook)
         record["flags"] = {
             "cast": flags.color_cast,
             "lowlight": flags.low_light,

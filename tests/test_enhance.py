@@ -1,6 +1,7 @@
 """Classical enhancement: gray-world, CLAHE, sharpening, NLM, plans."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -455,6 +456,20 @@ class TestPlans:
         # the defaults give other bits, so the match is the objects' doing
         default = apply_plan(img, build_plan(blurred))
         assert not np.array_equal(default.data, want.data)
+
+    def test_each_image_is_freed_once_the_next_step_has_read_it(self, rng):
+        # apply_plan kept its argument alive through every step
+        plan = build_plan(DegradationFlags(True, True, True))
+        held = [random_image(rng, 16, 16)]
+        refs = [weakref.ref(held[0])]
+        alive = []
+
+        def on_step(i, kind, img):
+            alive.append([r() is not None for r in refs])
+            refs.append(weakref.ref(img))
+
+        apply_plan(held.pop(), plan, on_step)
+        assert alive == [[False] * n for n in range(1, 5)]
 
     def test_on_step_hook_sees_every_step(self, rng):
         img = random_image(rng, 8, 8, lo=0.3, hi=0.5)

@@ -3,6 +3,7 @@
 import errno
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,8 @@ class TestPpm:
             b"P6\n# c\n2 1\n255\n",  # after the magic
             b"P6\n2 # width\n1# height\r255\n",  # between tokens
             b"P6#\n#\n2\n#two\n#lines\n1 255\n",  # empty and stacked
+            b"P6\n#" + b"c" * 250 + b"\n2 1\n255\n",  # past the first read
+            b"P6\n#" + b"c" * 5000 + b"\n2 1\n255\n",  # past five doublings
         ],
     )
     def test_header_comments(self, tmp_path, header):
@@ -254,6 +257,49 @@ class TestPpm:
         path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
         with pytest.raises(TruncatedPayloadError):
             load_ppm(path)
+
+    @staticmethod
+    def with_sparse_tail(path, raw):
+        """Write raw to path and extend it to 64 MiB with a hole."""
+        path.write_bytes(raw)
+        with open(path, "r+b") as f:
+            f.truncate(64 << 20)
+        return path
+
+    def test_bytes_past_the_payload_are_not_read(self, tmp_path):
+        # reading the whole file peaked above 64 MiB here, and under a
+        # 300 MB address-space cap a 400 MB tail was skipped as a MemoryError
+        raw = b"P6\n16 16\n255\n" + bytes(range(256)) * 3
+        small = tmp_path / "small.ppm"
+        small.write_bytes(raw)
+        big = self.with_sparse_tail(tmp_path / "big.ppm", raw)
+        peak, img = heap_peak(load_ppm, big)
+        assert same_bits(img.data, load_ppm(small).data)
+        assert peak < 64 << 10, f"{peak} B"
+
+    @staticmethod
+    def malformed_peak(path):
+        """Traced heap peak of load_ppm(path), which must be malformed."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedHeaderError):
+                load_ppm(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_no_header_reads_a_bounded_prefix(self, tmp_path):
+        path = self.with_sparse_tail(tmp_path / "bad.ppm", b"hello world")
+        peak = self.malformed_peak(path)
+        assert peak < 1 << 20, f"{peak} B"
+
+    def test_header_past_its_bound_is_malformed(self, tmp_path):
+        # the header regex held ~180 bytes per byte of this gap: 47 MB
+        # here, and 5.4 GB for a 32 MiB gap
+        path = tmp_path / "long.ppm"
+        path.write_bytes(b"P6" + b" " * (256 << 10) + b"1 1 255\n" + bytes(3))
+        peak = self.malformed_peak(path)
+        assert peak < 16e6, f"{peak / 1e6:.1f} MB"
 
     def test_unreadable_file_is_io_failure(self, tmp_path, monkeypatch):
         with pytest.raises(IoFailureError):
@@ -322,6 +368,24 @@ class TestLoadPpmFuzz:
     @given(raw=st.binary(max_size=24).map(lambda b: b"P6" + b))
     def test_random_bytes_after_magic(self, tmp_path, raw):
         self.check(tmp_path / "f.ppm", raw)
+
+    @FUZZ
+    @given(edits=byte_edits(40), cut=st.integers(0, 40))
+    def test_header_read_in_growing_prefixes_changes_nothing(self, tmp_path, edits, cut):
+        raw = mutate(valid_ppm(), edits)
+        path = tmp_path / "f.ppm"
+        path.write_bytes(raw[: len(raw) - cut % (len(raw) + 1)])
+
+        def outcome():
+            try:
+                return load_ppm(path).data.tobytes()
+            except AquaClearError as exc:
+                return type(exc), str(exc)
+
+        whole = outcome()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(image_module, "_PPM_HEAD_BYTES", 1)
+            assert outcome() == whole
 
     @FUZZ
     @given(edits=byte_edits(40), cut=st.integers(0, 40))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import aquaclear
-from aquaclear.classify import ClassifierThresholds, classify
+from aquaclear.classify import ClassifierThresholds, DegradationFlags, classify
 from aquaclear.enhance import apply_plan, build_plan
 from aquaclear.errors import (
     AquaClearError,
@@ -50,6 +51,7 @@ from aquaclear.neural import (
 )
 
 from aquaclear.pipeline import _channel_mean
+from aquaclear.synth import make_archetype
 
 from conftest import (
     FUZZ,
@@ -408,6 +410,23 @@ class TestStreamingMemory:
         finally:
             tracemalloc.stop()
         assert peak / 512**2 < 96, f"{peak / 512**2:.0f} B/px"
+
+    def test_guided_plan_heap_peak_at_512(self):
+        # the plan part of unite, given its map: 15.7 MB when img, the
+        # adjusted image and each step's input lived to the plan's end;
+        # 9.4 MB with one step's input, output and scratch alive. The peak
+        # is the CLAHE step's, so no NLM step is needed to show it.
+        img = make_archetype(DegradationFlags(True, True, False), 0, 512)
+        tracemalloc.start()
+        try:
+            held = [ImageF32(img.data.copy()), np.random.default_rng(0).uniform(size=(512, 512))]
+            out = feature_guided_enhance(held.pop(0), held.pop(), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert build_plan(classify(img)[0]).kinds() == ["gray_world", "clahe"]
+        assert out.data.shape == (3, 512, 512)
+        assert peak < 10.8e6, f"{peak / 1e6:.2f} MB"
 
     def test_attention_adjust_scratch_grows_with_width_not_height(self):
         # the whole-image form held two float64 copies of the image
@@ -817,6 +836,20 @@ class TestAttention:
         want = apply_plan(img, build_plan(flags))
         got = feature_guided_enhance(img, attn, gain=0.0)
         assert np.array_equal(got.data, want.data)
+
+    def test_guided_inputs_are_freed_before_the_first_step_ends(self, rng):
+        # feature_guided_enhance kept img and the adjusted image through
+        # every step of the plan
+        data = rng.uniform(0.2, 0.5, size=(3, 16, 16))
+        data[2] *= 1.8  # blue cast so the plan is non-empty
+        held = [ImageF32.from_array(data), rng.uniform(size=(16, 16))]
+        refs = [weakref.ref(x) for x in held]
+        alive = []
+        feature_guided_enhance(
+            held.pop(0), held.pop(), 0.5,
+            on_step=lambda i, kind, im: alive.append([r() is not None for r in refs]),
+        )
+        assert alive == [[False, False]]
 
 
 # One conv and one residual block: the manifest has every kind of entry

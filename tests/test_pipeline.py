@@ -39,7 +39,7 @@ from aquaclear.pipeline import (
     cmd_report,
     cmd_split,
 )
-from aquaclear.synth import write_corpus
+from aquaclear.synth import make_archetype, write_corpus
 
 from conftest import (
     FUZZ,
@@ -516,6 +516,19 @@ class TestEnhance:
         # a gray-world plan: no NLM, whose scratch would set the peak
         assert json.loads((out / "enhance_log.jsonl").read_text())["plan"] == ["gray_world"]
         assert peak < 24.1e6, f"{peak / 1e6:.2f} MB"
+
+    def test_classic_heap_peak_at_512(self, tmp_path, config):
+        # 12.5 MB when cmd_enhance and apply_plan held the loaded image and
+        # every step's input to the plan's end; 9.4 MB with one step's
+        # input, output and scratch alive, set by the CLAHE step
+        src, out = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        save_ppm(make_archetype(DegradationFlags(True, True, True), 0, 512), src / "a.ppm")
+        peak, code = heap_peak(cmd_enhance, src, config, out, "classic")
+        assert code == EXIT_OK
+        plan = json.loads((out / "enhance_log.jsonl").read_text())["plan"]
+        assert plan == ["gray_world", "clahe", "denoise", "sharpen"]
+        assert peak < 10.8e6, f"{peak / 1e6:.2f} MB"
 
     def test_missing_manifest_exits_three(self, tmp_path, config):
         src = tmp_path / "in"
