@@ -117,23 +117,16 @@ def detect_color_cast(
     undefined there, and a NearBlackImageWarning is issued instead.
     """
     stats = channel_stats(img)
-    if stats.mean_avg <= _NEAR_BLACK:
+    avg = stats.mean_avg
+    means = (stats.mean_r, stats.mean_g, stats.mean_b)
+    near_black = avg <= _NEAR_BLACK
+    if near_black:
         warnings.warn(
             "channel means too small for cast detection", NearBlackImageWarning
         )
-        diag = CastDiagnostics(
-            stats.mean_r, stats.mean_g, stats.mean_b, stats.mean_avg,
-            max_rel_dev=0.0, near_black=True,
-        )
-        return False, diag
-    devs = [
-        abs(m - stats.mean_avg) / stats.mean_avg
-        for m in (stats.mean_r, stats.mean_g, stats.mean_b)
-    ]
-    max_rel_dev = max(devs)
-    diag = CastDiagnostics(
-        stats.mean_r, stats.mean_g, stats.mean_b, stats.mean_avg, max_rel_dev
-    )
+    # cast_ratio is positive, so a near-black image's 0.0 never flags a cast
+    max_rel_dev = 0.0 if near_black else max(abs(m - avg) / avg for m in means)
+    diag = CastDiagnostics(*means, avg, max_rel_dev, near_black)
     return max_rel_dev > thresholds.cast_ratio, diag
 
 

@@ -8,16 +8,16 @@ chroma divided by 100) so scores land in a small dimensionless range.
 
 score_image scores one image in a single pass: it converts the image to
 float64 once, in 16-row strips with a one-pixel edge-replicated border
-(image._edge_bands), and hands each strip to every metric. Each metric
+(image._edge_bands), and hands each strip to UCIQE, UISM and UIConM. Each
 keeps only what its final reduction needs: full-size L, chroma and
 saturation planes for UCIQE (whose sums and sorts run over whole planes,
-in row order), per-block maxima and minima for UISM and UIConM. UICM
-takes no strips: it builds its RG, then its YB plane from the image into
-one buffer. Variances run in place and each metric's state is dropped
-with its result. The public per-metric functions run the same pass with only their own metric, so the
-scores do not depend on which function computed them, nor on the memory
-layout of the image. report_csv writes scored rows as scores.csv, each
-image's row and then each method's mean row.
+in row order), per-block maxima and minima for UISM and UIConM, and its
+state is dropped with its result. UICM reads the image directly after the
+strip walk, building its RG, then its YB plane in one buffer. Variances
+run in place. The public per-metric functions run the same code for their
+own metric alone, so the scores do not depend on which function computed
+them, nor on the memory layout of the image. report_csv writes scored
+rows as scores.csv, each image's row and then each method's mean row.
 """
 
 from __future__ import annotations
@@ -187,28 +187,19 @@ def _trimmed_mean(values: np.ndarray) -> float:
     return float(np.mean(kept))
 
 
-class _Uicm:
-    """Takes no part in the strips: builds the RG plane from the image at
-    reduction time, then the YB plane in the same buffer."""
-
-    def __init__(self, img: ImageF32):
-        self.data = img.data
-
-    def add(self, rows: slice, strip: np.ndarray) -> None:
-        pass
-
-    def result(self) -> float:
-        r, g, b = self.data
-        plane = np.empty(r.shape)  # C order: sums and sorts run in row order
-        np.subtract(r, g, out=plane, dtype=np.float64)
-        mu_rg = _trimmed_mean(plane.ravel())
-        var_rg = _var_in_place(plane.ravel(), mu_rg)
-        np.add(r, g, out=plane, dtype=np.float64)
-        plane /= 2.0
-        np.subtract(plane, b, out=plane, dtype=np.float64)
-        mu_yb = _trimmed_mean(plane.ravel())
-        var_yb = _var_in_place(plane.ravel(), mu_yb)
-        return -0.0268 * math.hypot(mu_rg, mu_yb) + 0.1586 * math.sqrt(var_rg + var_yb)
+def _uicm(img: ImageF32) -> float:
+    """UICM from the RG plane, then the YB plane in the same buffer."""
+    r, g, b = img.data
+    plane = np.empty(r.shape)  # C order: sums and sorts run in row order
+    np.subtract(r, g, out=plane, dtype=np.float64)
+    mu_rg = _trimmed_mean(plane.ravel())
+    var_rg = _var_in_place(plane.ravel(), mu_rg)
+    np.add(r, g, out=plane, dtype=np.float64)
+    plane /= 2.0
+    np.subtract(plane, b, out=plane, dtype=np.float64)
+    mu_yb = _trimmed_mean(plane.ravel())
+    var_yb = _var_in_place(plane.ravel(), mu_yb)
+    return -0.0268 * math.hypot(mu_rg, mu_yb) + 0.1586 * math.sqrt(var_rg + var_yb)
 
 
 def _eme(mx: np.ndarray, mn: np.ndarray) -> float:
@@ -275,7 +266,7 @@ def uicm(img: ImageF32) -> float:
     Asymmetric alpha-trimmed means (10% per side) penalize a strong overall
     shift; population variances about those means reward spread.
     """
-    return _measure(img, _Uicm)[0]
+    return _uicm(img)
 
 
 def uism(img: ImageF32) -> float:
@@ -295,25 +286,17 @@ def _uiqm(c: float, s: float, con: float) -> tuple[float, dict]:
 
 
 def uiqm(img: ImageF32) -> tuple[float, dict]:
-    return _uiqm(*_measure(img, _Uicm, _Uism, _Uiconm))
+    parts = _measure(img, _Uism, _Uiconm)
+    return _uiqm(_uicm(img), *parts)
 
 
 def score_image(img: ImageF32, reference: ImageF32 | None = None) -> QualityScores:
     """All metrics for one image, in one pass; PSNR only when a reference is
     supplied."""
-    (uciqe_score, uc), *uiqm_parts = _measure(img, _Uciqe, _Uicm, _Uism, _Uiconm)
-    uiqm_score, uq = _uiqm(*uiqm_parts)
-    return QualityScores(
-        psnr=None if reference is None else psnr(reference, img),
-        uciqe=uciqe_score,
-        uiqm=uiqm_score,
-        sigma_c=uc["sigma_c"],
-        con_l=uc["con_l"],
-        mu_s=uc["mu_s"],
-        uicm=uq["uicm"],
-        uism=uq["uism"],
-        uiconm=uq["uiconm"],
-    )
+    (uciqe_score, uc), *parts = _measure(img, _Uciqe, _Uism, _Uiconm)
+    uiqm_score, uq = _uiqm(_uicm(img), *parts)
+    return QualityScores(None if reference is None else psnr(reference, img),
+                         uciqe_score, uiqm_score, **uc, **uq)
 
 
 # ------------------------------------------------------------- batch report

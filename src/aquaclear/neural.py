@@ -10,7 +10,8 @@ product over all (kernel position, input channel) pairs of its window;
 seeded initialization uses a PCG64 generator.
 
 A head runs over an image in bands of rows and yields its output a band at
-a time (``BoundExtractor.bands``); it never builds a whole-image
+a time through its one entry point, ``BoundExtractor.bands``, which checks
+the image size before any arithmetic; it never builds a whole-image
 activation. Each layer is a generator that takes its input's bands and
 yields its output's. A conv keeps one ring of the zero-padded input rows
 its next _BAND_ROWS output rows read, padding columns included, and makes
@@ -72,9 +73,7 @@ __all__ = [
     "init_weights",
     "load_weights",
     "save_weights",
-    "validate_dims",
     "extract_features",
-    "feature_bands",
     "attention_map",
     "fuse_attention",
     "attention_adjust",
@@ -468,11 +467,13 @@ class BoundExtractor:
 
     def bands(self, x: np.ndarray):
         """Run the layers over x (c, h, w), _BAND_ROWS rows at a time, and
-        yield the last layer's output as bands of rows, top to bottom. A
-        conv's ring holds float64, so each conv converts its input exactly
-        as its rows arrive."""
+        return an iterator of the last layer's output as bands of rows, top
+        to bottom. An x too small for a conv raises IndivisibleDims here,
+        before any arithmetic runs. A conv's ring holds float64, so each
+        conv converts its input exactly as its rows arrive."""
         if x.ndim != 3:
             raise ShapeMismatchError(f"input must be rank 3, got rank {x.ndim}")
+        _validate_dims(self.spec, x.shape[1], x.shape[2])
         bands = (x[:, r0 : r0 + _BAND_ROWS] for r0 in range(0, x.shape[1], _BAND_ROWS))
         buffers = {}  # the convs' shared scratch
         for layer in self.spec.layers:
@@ -486,7 +487,7 @@ class BoundExtractor:
                     conv_b=self._conv(f"{layer.name}.b", layer, "none"),
                 )
                 bands = _residual_bands(block, bands, buffers)
-        yield from bands
+        return bands
 
 
 def init_weights(spec: ExtractorSpec, seed: int) -> BoundExtractor:
@@ -618,7 +619,7 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
 
 # ------------------------------------------------------ feature extraction
 
-def validate_dims(spec: ExtractorSpec, h: int, w: int) -> None:
+def _validate_dims(spec: ExtractorSpec, h: int, w: int) -> None:
     """Raise IndivisibleDims unless each conv of the head, a residual
     block's included, gets an input at least its kernel wide and tall once
     zero-padded. A pooling halves each side with floor."""
@@ -637,16 +638,9 @@ def validate_dims(spec: ExtractorSpec, h: int, w: int) -> None:
 
 def extract_features(img: ImageF32, extractor: BoundExtractor) -> np.ndarray:
     """Forward an RGB image (values in [0,1], no mean normalization) through
-    the extractor's layers. An image too small for a conv raises
-    IndivisibleDims before any arithmetic runs."""
-    return np.concatenate(list(feature_bands(img, extractor)), axis=1)
-
-
-def feature_bands(img: ImageF32, extractor: BoundExtractor):
-    """``extract_features`` as an iterator of row bands, so a caller can
-    reduce each band as it arrives instead of holding the whole output."""
-    validate_dims(extractor.spec, img.height, img.width)
-    return extractor.bands(img.data)
+    the extractor's layers: ``extractor.bands(img.data)`` joined, so an image
+    too small for a conv raises IndivisibleDims before any arithmetic runs."""
+    return np.concatenate(list(extractor.bands(img.data)), axis=1)
 
 
 def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -71,7 +71,6 @@ from .neural import (
     attention_map,
     build_resnet_head,
     build_vgg_head,
-    feature_bands,
     feature_guided_enhance,
     fuse_attention,
     init_weights,
@@ -342,7 +341,7 @@ def _channel_mean(img: ImageF32, head) -> np.ndarray:
     head streams them, so the whole feature tensor never exists. Each band's
     mean has the bits of the whole tensor's: numpy reduces axis 0 in order."""
     means = []
-    for band in feature_bands(img, head):
+    for band in head.bands(img.data):
         means.append(band.mean(axis=0, dtype=np.float64))
         del band  # so the head makes its next band with this one freed
     return np.concatenate(means)

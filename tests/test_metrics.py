@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import aquaclear.metrics
 from aquaclear.errors import DimMismatchError, ImageTooSmallError
 from aquaclear.image import ImageF32, convolve2d, load_ppm, luminance, rgb_to_lab
 from aquaclear.metrics import (
@@ -171,9 +172,13 @@ def eme_oracle(plane):
 
 
 class TestUiqmComponents:
-    def test_uicm_matches_trimmed_mean_oracle(self, rng):
+    def test_uicm_matches_trimmed_mean_oracle(self, rng, monkeypatch):
+        calls = []  # UICM reads the image itself: no strip walk
+        monkeypatch.setattr(aquaclear.metrics, "_edge_bands",
+                            lambda *args: calls.append(args) or iter(()))
         img = random_image(rng, 8, 8)
         assert uicm(img) == pytest.approx(uicm_oracle(img), abs=1e-12)
+        assert calls == []
 
     def test_uicm_zero_on_gray(self):
         assert uicm(constant_image(0.3, h=8, w=8)) == 0.0
@@ -418,6 +423,14 @@ class TestScoreBits:
         for i, img in enumerate(images):
             s = score_image(img, images[(i + 1) % len(images)])
             assert bits(s) == FROZEN_SCORES[(size, i)], (size, i)
+
+    def test_per_metric_functions_give_score_image_bits(self, tmp_path):
+        for img in corpus_images(tmp_path, 37, seed=3):
+            uciqe_score, uc = uciqe(img)
+            uiqm_score, uq = uiqm(img)
+            got = (uciqe_score, uiqm_score, *uc.values(), uicm(img), uism(img), uiconm(img))
+            assert tuple(v.hex() for v in got) == bits(score_image(img))[1:]
+            assert [v.hex() for v in uq.values()] == [v.hex() for v in got[-3:]]
 
     def test_planar_copy_scores_the_same_bits(self, tmp_path):
         for img in corpus_images(tmp_path, 64):

@@ -40,7 +40,6 @@ from aquaclear.neural import (
     conv2d_forward,
     conv_output_dim,
     extract_features,
-    feature_bands,
     feature_guided_enhance,
     fuse_attention,
     init_weights,
@@ -269,7 +268,7 @@ class TestStreamedHeads:
     def test_bands_cover_the_output_top_to_bottom(self):
         ext = init_weights(build_vgg_head(), seed=0)
         img = ImageF32(np.full((3, 50, 40), 0.5, dtype=np.float32))
-        bands = list(feature_bands(img, ext))
+        bands = list(ext.bands(img.data))
         assert len(bands) > 1
         assert sum(b.shape[1] for b in bands) == 25
         assert all(b.shape[::2] == (128, 20) for b in bands)
@@ -546,6 +545,8 @@ class TestHeadShapes:
             tiny = ImageF32(np.full((3, side, side), 0.5, dtype=np.float32))
             with pytest.raises(IndivisibleDimsError):
                 extract_features(tiny, ext)
+            with pytest.raises(IndivisibleDimsError):  # a raw array too
+                ext.bands(np.zeros((3, side, side)))
         assert calls == []
 
     def test_vgg_tolerates_any_even_size(self):
