@@ -35,9 +35,9 @@ feats_r = extract_features(img, resnet)
 print(f"vgg features    {feats_v.shape}")
 print(f"resnet features {feats_r.shape}")
 
-# Channel-mean, normalize, upsample back to image size.
-attn_v = attention_map(feats_v, img.height, img.width)
-attn_r = attention_map(feats_r, img.height, img.width)
+# Channel-mean (streamed band by band), normalize, upsample to image size.
+attn_v = attention_map(vgg.channel_mean(img.data), img.height, img.width)
+attn_r = attention_map(resnet.channel_mean(img.data), img.height, img.width)
 fused = fuse_attention(attn_v, attn_r)
 print(f"attention range [{fused.min():.3f}, {fused.max():.3f}]\n")
 

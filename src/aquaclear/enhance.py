@@ -26,7 +26,7 @@ from .errors import (
     PlanStepError,
     ZeroChannelMeanWarning,
 )
-from .image import (_BAND_PIXELS, ImageF32, _clip_into, _edge_bands, _hsv_band, _map_bands,
+from .image import (ImageF32, _band_rows, _clip_into, _edge_bands, _hsv_band, _map_bands,
                     _rgb_band, channel_stats)
 
 __all__ = [
@@ -189,7 +189,7 @@ def clahe_v(img: ImageF32, params: ClaheParams = ClaheParams()) -> ImageF32:
     bins = params.bins
     bin_idx = np.empty((h_img, w_img), dtype=np.uint16)  # bins <= 4096
     # the bands of _map_bands below
-    for band_rows, rgb in _edge_bands(img.data, max(1, _BAND_PIXELS // w_img), 0):
+    for band_rows, rgb in _edge_bands(img.data, _band_rows(w_img), 0):
         # V = max(r, g, b): float32 samples, so rgb_to_hsv stores it exactly
         v = np.maximum(np.maximum(rgb[0], rgb[1], out=rgb[0]), rgb[2], out=rgb[0])
         np.multiply(v, bins, out=v)

@@ -42,7 +42,6 @@ __all__ = [
     "convolve2d",
     "channel_stats",
     "laplacian_variance",
-    "luminance",
     "LAPLACIAN_KERNEL",
 ]
 
@@ -219,7 +218,7 @@ def save_ppm(img: ImageF32, path) -> None:
     raw = bytearray(len(header) + h * w * 3)
     raw[: len(header)] = header
     payload = np.frombuffer(raw, dtype=np.uint8, offset=len(header)).reshape(h, w, 3)
-    rows = max(1, _BAND_PIXELS // w)
+    rows = _band_rows(w)
     buf = np.empty((min(rows, h), w, 3))
     for r0 in range(0, h, rows):
         band = buf[: min(rows, h - r0)]
@@ -264,6 +263,12 @@ def write_atomic(path, data: bytes) -> None:
 _BAND_PIXELS = 1 << 14
 
 
+def _band_rows(width: int) -> int:
+    """Rows per band of a banded pass over rows ``width`` wide: at least
+    one, and about _BAND_PIXELS pixels."""
+    return max(1, _BAND_PIXELS // width)
+
+
 def _edge_bands(data: np.ndarray, rows: int, halo: int):
     """Yield (row_slice, slab) for each run of ``rows`` rows of a (c, h, w)
     array. ``slab`` is float64 (c, n + 2 * halo, w + 2 * halo): the run's n
@@ -285,13 +290,13 @@ def _edge_bands(data: np.ndarray, rows: int, halo: int):
 def _map_bands(data: np.ndarray, convert, halo: int = 0) -> ImageF32:
     """The image whose rows are ``convert(slab, rows)`` for each row band.
 
-    ``data`` is (3, h, w); a band is max(1, _BAND_PIXELS // w) of its rows,
+    ``data`` is (3, h, w); a band is _band_rows(w) of its rows,
     and ``slab`` is _edge_bands' for it. ``convert`` returns three float64
     planes of the band's rows, which are clamped to [0, 1] straight into the
     float32 result; that result keeps ``data``'s memory layout.
     """
     out = np.empty_like(data, dtype=np.float32)
-    for rows, slab in _edge_bands(data, max(1, _BAND_PIXELS // data.shape[2]), halo):
+    for rows, slab in _edge_bands(data, _band_rows(data.shape[2]), halo):
         for c, plane in enumerate(convert(slab, rows)):
             _clip_into(plane, out[c, rows])
     return ImageF32(out)
@@ -438,11 +443,6 @@ def channel_stats(img: ImageF32) -> ChannelStats:
     return ChannelStats(*means, mean_avg=sum(means) / 3.0)
 
 
-def luminance(img: ImageF32) -> np.ndarray:
-    """BT.601 luma plane (float64)."""
-    return _luma(img.data.astype(np.float64))
-
-
 def _luma(planes: np.ndarray) -> np.ndarray:
     """BT.601 luma of float64 RGB planes (3, ...)."""
     return _LUMA[0] * planes[0] + _LUMA[1] * planes[1] + _LUMA[2] * planes[2]
@@ -453,11 +453,12 @@ def laplacian_variance(img: ImageF32) -> float:
 
     Zero for constant images; low values indicate blur. Luma and response
     run in row bands, taps in convolve2d's order (all products exact), into
-    one float64 plane: the bits of np.var(convolve2d(luminance(img), ...)).
+    one float64 plane: the bits of np.var(convolve2d(...)) on the whole
+    image's float64 luma.
     """
     h, w = img.height, img.width
     response = np.empty((h, w))
-    for rows, slab in _edge_bands(img.data, max(1, _BAND_PIXELS // w), 1):
+    for rows, slab in _edge_bands(img.data, _band_rows(w), 1):
         luma = _luma(slab)
         out = np.add(luma[:-2, 1:-1], luma[1:-1, :-2], out=response[rows])
         out -= 4.0 * luma[1:-1, 1:-1]

@@ -21,7 +21,7 @@ a full band; a pool keeps at most one odd row, and a residual block holds
 its input rows until conv_b's rows arrive. One band in flight per layer:
 a conv or a pool makes all the output its current input band feeds and
 lets go of that band before it yields, and the consumer
-(pipeline._channel_mean) lets go of each band before it asks for the next.
+(BoundExtractor.channel_mean) lets go of each band before it asks for the next.
 So while a layer works, the only bands alive are its input band, its own
 output and the residual shortcut rows; the rest is the convs' rings and
 one shared column buffer. No row is computed twice: the traced MACs equal
@@ -56,7 +56,7 @@ from .errors import (
     ShapeMismatchError,
     ShapeMismatchInManifestError,
 )
-from .image import _BAND_PIXELS, ImageF32, _map_bands
+from .image import ImageF32, _band_rows, _map_bands
 
 __all__ = [
     "ConvLayer",
@@ -489,6 +489,17 @@ class BoundExtractor:
                 bands = _residual_bands(block, bands, buffers)
         return bands
 
+    def channel_mean(self, x: np.ndarray) -> np.ndarray:
+        """The (h, w) channel mean of the head's output for x (c, h, w),
+        taken band by band as ``bands`` streams it, so the whole output
+        never exists. Each band's mean has the bits of the whole tensor's:
+        numpy reduces axis 0 in order."""
+        means = []
+        for band in self.bands(x):
+            means.append(band.mean(axis=0, dtype=np.float64))
+            del band  # so the head makes its next band with this one freed
+        return np.concatenate(means)
+
 
 def init_weights(spec: ExtractorSpec, seed: int) -> BoundExtractor:
     """Deterministic He-style initialization: weights ~ N(0, 2/fan_in), zero
@@ -645,9 +656,9 @@ def extract_features(img: ImageF32, extractor: BoundExtractor) -> np.ndarray:
 
 def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Half-pixel-center bilinear resampling with clamped borders, made in
-    row bands of about image._BAND_PIXELS outputs straight into the result,
-    so its temporaries are a band's. Every step is elementwise, so bands
-    never change a bit."""
+    row bands of image._band_rows(out_w) rows straight into the result, so
+    its temporaries are a band's. Every step is elementwise, so bands never
+    change a bit."""
     in_h, in_w = plane.shape
     ys = (np.arange(out_h, dtype=np.float64) + 0.5) * in_h / out_h - 0.5
     xs = (np.arange(out_w, dtype=np.float64) + 0.5) * in_w / out_w - 0.5
@@ -660,7 +671,7 @@ def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     wy = wy[:, None]
     wx = wx[None, :]
     out = np.empty((out_h, out_w))
-    step = max(1, _BAND_PIXELS // out_w)
+    step = _band_rows(out_w)
     for r0 in range(0, out_h, step):
         r = slice(r0, r0 + step)
         top = (1.0 - wx) * plane[np.ix_(y0[r], x0)] + wx * plane[np.ix_(y0[r], x1)]
@@ -669,18 +680,17 @@ def _bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
-def attention_map(features: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Channel-mean feature map, min-max normalized then upsampled to the
-    requested size. ``features`` is a (c, h, w) tensor or its (h, w) channel
-    mean. A flat map (max == min) normalizes to all 0.5."""
-    if features.size == 0:
-        raise ValueError("features must be non-empty")
-    m = features if features.ndim == 2 else features.mean(axis=0, dtype=np.float64)
-    lo, hi = float(m.min()), float(m.max())
+def attention_map(mean: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """A head's (h, w) channel mean (BoundExtractor.channel_mean), min-max
+    normalized then upsampled to the requested size. A flat map
+    (max == min) normalizes to all 0.5."""
+    if mean.ndim != 2 or mean.size == 0:
+        raise ValueError(f"mean must be a non-empty (h, w) array, got shape {mean.shape}")
+    lo, hi = float(mean.min()), float(mean.max())
     if hi == lo:
-        norm = np.full(m.shape, 0.5)
+        norm = np.full(mean.shape, 0.5)
     else:
-        norm = (m - lo) / (hi - lo)
+        norm = (mean - lo) / (hi - lo)
     return _bilinear_resize(norm, out_h, out_w)
 
 

@@ -336,21 +336,10 @@ def cmd_classify(input_dir, config: PipelineConfig, output_dir) -> int:
 
 # ------------------------------------------------------------------ enhance
 
-def _channel_mean(img: ImageF32, head) -> np.ndarray:
-    """The channel mean of the head's features, taken band by band as the
-    head streams them, so the whole feature tensor never exists. Each band's
-    mean has the bits of the whole tensor's: numpy reduces axis 0 in order."""
-    means = []
-    for band in head.bands(img.data):
-        means.append(band.mean(axis=0, dtype=np.float64))
-        del band  # so the head makes its next band with this one freed
-    return np.concatenate(means)
-
-
 def _attention(img: ImageF32, heads: list) -> np.ndarray:
     """The attention map of img from each head, fused when there are two.
     Every head runs before any map of the image's size exists."""
-    means = [_channel_mean(img, h) for h in heads]
+    means = [h.channel_mean(img.data) for h in heads]
     attn = attention_map(means[0], img.height, img.width)
     if len(means) == 2:
         attn = fuse_attention(attn, attention_map(means[1], img.height, img.width))
@@ -482,13 +471,17 @@ def cmd_evaluate(input_dir, config: PipelineConfig, output_dir) -> int:
         reference = None
         if ref_dir is not None:
             ref_path = ref_dir / f"{stem}.ppm"
-            if ref_path.exists():
-                try:
+            try:
+                # exists() raises a stat error such as EACCES
+                if ref_path.exists():
                     reference = load_ppm(ref_path)
-                except AquaClearError as exc:
-                    print(f"unusable reference {ref_path.name}: {exc}", file=sys.stderr)
-            else:
-                print(f"no reference for {path.name}", file=sys.stderr)
+                else:
+                    print(f"no reference for {path.name}", file=sys.stderr)
+            except OSError as exc:
+                print(f"unusable reference {ref_path.name}: cannot read: {exc.strerror}",
+                      file=sys.stderr)
+            except AquaClearError as exc:
+                print(f"unusable reference {ref_path.name}: {exc}", file=sys.stderr)
         if reference is not None and reference.data.shape != test.data.shape:
             print(f"reference shape mismatch for {path.name}, scoring without it",
                   file=sys.stderr)

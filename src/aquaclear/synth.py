@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import Category8, DegradationFlags, RANK_ORDER
-from .image import ImageF32, _BAND_PIXELS, _clip_into, save_ppm
+from .image import ImageF32, _band_rows, _clip_into, save_ppm
 
 __all__ = [
     "DARK_BAND",
@@ -114,7 +114,7 @@ def make_archetype(flags: DegradationFlags, seed: int, size: int = 64) -> ImageF
     phase_r, phase_g = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
 
     out = np.empty((3, size, size), dtype=np.float32)
-    band = max(1, _BAND_PIXELS // size)
+    band = _band_rows(size)
     for r0 in range(0, size, band):
         rows = slice(r0, r0 + band)
         v = lo + (hi - lo) * base(rows)

@@ -305,10 +305,14 @@ def attention_adjust_reference(data, attn, gain):
     return clip_reference(planes)
 
 
-def laplacian_variance_reference(data):
+def luma_reference(data):
+    """The BT.601 luma plane of a (3, h, w) array, as one float64 array."""
     planes = data.astype(np.float64)
-    luma = 0.299 * planes[0] + 0.587 * planes[1] + 0.114 * planes[2]
-    return float(np.var(convolve2d(luma, LAPLACIAN_KERNEL)))
+    return 0.299 * planes[0] + 0.587 * planes[1] + 0.114 * planes[2]
+
+
+def laplacian_variance_reference(data):
+    return float(np.var(convolve2d(luma_reference(data), LAPLACIAN_KERNEL)))
 
 
 def ppm_reference(data):
@@ -377,7 +381,7 @@ def band_shapes():
     """(h, w) pairs around the conversions' row-band edges at each width."""
     shapes = []
     for w in (1, 7, 300):
-        band = max(1, image_module._BAND_PIXELS // w)
+        band = image_module._band_rows(w)
         shapes += [(h, w) for h in (1, band - 1, band, band + 1, 257)]
     return shapes
 

@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import aquaclear.image as image_module
-
+from aquaclear import enhance, neural, synth
+from aquaclear.classify import DegradationFlags
 from aquaclear.errors import (
     AquaClearError,
     EvenKernelError,
@@ -25,13 +26,13 @@ from aquaclear.image import (
     ChannelStats,
     ImageF32,
     _edge_bands,
+    _luma,
     _var_in_place,
     channel_stats,
     convolve2d,
     hsv_to_rgb,
     laplacian_variance,
     load_ppm,
-    luminance,
     rgb_to_hsv,
     rgb_to_lab,
     save_ppm,
@@ -462,6 +463,48 @@ class TestEdgeBands:
         assert starts == list(range(0, 9, rows))
 
 
+def _saved_ppm(img, tmp):
+    save_ppm(img, tmp / "a.ppm")
+    return (tmp / "a.ppm").read_bytes()
+
+
+# Each banded pass on a 37x41 image: the module whose _band_rows it calls,
+# the width it asks for, and its output as bytes or a hex string.
+BANDED_PASSES = {
+    "_map_bands": (image_module, 41, lambda img, tmp: rgb_to_hsv(img).data.tobytes()),
+    "save_ppm": (image_module, 41, _saved_ppm),
+    "laplacian_variance": (image_module, 41, lambda img, tmp: laplacian_variance(img).hex()),
+    "clahe_v": (enhance, 41, lambda img, tmp: enhance.clahe_v(img).data.tobytes()),
+    "_bilinear_resize": (neural, 60, lambda img, tmp: neural.attention_map(
+        img.data[0].astype(np.float64), 50, 60).tobytes()),
+    "make_archetype": (synth, 41, lambda img, tmp: synth.make_archetype(
+        DegradationFlags(True, False, True), 3, 41).data.tobytes()),
+}
+
+
+class TestBandRows:
+    """Every banded pass takes its band height from image._band_rows, and
+    any height keeps its output's bits."""
+
+    @pytest.mark.parametrize("name", sorted(BANDED_PASSES))
+    def test_pass_asks_band_rows(self, monkeypatch, tmp_path, name):
+        module, width, run = BANDED_PASSES[name]
+        img = layouts(level_data(37, 41))["interleaved"]
+        want = run(img, tmp_path)
+        widths = []
+
+        def three_rows(w):
+            widths.append(w)
+            return 3
+
+        monkeypatch.setattr(module, "_band_rows", three_rows)
+        assert run(img, tmp_path) == want
+        assert widths == [width]
+
+    def test_rows_hold_about_band_pixels(self):
+        assert [image_module._band_rows(w) for w in (1, 256, 300, 1 << 14, 1 << 15)] == [
+            1 << 14, 64, 54, 1, 1]
+
 def lab_scalar_reference(r, g, b):
     """Independent scalar sRGB -> Lab implementation for cross-checking."""
     def linearize(u):
@@ -567,9 +610,9 @@ class TestStatsAndSharpness:
 
     def test_luminance_bt601(self):
         img = constant_image((1.0, 0.0, 0.0))
-        assert np.allclose(luminance(img), 0.299)
+        assert np.allclose(_luma(img.data.astype(np.float64)), 0.299)
         img = constant_image((0.0, 1.0, 0.0))
-        assert np.allclose(luminance(img), 0.587)
+        assert np.allclose(_luma(img.data.astype(np.float64)), 0.587)
 
     def test_laplacian_variance_zero_on_constant(self):
         assert laplacian_variance(constant_image(0.8)) == 0.0
@@ -590,7 +633,7 @@ class TestStatsAndSharpness:
         assert laplacian_variance(flat) == 0.0
 
     def test_laplacian_variance_holds_one_float64_plane(self, rng):
-        # the response plane is 8 bytes per pixel; luminance's float64
+        # the response plane is 8 bytes per pixel; a whole-image float64
         # copy of the image and convolve2d's planes peaked at 40
         peak, _ = heap_peak(laplacian_variance, random_image(rng, 256, 256))
         assert peak < 26 * 256 * 256

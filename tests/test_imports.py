@@ -1,6 +1,7 @@
 """No module in src/, tests/ or demos/ imports a name it never uses,
 every private module-level name in src/aquaclear is used somewhere there,
-and src/aquaclear pads with edge replication in one function only."""
+src/aquaclear pads with edge replication in one function only, and only
+its image module knows the band pixel count."""
 
 import ast
 from pathlib import Path
@@ -122,3 +123,31 @@ def test_only_convolve2d_pads_with_edge_replication():
     """Every other edge-padded pass takes its bands from image._edge_bands."""
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert edge_pad_callers(sources) == [("image.py", "convolve2d")]
+
+
+def modules_naming(sources: dict, name: str) -> list:
+    """File names of ``sources`` (file name -> source) whose code holds
+    ``name`` as a name, an attribute, an imported name or a definition;
+    strings and comments do not count."""
+    return sorted(
+        file for file, source in sources.items()
+        if any(name in (getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None))
+               for n in ast.walk(ast.parse(source)))
+    )
+
+
+def test_scan_finds_a_name_in_every_form():
+    sources = {
+        "a.py": "_B = 1\n",
+        "b.py": "from .a import _B as rows\n",
+        "c.py": "import a\nprint(a._B)\n",
+        "d.py": "def _B():\n    pass\n",
+        "e.py": "x = '_B'  # _B\ny = _BB\n",
+    }
+    assert modules_naming(sources, "_B") == ["a.py", "b.py", "c.py", "d.py"]
+
+
+def test_only_image_knows_the_band_pixel_count():
+    """Every other module takes its band height from image._band_rows."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert modules_naming(sources, "_BAND_PIXELS") == ["image.py"]

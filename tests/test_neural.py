@@ -48,8 +48,6 @@ from aquaclear.neural import (
     residual_forward,
     save_weights,
 )
-
-from aquaclear.pipeline import _channel_mean
 from aquaclear.synth import make_archetype
 
 from conftest import (
@@ -281,12 +279,12 @@ class TestStreamedHeads:
     @pytest.mark.parametrize("build", [build_vgg_head, build_resnet_head])
     @pytest.mark.parametrize("h, w", [(37, 45), (71, 33), (64, 130)])
     def test_streamed_mean_is_the_whole_mean(self, rng, build, h, w):
-        """The pipeline's band-by-band channel mean has the bits of the
-        whole tensor's mean, at odd sizes too."""
+        """channel_mean's band-by-band mean has the bits of the whole
+        tensor's mean, at odd sizes too."""
         ext = init_weights(build(), seed=5)
         img = random_image(rng, h, w)
         want = extract_features(img, ext).mean(axis=0, dtype=np.float64)
-        assert np.array_equal(_channel_mean(img, ext), want)
+        assert np.array_equal(ext.channel_mean(img.data), want)
 
     @pytest.mark.parametrize("build, h, w", [
         (build_vgg_head, 68, 64), (build_vgg_head, 50, 40), (build_resnet_head, 136, 64),
@@ -342,7 +340,7 @@ class TestStreamingMemory:
                        .astype(np.float32))
         tracemalloc.start()
         try:
-            _channel_mean(img, ext)
+            ext.channel_mean(img.data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,13 +353,13 @@ class TestStreamingMemory:
         ext = init_weights(build(), seed=0)
         img = ImageF32(np.random.default_rng(0).uniform(0, 1, (3, 128, 128))
                        .astype(np.float32))
-        _channel_mean(img, ext)  # numpy's first-call allocations stay alive
+        ext.channel_mean(img.data)  # numpy's first-call allocations stay alive
         enabled = gc.isenabled()
         gc.disable()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _channel_mean(img, ext)
+            ext.channel_mean(img.data)
             after_pass = tracemalloc.get_traced_memory()[0] - before
             bands = ext.bands(img.data)
             next(bands)
@@ -386,7 +384,7 @@ class TestStreamingMemory:
         ext = init_weights(build(), seed=0)
         img = ImageF32(np.random.default_rng(0).uniform(0, 1, (3, 32, 1024))
                        .astype(np.float32))
-        peak, _ = heap_peak(_channel_mean, img, ext)
+        peak, _ = heap_peak(ext.channel_mean, img.data)
         assert peak < bound_mb * 1e6, f"{peak / 1e6:.2f} MB"
 
     def test_attention_map_scratch_grows_with_width_not_height(self):
@@ -468,7 +466,7 @@ class TestTracerContract:
         monkeypatch.setattr(aquaclear.neural, "max_pool2", count_pool)
         img = ImageF32(np.random.default_rng(1).uniform(0, 1, (3, 128, 128))
                        .astype(np.float32))
-        _channel_mean(img, init_weights(build(), seed=0))
+        init_weights(build(), seed=0).channel_mean(img.data)
         assert seen == {"macs": macs, "pooled_rows": pooled_rows}
 
 
@@ -755,27 +753,25 @@ def bilinear_oracle(plane, out_h, out_w):
 
 class TestAttention:
     def test_map_is_normalized_channel_mean(self, rng):
-        feats = rng.standard_normal((8, 4, 4))
-        amap = attention_map(feats, 4, 4)
-        m = feats.mean(axis=0)
+        m = rng.standard_normal((8, 4, 4)).mean(axis=0)
+        amap = attention_map(m, 4, 4)
         want = (m - m.min()) / (m.max() - m.min())
         # a same-size map is the normalized mean itself, bit for bit
         assert np.array_equal(amap, want)
         assert amap.min() == pytest.approx(0.0) and amap.max() == pytest.approx(1.0)
 
-    def test_map_takes_a_precomputed_channel_mean(self, rng):
-        feats = rng.standard_normal((8, 5, 6))
-        assert np.array_equal(attention_map(feats.mean(axis=0), 9, 10),
-                              attention_map(feats, 9, 10))
+    def test_map_takes_only_a_channel_mean(self, rng):
+        # taking a tensor's channel mean is BoundExtractor.channel_mean's job
+        with pytest.raises(ValueError):
+            attention_map(rng.standard_normal((8, 5, 6)), 9, 10)
 
     def test_flat_features_give_half(self):
-        amap = attention_map(np.full((4, 3, 3), 2.5), 6, 6)
+        amap = attention_map(np.full((3, 3), 2.5), 6, 6)
         assert np.all(amap == 0.5)
 
     def test_upsampling_matches_bilinear_oracle(self, rng):
-        feats = rng.standard_normal((2, 3, 5))
-        amap = attention_map(feats, 9, 10)
-        m = feats.mean(axis=0)
+        m = rng.standard_normal((2, 3, 5)).mean(axis=0)
+        amap = attention_map(m, 9, 10)
         norm = (m - m.min()) / (m.max() - m.min())
         assert np.allclose(amap, bilinear_oracle(norm, 9, 10), atol=1e-12)
 

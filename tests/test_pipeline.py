@@ -671,6 +671,23 @@ class TestEvaluate:
         row = (out / "scores.csv").read_text().splitlines()[1]
         assert row.split(",")[2] == ""
 
+    # Path.exists() raises any stat error but a few, such as ENOENT: the
+    # PermissionError used to escape cmd_evaluate as a traceback
+    def test_reference_that_cannot_be_stat_is_unusable(self, tmp_path, capsys,
+                                                         monkeypatch, rng):
+        enhanced, refs = tmp_path / "enhanced", tmp_path / "refs"
+        enhanced.mkdir()
+        refs.mkdir()
+        save_ppm(random_image(rng, 16, 16), enhanced / "zz.classic.ppm")
+        save_ppm(random_image(rng, 16, 16), refs / "zz.ppm")
+        deny_stat(monkeypatch, refs / "zz.ppm")
+        out = tmp_path / "out"
+        assert cmd_evaluate(enhanced, PipelineConfig(reference_dir=str(refs)), out) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "unusable reference zz.ppm: cannot read: Permission denied"
+        ]
+        assert (out / "scores.csv").read_text().splitlines()[1].split(",")[2] == ""
+
     # A bare stem.ppm is the unenhanced original: it takes METHOD_ORDER[0],
     # so its mean row leads even when its file sorts after the others.
     def test_original_label_for_plain_names(self, tmp_path, config, rng):
