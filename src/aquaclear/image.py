@@ -14,9 +14,11 @@ make no float64 copy of a whole image, and bands never change a bit.
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import os
 import re
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,23 +145,20 @@ def load_ppm(path) -> ImageF32:
     whitespace byte after maxval). Error messages do not name the file;
     callers do.
 
-    Only the header and the payload it promises are read, so bytes past
-    the payload cost nothing. The header is read from a prefix that
-    doubles until it matches, the file ends or it reaches _PPM_HEAD_MAX
-    bytes.
+    The file is opened by _open_input, so a path that is not a regular
+    file, such as a FIFO, raises IoFailureError("cannot read: missing or
+    not a regular file") without blocking. Only the header and the payload
+    it promises are read, so bytes past the payload cost nothing. The
+    header is read from a prefix that doubles until it matches, the file
+    ends or it reaches _PPM_HEAD_MAX bytes.
     """
     try:
-        # reading a FIFO might never end; is_file raises what stat does
-        # for a path it cannot search, such as EACCES
-        if not Path(path).is_file():
-            raise IoFailureError("cannot read: missing or not a regular file")
-        with open(path, "rb") as f:
-            size = os.fstat(f.fileno()).st_size
+        with _open_input(path) as (f, size):
             width, height = _read_ppm_header(f, size)
             need = width * height * 3
             payload = f.read(min(need, size - f.tell()))
     except OSError as exc:
-        raise IoFailureError(f"cannot read: {exc.strerror}") from exc
+        raise IoFailureError(f"cannot read: {exc.strerror or exc}") from exc
     if len(payload) < need:
         raise TruncatedPayloadError(
             f"payload has {len(payload)} bytes, header promises {need}"
@@ -169,6 +168,40 @@ def load_ppm(path) -> ImageF32:
     # float64 quotient, rounded once to float32, with no float64 array
     np.divide(interleaved, 255.0, out=samples, dtype=np.float64, casting="same_kind")
     return ImageF32(samples.transpose(2, 0, 1))
+
+
+@contextlib.contextmanager
+def _open_input(path):
+    """Yield (binary file, size in bytes) of the regular file at ``path``;
+    every reader of an input file opens it here.
+
+    The check is ``fstat`` on the opened, non-blocking descriptor, so it
+    and the reads see one file, and a FIFO or a device cannot block. A
+    path that is missing, under a non-directory, holds a NUL or is not a
+    regular file raises OSError("missing or not a regular file"); other
+    open errors, such as EACCES, raise as they are. A MemoryError inside
+    the ``with`` block, from a read or a parse too large to hold, raises
+    OSError, so each reader reports it as a failed read.
+    """
+    # FileIO refuses a directory itself, closing the descriptor it opened
+    try:
+        raw = io.FileIO(path, opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK))
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError, ValueError) as exc:
+        raise OSError("missing or not a regular file") from exc
+    with io.BufferedReader(raw) as f:
+        info = os.fstat(f.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise OSError("missing or not a regular file")
+        try:
+            yield f, info.st_size
+        except MemoryError as exc:
+            raise OSError(str(exc) or "MemoryError") from exc
+
+
+def _decode(f) -> io.StringIO:
+    """The rest of the binary file f as UTF-8 text, with ``\\r\\n`` and
+    ``\\r`` read as ``\\n``, as a text-mode ``open`` reads them."""
+    return io.StringIO(f.read().decode("utf-8"), newline=None)
 
 
 def _read_ppm_header(f, size: int) -> tuple[int, int]:
@@ -227,10 +260,7 @@ def save_ppm(img: ImageF32, path) -> None:
                     out=band, dtype=np.float64)
         band += 0.5
         payload[r0 : r0 + rows] = np.floor(band, out=band)
-    try:
-        write_atomic(path, raw)
-    except OSError as exc:
-        raise IoFailureError(f"cannot write {Path(path).name}: {exc.strerror}") from exc
+    write_atomic(path, raw)
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -238,9 +268,10 @@ def write_atomic(path, data: bytes) -> None:
 
     The bytes go to a new hidden temp file in the same directory, which then
     replaces ``path`` in one ``os.replace``. On any failure the temp file is
-    removed and ``path`` keeps its old content, if it had any. The file is
-    not fsynced: this guards against an interrupted or failing writer, not
-    against power loss.
+    removed and ``path`` keeps its old content, if it had any; a failed
+    write raises IoFailureError("cannot write <name>: <reason>"), naming
+    the file but not its directory. The file is not fsynced: this guards
+    against an interrupted or failing writer, not against power loss.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
@@ -248,9 +279,11 @@ def write_atomic(path, data: bytes) -> None:
         with open(tmp, "xb") as f:
             f.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             tmp.unlink()
+        if isinstance(exc, OSError):
+            raise IoFailureError(f"cannot write {path.name}: {exc.strerror or exc}") from exc
         raise
 
 

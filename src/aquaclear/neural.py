@@ -56,7 +56,7 @@ from .errors import (
     ShapeMismatchError,
     ShapeMismatchInManifestError,
 )
-from .image import ImageF32, _band_rows, _map_bands
+from .image import ImageF32, _band_rows, _decode, _map_bands, _open_input
 
 __all__ = [
     "ConvLayer",
@@ -552,14 +552,10 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
     """Bind a manifest's blob to the spec; shapes must match slot-for-slot."""
     manifest_path = Path(manifest_path)
     try:
-        # reading a device or FIFO might never end, or fill memory
-        if not manifest_path.is_file():
-            raise IoFailureError(
-                f"manifest {str(manifest_path)!r} is missing or not a regular file"
-            )
-        doc = json.loads(manifest_path.read_text())
+        with _open_input(manifest_path) as (f, _):
+            doc = json.load(_decode(f))
     except OSError as exc:
-        raise IoFailureError(f"cannot read manifest: {exc}") from exc
+        raise IoFailureError(f"cannot read manifest {str(manifest_path)!r}: {exc}") from exc
     # RecursionError: nesting too deep to parse
     except (ValueError, RecursionError) as exc:
         raise ShapeMismatchInManifestError(f"manifest is not JSON: {exc}") from exc
@@ -612,12 +608,10 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
     # never ask for more than it holds (read(n) allocates n bytes up front).
     need = max(end for *_, end in slices)
     try:
-        if not blob_path.is_file():
-            raise CorruptBlobError(f"blob {blob_name!r} is missing or not a regular file")
-        with blob_path.open("rb") as f:
-            blob = f.read(min(need, blob_path.stat().st_size))
+        with _open_input(blob_path) as (f, size):
+            blob = f.read(min(need, size))
     except OSError as exc:
-        raise CorruptBlobError(f"cannot read weight blob: {exc}") from exc
+        raise CorruptBlobError(f"cannot read weight blob {blob_name!r}: {exc}") from exc
     weights = {}
     for name, shape, start, end in slices:
         if end > len(blob):

@@ -16,7 +16,6 @@ embed absolute paths or timestamps.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import sys
@@ -52,7 +51,9 @@ from .errors import (
 )
 from .image import (
     ImageF32,
+    _decode,
     _map_bands,
+    _open_input,
     channel_stats,
     laplacian_variance,
     load_ppm,
@@ -218,10 +219,8 @@ class PipelineConfig:
     @classmethod
     def load(cls, path) -> "PipelineConfig":
         try:
-            # reading a device or FIFO might never end, or fill memory
-            if not Path(path).is_file():
-                raise CsvParseError(0, f"cannot read config {path}: missing or not a regular file")
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            with _open_input(path) as (f, _):
+                doc = json.load(_decode(f))
         # ValueError covers bad JSON, bytes that are not UTF-8 and integers
         # past the digit limit; RecursionError, nesting too deep to parse.
         except (OSError, ValueError, RecursionError) as exc:
@@ -257,8 +256,13 @@ def _skipped(result) -> bool:
 
 
 # Backslash escapes for the C0 control characters, so a name holding a
-# carriage return or a line feed prints on its own skip line, whole.
+# carriage return or a line feed prints on its own stderr line, whole.
 _C0_ESCAPES = {c: repr(chr(c))[1:-1] for c in range(0x20)}
+
+
+def _say(line: str) -> None:
+    """Print one per-image stderr line, C0 control characters escaped."""
+    print(line.translate(_C0_ESCAPES), file=sys.stderr)
 
 
 def _run(files, one, threads: int) -> list:
@@ -268,8 +272,8 @@ def _run(files, one, threads: int) -> list:
     holds a carriage return, which a CSV reader takes for a line end, is
     not read. That, an AquaClearError or a MemoryError turns the file's
     result into the skip record {"file": name, "error": reason} and prints
-    one ``skipping`` line on stderr, with any C0 control character in it
-    escaped (``a\\rb.ppm``).
+    one ``skipping`` line on stderr through _say, which escapes any C0
+    control character in it (``a\\rb.ppm``).
     """
 
     def item(path):
@@ -287,8 +291,7 @@ def _run(files, one, threads: int) -> list:
     results = _pmap(item, files, threads)
     for r in results:
         if _skipped(r):
-            print(f"skipping {r['file']}: {r['error']}".translate(_C0_ESCAPES),
-                  file=sys.stderr)
+            _say(f"skipping {r['file']}: {r['error']}")
     return results
 
 
@@ -301,10 +304,7 @@ def _make_dir(directory: Path) -> None:
 
 def _write(path: Path, text: str) -> None:
     _make_dir(path.parent)
-    try:
-        write_atomic(path, text.encode())
-    except OSError as exc:
-        raise IoFailureError(f"cannot write {path.name}: {exc.strerror or exc}") from exc
+    write_atomic(path, text.encode())
 
 
 # ----------------------------------------------------------------- classify
@@ -476,15 +476,13 @@ def cmd_evaluate(input_dir, config: PipelineConfig, output_dir) -> int:
                 if ref_path.exists():
                     reference = load_ppm(ref_path)
                 else:
-                    print(f"no reference for {path.name}", file=sys.stderr)
+                    _say(f"no reference for {path.name}")
             except OSError as exc:
-                print(f"unusable reference {ref_path.name}: cannot read: {exc.strerror}",
-                      file=sys.stderr)
+                _say(f"unusable reference {ref_path.name}: cannot read: {exc.strerror}")
             except AquaClearError as exc:
-                print(f"unusable reference {ref_path.name}: {exc}", file=sys.stderr)
+                _say(f"unusable reference {ref_path.name}: {exc}")
         if reference is not None and reference.data.shape != test.data.shape:
-            print(f"reference shape mismatch for {path.name}, scoring without it",
-                  file=sys.stderr)
+            _say(f"reference shape mismatch for {path.name}, scoring without it")
             reference = None
         return stem, label, score_image(test, reference)
 
@@ -591,23 +589,17 @@ def cmd_augment(input_dir, config: PipelineConfig, output_dir) -> int:
 # ------------------------------------------------------------------- report
 
 def _read_csv(path: Path) -> list:
-    """(line number, row) for every non-empty row of a UTF-8 CSV file."""
+    """(line number, row) for every non-empty row of a UTF-8 CSV file.
+    The rows are parsed while the file is open, so _open_input reports a
+    parse that runs out of memory as a failed read."""
     try:
-        # reading a FIFO might never end
-        if not path.is_file():
-            raise CsvParseError(0, f"cannot read {path.name}: missing or not a regular file")
-        text = path.read_text(encoding="utf-8")
+        with _open_input(path) as (f, _):
+            reader = csv.reader(_decode(f))
+            return [(reader.line_num, row) for row in reader if row]
     except (OSError, UnicodeDecodeError) as exc:
         raise CsvParseError(0, f"cannot read {path.name}: {exc}") from exc
-    rows = []
-    reader = csv.reader(io.StringIO(text))
-    try:
-        for row in reader:
-            if row:
-                rows.append((reader.line_num, row))
     except csv.Error as exc:
         raise CsvParseError(reader.line_num, f"{path.name}: {exc}") from exc
-    return rows
 
 
 def _metric_cells_ok(row) -> bool:

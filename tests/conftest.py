@@ -106,16 +106,18 @@ def fail_writes_midway(monkeypatch):
 
 
 def deny_stat(monkeypatch, path):
-    """Make ``os.stat`` of ``path`` fail with EACCES, as it does for a file
-    in a directory the user may list but not search."""
-    real_stat = os.stat
+    """Make ``os.stat`` and ``os.open`` of ``path`` fail with EACCES, as both
+    do for a file in a directory the user may list but not search."""
 
-    def stat(p, *args, **kwargs):
-        if os.fspath(p) == os.fspath(path):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(p))
-        return real_stat(p, *args, **kwargs)
+    def denying(real):
+        def call(p, *args, **kwargs):
+            if os.fspath(p) == os.fspath(path):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(p))
+            return real(p, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(os, "stat", stat)
+    monkeypatch.setattr(os, "stat", denying(os.stat))
+    monkeypatch.setattr(os, "open", denying(os.open))
 
 
 # Reference implementations the numeric tests compare against.

@@ -3,7 +3,10 @@
 import errno
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from aquaclear.image import (
     ImageF32,
     _edge_bands,
     _luma,
+    _open_input,
     _var_in_place,
     channel_stats,
     convolve2d,
@@ -36,6 +40,7 @@ from aquaclear.image import (
     rgb_to_hsv,
     rgb_to_lab,
     save_ppm,
+    write_atomic,
 )
 
 from conftest import (
@@ -314,8 +319,75 @@ class TestPpm:
         with pytest.raises(IoFailureError):
             load_ppm(locked)
 
+    # load_ppm used to check the path with is_file() and then open it, so a
+    # FIFO swapped in after the check blocked the open until a writer came.
+    def test_fifo_that_passes_a_path_check_is_refused(self, tmp_path):
+        fifo = tmp_path / "swapped.ppm"
+        os.mkfifo(fifo)
+        script = (
+            "import pathlib, sys\n"
+            "pathlib.Path.is_file = lambda self: True\n"
+            "from aquaclear.errors import IoFailureError\n"
+            "from aquaclear.image import load_ppm\n"
+            "try:\n"
+            "    load_ppm(sys.argv[1])\n"
+            "except IoFailureError as exc:\n"
+            "    print(exc)\n"
+        )
+        package_root = Path(image_module.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(fifo)], capture_output=True, text=True,
+            timeout=30, env={**os.environ, "PYTHONPATH": str(package_root)},
+        )
+        assert proc.stdout.splitlines() == ["cannot read: missing or not a regular file"]
+
+
+class TestOpenInput:
+    @pytest.mark.parametrize("case", ["missing", "under_a_file", "nul", "directory",
+                                      "fifo", "device"])
+    def test_refuses_what_is_not_a_regular_file(self, tmp_path, case):
+        (tmp_path / "file").write_bytes(b"x")
+        os.mkfifo(tmp_path / "fifo")
+        path = {
+            "missing": tmp_path / "missing",
+            "under_a_file": tmp_path / "file" / "x",
+            "nul": str(tmp_path / "a\0b"),
+            "directory": tmp_path,
+            "fifo": tmp_path / "fifo",
+            "device": "/dev/null",
+        }[case]
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError) as info:
+            with _open_input(path):
+                pass
+        assert str(info.value) == "missing or not a regular file"
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_yields_the_file_and_its_size(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"abc\r\nd")
+        with _open_input(path) as (f, size):
+            assert (size, f.read()) == (6, b"abc\r\nd")
+        assert f.closed
+
+    def test_memory_error_while_open_is_a_read_failure(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"x")
+        with pytest.raises(OSError, match="^MemoryError$"):
+            with _open_input(path):
+                raise MemoryError
+        with pytest.raises(OSError, match="^Unable to allocate 2.0 GiB$"):
+            with _open_input(path):
+                raise MemoryError("Unable to allocate 2.0 GiB")
+
 
 class TestAtomicWrite:
+    def test_failure_is_io_failure_naming_the_file(self, tmp_path):
+        with pytest.raises(IoFailureError) as info:
+            write_atomic(tmp_path / "absent" / "x.csv", b"data")
+        assert str(info.value) == "cannot write x.csv: No such file or directory"
+        assert not (tmp_path / "absent").exists()
+
     def test_failed_save_leaves_no_partial_or_temp_file(self, tmp_path, monkeypatch):
         fail_writes_midway(monkeypatch)
         with pytest.raises(IoFailureError, match="cannot write new.ppm: No space"):

@@ -1,7 +1,8 @@
 """No module in src/, tests/ or demos/ imports a name it never uses,
 every private module-level name in src/aquaclear is used somewhere there,
-src/aquaclear pads with edge replication in one function only, and only
-its image module knows the band pixel count."""
+src/aquaclear pads with edge replication in one function only, only its
+image module knows the band pixel count, and only its image module opens
+or checks a file."""
 
 import ast
 from pathlib import Path
@@ -151,3 +152,40 @@ def test_only_image_knows_the_band_pixel_count():
     """Every other module takes its band height from image._band_rows."""
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert modules_naming(sources, "_BAND_PIXELS") == ["image.py"]
+
+
+# Calls that open, read or check a file by its path.
+FILE_METHODS = frozenset({"open", "read_text", "read_bytes", "is_file"})
+
+
+def file_opening_calls(sources: dict) -> list:
+    """(file name, callee) of every call in ``sources`` (file name -> source)
+    to the name ``open`` or to an attribute named open, read_text,
+    read_bytes or is_file, such as ``os.open`` or ``Path.read_text``."""
+    found = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            func = getattr(node, "func", None)
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                isinstance(func, ast.Attribute) and func.attr in FILE_METHODS
+            ):
+                found.append((name, ast.unparse(func)))
+    return sorted(found)
+
+
+def test_scan_finds_every_file_opening_call():
+    sources = {
+        "a.py": "import os\nopen(p)\nos.open(p, 0)\nPath(p).open('rb')\n",
+        "b.py": "p.read_text()\nq.read_bytes()\nr.is_file()\n",
+        "c.py": "p.write_text('x')\nreader = open\nx.opener()\nread_text(p)\n# open(p)\n",
+    }
+    assert file_opening_calls(sources) == [
+        ("a.py", "Path(p).open"), ("a.py", "open"), ("a.py", "os.open"),
+        ("b.py", "p.read_text"), ("b.py", "q.read_bytes"), ("b.py", "r.is_file"),
+    ]
+
+
+def test_only_image_opens_files():
+    """Every other module reads an input file through image._open_input."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert {name for name, _ in file_opening_calls(sources)} == {"image.py"}

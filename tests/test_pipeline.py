@@ -688,6 +688,27 @@ class TestEvaluate:
         ]
         assert (out / "scores.csv").read_text().splitlines()[1].split(",")[2] == ""
 
+    # These lines used to print raw, so a line feed in a name split one line
+    # in two; they are escaped as the skip lines are.
+    @pytest.mark.parametrize("reference, line", [
+        (None, "no reference for a\\nb.classic.ppm"),
+        (b"junk", "unusable reference a\\nb.ppm: not a binary PPM header"),
+        (8, "reference shape mismatch for a\\nb.classic.ppm, scoring without it"),
+    ])
+    def test_reference_lines_escape_control_characters(self, tmp_path, capsys, rng,
+                                                       reference, line):
+        enhanced, refs = tmp_path / "enhanced", tmp_path / "refs"
+        enhanced.mkdir()
+        refs.mkdir()
+        save_ppm(random_image(rng, 16, 16), enhanced / "a\nb.classic.ppm")
+        if isinstance(reference, bytes):
+            (refs / "a\nb.ppm").write_bytes(reference)
+        elif reference is not None:
+            save_ppm(random_image(rng, reference, reference), refs / "a\nb.ppm")
+        config = PipelineConfig(reference_dir=str(refs))
+        assert cmd_evaluate(enhanced, config, tmp_path / "out") == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [line]
+
     # A bare stem.ppm is the unenhanced original: it takes METHOD_ORDER[0],
     # so its mean row leads even when its file sorts after the others.
     def test_original_label_for_plain_names(self, tmp_path, config, rng):
@@ -1421,6 +1442,49 @@ class TestCli:
             f"parse failure: cannot read {name}: missing or not a regular file"
         ]
         assert not out.exists()
+
+    @staticmethod
+    def oversize(path):
+        """Extend the file at path to 2 GiB with a hole, past what the
+        1 GiB cap of ``run_capped`` can read; returns path as a str."""
+        with open(path, "r+b") as f:
+            f.truncate(2 << 30)
+        return str(path)
+
+    # Each of the next three used to end in a MemoryError traceback, exit 1.
+    def test_config_too_large_to_read_exits_two(self, tmp_path):
+        src = tmp_path / "in"
+        corpus(src, count=1)
+        config = self.oversize(self.write_config(tmp_path))
+        proc = self.run_capped(["classify", "--config", config, "--input", str(src),
+                                "--output", str(tmp_path / "out")])
+        assert proc.returncode == EXIT_EMPTY, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"config error: cannot read config {config}: MemoryError"
+        ]
+
+    def test_labels_too_large_to_read_is_a_parse_failure(self, tmp_path):
+        src, out = tmp_path / "results", tmp_path / "out"
+        src.mkdir()
+        (src / "labels.csv").write_text(LABELS_CSV)
+        self.oversize(src / "labels.csv")
+        proc = self.run_capped(["report", "--config", self.write_config(tmp_path),
+                                "--input", str(src), "--output", str(out)])
+        assert proc.returncode == EXIT_EMPTY, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "parse failure: cannot read labels.csv: MemoryError"
+        ]
+        assert not out.exists()
+
+    def test_manifest_too_large_to_read_exits_three(self, tmp_path):
+        from aquaclear.neural import build_vgg_head, init_weights, save_weights
+
+        saved = save_weights(init_weights(build_vgg_head(), seed=1), tmp_path / "big")
+        proc = self.enhance_vgg_capped(tmp_path, manifest=self.oversize(saved))
+        assert proc.returncode == EXIT_MISSING_WEIGHTS, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"cannot load weights: cannot read manifest {str(saved)!r}: MemoryError"
+        ]
 
     def test_blob_is_read_only_as_far_as_its_entries_go(self, tmp_path):
         """The real weights followed by a sparse 2 GiB tail: reading the
