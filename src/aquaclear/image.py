@@ -147,7 +147,8 @@ def load_ppm(path) -> ImageF32:
 
     The file is opened by _open_input, so a path that is not a regular
     file, such as a FIFO, raises IoFailureError("cannot read: missing or
-    not a regular file") without blocking. Only the header and the payload
+    not a regular file") without blocking; when the file is missing, the
+    error's ``__cause__`` is a FileNotFoundError. Only the header and the payload
     it promises are read, so bytes past the payload cost nothing. The
     header is read from a prefix that doubles until it matches, the file
     ends or it reaches _PPM_HEAD_MAX bytes.
@@ -177,16 +178,20 @@ def _open_input(path):
 
     The check is ``fstat`` on the opened, non-blocking descriptor, so it
     and the reads see one file, and a FIFO or a device cannot block. A
-    path that is missing, under a non-directory, holds a NUL or is not a
-    regular file raises OSError("missing or not a regular file"); other
-    open errors, such as EACCES, raise as they are. A MemoryError inside
-    the ``with`` block, from a read or a parse too large to hold, raises
-    OSError, so each reader reports it as a failed read.
+    path that is missing or under a non-directory raises
+    FileNotFoundError("missing or not a regular file"), so a reader of an
+    optional file can tell it apart; one that holds a NUL or is not a
+    regular file raises OSError with the same message; other open errors,
+    such as EACCES, raise as they are. A MemoryError inside the ``with``
+    block, from a read or a parse too large to hold, raises OSError, so
+    each reader reports it as a failed read.
     """
     # FileIO refuses a directory itself, closing the descriptor it opened
     try:
         raw = io.FileIO(path, opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK))
-    except (FileNotFoundError, NotADirectoryError, IsADirectoryError, ValueError) as exc:
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise FileNotFoundError("missing or not a regular file") from exc
+    except (IsADirectoryError, ValueError) as exc:
         raise OSError("missing or not a regular file") from exc
     with io.BufferedReader(raw) as f:
         info = os.fstat(f.fileno())
@@ -261,6 +266,14 @@ def save_ppm(img: ImageF32, path) -> None:
         band += 0.5
         payload[r0 : r0 + rows] = np.floor(band, out=band)
     write_atomic(path, raw)
+
+
+def _make_dir(directory: Path) -> None:
+    """Create ``directory`` and its parents, or raise IoFailureError."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailureError(f"cannot create {directory}: {exc.strerror or exc}") from exc
 
 
 def write_atomic(path, data: bytes) -> None:

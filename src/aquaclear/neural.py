@@ -56,7 +56,8 @@ from .errors import (
     ShapeMismatchError,
     ShapeMismatchInManifestError,
 )
-from .image import ImageF32, _band_rows, _decode, _map_bands, _open_input
+from .image import (ImageF32, _band_rows, _decode, _make_dir, _map_bands, _open_input,
+                    write_atomic)
 
 __all__ = [
     "ConvLayer",
@@ -517,9 +518,10 @@ def init_weights(spec: ExtractorSpec, seed: int) -> BoundExtractor:
 
 
 def save_weights(bound: BoundExtractor, directory) -> Path:
-    """Write manifest.json plus weights.bin (little-endian float32 blob)."""
+    """Write manifest.json plus weights.bin (little-endian float32 blob),
+    each with write_atomic; a failure raises IoFailureError."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    _make_dir(directory)
     entries = []
     blob = bytearray()
     for name, shape in _weight_slots(bound.spec):
@@ -535,9 +537,9 @@ def save_weights(bound: BoundExtractor, directory) -> Path:
         )
         blob.extend(arr.tobytes())
     manifest = {"extractor": bound.spec.name, "blob": "weights.bin", "layers": entries}
-    (directory / "weights.bin").write_bytes(bytes(blob))
+    write_atomic(directory / "weights.bin", blob)
     manifest_path = directory / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    write_atomic(manifest_path, (json.dumps(manifest, indent=2) + "\n").encode())
     return manifest_path
 
 

@@ -47,11 +47,11 @@ from .errors import (
     ConfigError,
     CsvParseError,
     ImageTooSmallError,
-    IoFailureError,
 )
 from .image import (
     ImageF32,
     _decode,
+    _make_dir,
     _map_bands,
     _open_input,
     channel_stats,
@@ -295,11 +295,15 @@ def _run(files, one, threads: int) -> list:
     return results
 
 
-def _make_dir(directory: Path) -> None:
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailureError(f"cannot create {directory}: {exc.strerror or exc}") from exc
+def _succeeded(results: list) -> list:
+    """The results of the images that succeeded. When none did, print the
+    batch's one no-success line: ``no input images`` for an empty input,
+    else ``no image succeeded: <n> skipped``."""
+    done = [r for r in results if not _skipped(r)]
+    if not done:
+        print(f"no image succeeded: {len(results)} skipped" if results
+              else "no input images", file=sys.stderr)
+    return done
 
 
 def _write(path: Path, text: str) -> None:
@@ -320,17 +324,14 @@ def cmd_classify(input_dir, config: PipelineConfig, output_dir) -> int:
                int(flags.blurred), category.name.lower())
         return row, category
 
-    done = [r for r in _run(files, one, config.threads) if not _skipped(r)]
+    done = _succeeded(_run(files, one, config.threads))
     if not done:
-        print("no input images", file=sys.stderr)
         return EXIT_EMPTY
-    rows = [row for row, _ in done]
-    labels = [category for _, category in done]
-    _write(out / "labels.csv", _csv_text([_LABELS_HEADER, *rows]))
-    counts = summarize(labels)
+    _write(out / "labels.csv", _csv_text([_LABELS_HEADER, *(row for row, _ in done)]))
+    counts = summarize(category for _, category in done)
     _write(out / "summary.csv", summary_csv(counts))
     _write(out / "cooccurrence.csv", cooccurrence_csv(counts))
-    print(f"classified {len(labels)} images, skipped {len(files) - len(done)}")
+    print(f"classified {len(done)} images, skipped {len(files) - len(done)}")
     return EXIT_OK
 
 
@@ -344,6 +345,14 @@ def _attention(img: ImageF32, heads: list) -> np.ndarray:
     if len(means) == 2:
         attn = fuse_attention(attn, attention_map(means[1], img.height, img.width))
     return attn
+
+
+def _step_record(i: int, kind: StepKind, img: ImageF32) -> dict:
+    """The --verbose log entry of plan step i, which made img."""
+    stats = channel_stats(img)
+    return {"step": i, "kind": kind.value,
+            "means": [round(m, 9) for m in (stats.mean_r, stats.mean_g, stats.mean_b)],
+            "laplacian_variance": round(laplacian_variance(img), 12)}
 
 
 def _load_heads(config: PipelineConfig, method: str) -> list:
@@ -374,8 +383,8 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir, method: str,
         print(f"unknown method {method!r}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     files = _list_ppms(input_dir)
-    if not files:
-        print("no input images", file=sys.stderr)
+    # paths are never skip records, so this stops only an empty input
+    if not _succeeded(files):
         return EXIT_EMPTY
     try:
         heads = _load_heads(config, method)
@@ -391,25 +400,8 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir, method: str,
         # CPython 3.11 a call moves its arguments into the callee's frame,
         # so that frame holds the only reference and frees it once read
         held = [load_ppm(path)]
-        record = {"file": path.name, "method": method}
         steps = []
-
-        def on_step(i, kind, intermediate):
-            stats = channel_stats(intermediate)
-            steps.append(
-                {
-                    "step": i,
-                    "kind": kind.value,
-                    "means": [
-                        round(stats.mean_r, 9),
-                        round(stats.mean_g, 9),
-                        round(stats.mean_b, 9),
-                    ],
-                    "laplacian_variance": round(laplacian_variance(intermediate), 12),
-                }
-            )
-
-        hook = on_step if verbose else None
+        hook = (lambda *step: steps.append(_step_record(*step))) if verbose else None
         flags, category = classify(held[0], config.thresholds)
         plan = build_plan(flags, overrides)
         if heads:
@@ -421,26 +413,24 @@ def cmd_enhance(input_dir, config: PipelineConfig, output_dir, method: str,
             )
         else:
             enhanced = apply_plan(held.pop(), plan, hook)
-        record["flags"] = {
-            "cast": flags.color_cast,
-            "lowlight": flags.low_light,
-            "blur": flags.blurred,
-        }
-        record["category"] = category.name.lower()
-        record["plan"] = plan.kinds()
-        if verbose:
-            record["steps"] = steps
         out_path = out / f"{path.stem}.{method}.ppm"
         save_ppm(enhanced, out_path)
-        record["output"] = out_path.name
+        record = {"file": path.name, "method": method, "category": category.name.lower(),
+                  "flags": {"cast": flags.color_cast, "lowlight": flags.low_light,
+                            "blur": flags.blurred},
+                  "plan": plan.kinds(), "output": out_path.name}
+        if verbose:
+            record["steps"] = steps
         return record
 
     records = _run(files, one, config.threads)
     log_lines = [json.dumps(r, sort_keys=True) for r in records]
     _write(out / "enhance_log.jsonl", "\n".join(log_lines) + "\n")
-    done = sum(1 for r in records if not _skipped(r))
-    print(f"enhanced {done} images with {method}, skipped {len(records) - done}")
-    return EXIT_OK if done else EXIT_EMPTY
+    done = _succeeded(records)
+    if not done:
+        return EXIT_EMPTY
+    print(f"enhanced {len(done)} images with {method}, skipped {len(records) - len(done)}")
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------- evaluate
@@ -470,25 +460,21 @@ def cmd_evaluate(input_dir, config: PipelineConfig, output_dir) -> int:
         test = load_ppm(path)
         reference = None
         if ref_dir is not None:
-            ref_path = ref_dir / f"{stem}.ppm"
             try:
-                # exists() raises a stat error such as EACCES
-                if ref_path.exists():
-                    reference = load_ppm(ref_path)
-                else:
-                    _say(f"no reference for {path.name}")
-            except OSError as exc:
-                _say(f"unusable reference {ref_path.name}: cannot read: {exc.strerror}")
+                reference = load_ppm(ref_dir / f"{stem}.ppm")
             except AquaClearError as exc:
-                _say(f"unusable reference {ref_path.name}: {exc}")
+                # load_ppm raises from FileNotFoundError only for a missing file
+                if isinstance(exc.__cause__, FileNotFoundError):
+                    _say(f"no reference for {path.name}")
+                else:
+                    _say(f"unusable reference {stem}.ppm: {exc}")
         if reference is not None and reference.data.shape != test.data.shape:
             _say(f"reference shape mismatch for {path.name}, scoring without it")
             reference = None
         return stem, label, score_image(test, reference)
 
-    rows = [r for r in _run(files, one, config.threads) if not _skipped(r)]
+    rows = _succeeded(_run(files, one, config.threads))
     if not rows:
-        print("no images to evaluate", file=sys.stderr)
         return EXIT_EMPTY
     _write(out / "scores.csv", report_csv(rows))
     print(f"evaluated {len(rows)} images")
@@ -578,9 +564,8 @@ def cmd_augment(input_dir, config: PipelineConfig, output_dir) -> int:
         return aug.samples_per_image
 
     _make_dir(out)
-    made = [r for r in _run(files, one, config.threads) if not _skipped(r)]
+    made = _succeeded(_run(files, one, config.threads))
     if not made:
-        print("no input images", file=sys.stderr)
         return EXIT_EMPTY
     print(f"augmented {len(made)} images into {sum(made)} samples")
     return EXIT_OK
@@ -588,23 +573,40 @@ def cmd_augment(input_dir, config: PipelineConfig, output_dir) -> int:
 
 # ------------------------------------------------------------------- report
 
-def _read_csv(path: Path) -> list:
-    """(line number, row) for every non-empty row of a UTF-8 CSV file.
-    The rows are parsed while the file is open, so _open_input reports a
-    parse that runs out of memory as a failed read."""
+def _read_table(path: Path, header, row_ok, optional: bool = False) -> list:
+    """(line number, row) for every non-empty row after the header of the
+    UTF-8 CSV file at path, or raise CsvParseError naming the file.
+
+    The first row must be ``header``, and every row after it must be as
+    wide and pass ``row_ok``. An optional table that is missing or empty
+    has no rows. The rows are parsed while the file is open, so
+    _open_input reports a parse that runs out of memory as a failed read.
+    """
     try:
         with _open_input(path) as (f, _):
             reader = csv.reader(_decode(f))
-            return [(reader.line_num, row) for row in reader if row]
+            rows = [(reader.line_num, row) for row in reader if row]
     except (OSError, UnicodeDecodeError) as exc:
+        if optional and isinstance(exc, FileNotFoundError):
+            return []
         raise CsvParseError(0, f"cannot read {path.name}: {exc}") from exc
     except csv.Error as exc:
         raise CsvParseError(reader.line_num, f"{path.name}: {exc}") from exc
+    if optional and not rows:
+        return []
+    if not rows or rows[0][1] != list(header):
+        raise CsvParseError(1, f"{path.name} missing expected header")
+    for lineno, row in rows[1:]:
+        if len(row) != len(header) or not row_ok(row):
+            raise CsvParseError(lineno, f"bad {path.stem} row: {','.join(row)!r}")
+    return rows[1:]
 
 
-def _metric_cells_ok(row) -> bool:
-    """True when a scores row's metric cells are all finite numbers; the
-    psnr cell may also be empty or inf."""
+def _scores_row_ok(row) -> bool:
+    """False for a mean row whose metric cells are not all finite numbers;
+    its psnr cell may also be empty or inf."""
+    if row[0] != "mean":
+        return True
     cells = row[3:] if row[2] in ("", "inf") else row[2:]
     try:
         return all(math.isfinite(float(c)) for c in cells)
@@ -629,39 +631,25 @@ def cmd_report(input_dir, config: PipelineConfig, output_dir) -> int:
     """
     src = Path(input_dir)
     out = Path(output_dir)
-    labels_path = src / "labels.csv"
-    scores_path = src / "scores.csv"
+    by_name = {c.name.lower(): c for c in Category8}
 
     try:
-        label_rows = _read_csv(labels_path)
-        if not label_rows or label_rows[0][1] != list(_LABELS_HEADER):
-            raise CsvParseError(1, "labels.csv missing expected header")
-        by_name = {c.name.lower(): c for c in Category8}
-        labels = []
-        for lineno, row in label_rows[1:]:
-            if len(row) != len(_LABELS_HEADER) or row[4] not in by_name:
-                raise CsvParseError(lineno, f"bad labels row: {','.join(row)!r}")
-            labels.append(by_name[row[4]])
-        if not labels:
+        label_rows = _read_table(src / "labels.csv", _LABELS_HEADER,
+                                 lambda row: row[4] in by_name)
+        if not label_rows:
             raise CsvParseError(1, "labels.csv has no data rows")
-        counts = summarize(labels)
+        counts = summarize([by_name[row[4]] for _, row in label_rows])
 
+        scores = _read_table(src / "scores.csv", SCORES_HEADER, _scores_row_ok,
+                             optional=True)
         mean_rows = []
-        parsed = _read_csv(scores_path) if scores_path.exists() else []
-        if parsed:
-            if parsed[0][1] != list(SCORES_HEADER):
-                raise CsvParseError(1, "scores.csv missing expected header")
-            for lineno, row in parsed[1:]:
-                if len(row) != len(SCORES_HEADER) or (
-                    row[0] == "mean" and not _metric_cells_ok(row)
-                ):
-                    raise CsvParseError(lineno, f"bad scores row: {','.join(row)!r}")
-                if row[0] == "mean":
-                    if any(m[1] == row[1] for m in mean_rows):
-                        raise CsvParseError(lineno, f"second mean row for {row[1]!r}")
-                    mean_rows.append(row)
-            if len(parsed) > 1 and not mean_rows:
-                raise CsvParseError(0, "scores.csv has no mean rows")
+        for lineno, row in scores:
+            if row[0] == "mean":
+                if any(m[1] == row[1] for m in mean_rows):
+                    raise CsvParseError(lineno, f"second mean row for {row[1]!r}")
+                mean_rows.append(row)
+        if scores and not mean_rows:
+            raise CsvParseError(0, "scores.csv has no mean rows")
     except CsvParseError as exc:
         print(f"parse failure: {exc}", file=sys.stderr)
         return EXIT_EMPTY

@@ -361,6 +361,8 @@ class TestOpenInput:
             with _open_input(path):
                 pass
         assert str(info.value) == "missing or not a regular file"
+        # only a missing file is one that a reader of an optional input skips
+        assert isinstance(info.value, FileNotFoundError) == (case in ("missing", "under_a_file"))
         assert len(os.listdir("/proc/self/fd")) == fds
 
     def test_yields_the_file_and_its_size(self, tmp_path):

@@ -1,8 +1,8 @@
 """No module in src/, tests/ or demos/ imports a name it never uses,
 every private module-level name in src/aquaclear is used somewhere there,
 src/aquaclear pads with edge replication in one function only, only its
-image module knows the band pixel count, and only its image module opens
-or checks a file."""
+image module knows the band pixel count, and only its image module opens,
+checks or writes a file by its path."""
 
 import ast
 from pathlib import Path
@@ -154,14 +154,16 @@ def test_only_image_knows_the_band_pixel_count():
     assert modules_naming(sources, "_BAND_PIXELS") == ["image.py"]
 
 
-# Calls that open, read or check a file by its path.
-FILE_METHODS = frozenset({"open", "read_text", "read_bytes", "is_file"})
+# Calls that open, read, check or write a file by its path.
+FILE_METHODS = frozenset(
+    {"open", "read_text", "read_bytes", "is_file", "exists", "write_bytes", "write_text"}
+)
 
 
 def file_opening_calls(sources: dict) -> list:
     """(file name, callee) of every call in ``sources`` (file name -> source)
-    to the name ``open`` or to an attribute named open, read_text,
-    read_bytes or is_file, such as ``os.open`` or ``Path.read_text``."""
+    to the name ``open`` or to an attribute named in FILE_METHODS, such as
+    ``os.open``, ``Path.read_text`` or ``Path.exists``."""
     found = []
     for name, source in sources.items():
         for node in ast.walk(ast.parse(source)):
@@ -177,15 +179,19 @@ def test_scan_finds_every_file_opening_call():
     sources = {
         "a.py": "import os\nopen(p)\nos.open(p, 0)\nPath(p).open('rb')\n",
         "b.py": "p.read_text()\nq.read_bytes()\nr.is_file()\n",
-        "c.py": "p.write_text('x')\nreader = open\nx.opener()\nread_text(p)\n# open(p)\n",
+        "c.py": "p.exists()\n(d / 'w').write_bytes(b)\nq.write_text('x')\n",
+        "d.py": "reader = open\nx.opener()\nread_text(p)\nexists(p)\np.mkdir()\n# open(p)\n",
     }
     assert file_opening_calls(sources) == [
         ("a.py", "Path(p).open"), ("a.py", "open"), ("a.py", "os.open"),
         ("b.py", "p.read_text"), ("b.py", "q.read_bytes"), ("b.py", "r.is_file"),
+        ("c.py", "(d / 'w').write_bytes"), ("c.py", "p.exists"), ("c.py", "q.write_text"),
     ]
 
 
 def test_only_image_opens_files():
-    """Every other module reads an input file through image._open_input."""
+    """Every other module reads an input file through image._open_input,
+    tells a missing one by the FileNotFoundError it raises, and writes
+    through image.write_atomic."""
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert {name for name, _ in file_opening_calls(sources)} == {"image.py"}

@@ -24,6 +24,7 @@ from aquaclear.errors import (
     CorruptBlobError,
     DimMismatchError,
     IndivisibleDimsError,
+    IoFailureError,
     ShapeMismatchError,
     ShapeMismatchInManifestError,
 )
@@ -705,6 +706,14 @@ class TestWeights:
         loaded = load_weights(build_resnet_head(), manifest)
         for name in ext.weights:
             assert np.array_equal(loaded.weights[name], ext.weights[name])
+
+    # save_weights used to write both files itself, so a failed save raised
+    # a bare OSError
+    def test_failed_save_is_io_failure_leaving_no_temp_file(self, tmp_path):
+        (tmp_path / "v" / "weights.bin").mkdir(parents=True)
+        with pytest.raises(IoFailureError, match="^cannot write weights.bin: "):
+            save_weights(init_weights(build_vgg_head(), seed=1), tmp_path / "v")
+        assert [p.name for p in (tmp_path / "v").iterdir()] == ["weights.bin"]
 
     def test_manifest_shape_mismatch(self, tmp_path):
         ext = init_weights(build_vgg_head(), seed=11)

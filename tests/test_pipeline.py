@@ -932,6 +932,35 @@ class TestSkipPolicy:
         monkeypatch.setattr(pipeline, "load_ppm", load_ppm)
         self.check_skipped(tmp_path, config, capsys, command, good)
 
+    # A batch with no success used to end on a different line per command:
+    # "no input images" after skipping every image, "no images to evaluate",
+    # or, from enhance, only its stdout summary.
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_no_image_succeeded_exits_two_with_one_line(self, tmp_path, config,
+                                                        capsys, command):
+        src, out = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        for name in ("a.ppm", "b.ppm"):
+            (src / name).write_bytes(b"garbage")
+        assert self.CASES[command][0](src, out, config) == EXIT_EMPTY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "skipping a.ppm: not a binary PPM header",
+            "skipping b.ppm: not a binary PPM header",
+            "no image succeeded: 2 skipped",
+        ]
+        if command == "enhance":
+            log = (out / "enhance_log.jsonl").read_text().splitlines()
+            assert [json.loads(line)["file"] for line in log] == ["a.ppm", "b.ppm"]
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_empty_input_exits_two_with_one_line(self, tmp_path, config, capsys, command):
+        src = tmp_path / "in"
+        src.mkdir()
+        assert self.CASES[command][0](src, tmp_path / "out", config) == EXIT_EMPTY
+        assert capsys.readouterr() == ("", "no input images\n")
+
     def check_skipped(self, tmp_path, config, capsys, command, good):
         """The command exits 0 with one skip line for bad.ppm and every
         output of the good images."""
@@ -1111,6 +1140,20 @@ class TestReport:
             cmd_report(src, config, out)
         assert [p.name for p in out.iterdir()] == ["report.md"]
         assert (out / "report.md").read_text() == "old report\n"
+
+    # report tested scores.csv with Path.exists(), which raises any stat
+    # error but a few, such as ENOENT: this PermissionError was a traceback
+    def test_scores_that_cannot_be_stat_is_a_parse_failure(self, tmp_path, capsys,
+                                                             monkeypatch):
+        src = tmp_path / "results"
+        src.mkdir()
+        (src / "labels.csv").write_text(LABELS_CSV)
+        (src / "scores.csv").write_text(SCORES_CSV)
+        deny_stat(monkeypatch, src / "scores.csv")
+        assert cmd_report(src, PipelineConfig(), tmp_path / "out") == EXIT_EMPTY
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("parse failure: cannot read scores.csv: ")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_labels_exits_two(self, tmp_path, config):
         src = tmp_path / "results"
