@@ -10,7 +10,8 @@ per-step traces to enhance's log, affect only enhance. The seed, like every
 other setting, comes from the config.
 Exit codes: 0 success, 2 empty input, no image succeeded, or parse failure,
 3 missing weights, 4 bad parameters or an output that cannot be written.
-Each warning raised while a command runs prints as one ``warning:`` line.
+Each warning raised while a command runs prints as one ``warning:`` line,
+which names the image it is about.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .pipeline import (
     EXIT_BAD_PARAMS,
     EXIT_EMPTY,
     PipelineConfig,
+    _warning_line,
     cmd_augment,
     cmd_classify,
     cmd_enhance,
@@ -56,10 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true",
                         help="add per-step traces to enhance_log.jsonl")
     return parser
-
-
-def _warning_line(message, category, filename, lineno, file=None, line=None):
-    print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:

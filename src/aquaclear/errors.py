@@ -74,7 +74,8 @@ class PlanStepError(AquaClearError):
     """A pipeline step failed; carries the failing step's index and name."""
 
     def __init__(self, index: int, step, cause: Exception):
-        super().__init__(f"step {index} ({step}) failed: {cause}")
+        # a bare MemoryError has no text: name its type, as the batch runner does
+        super().__init__(f"step {index} ({step}) failed: {str(cause) or type(cause).__name__}")
         self.index = index
         self.step = step
 

@@ -81,10 +81,10 @@ def psnr(reference: ImageF32, test: ImageF32) -> float:
         raise DimMismatchError(
             f"shapes differ: {reference.data.shape} vs {test.data.shape}"
         )
-    # laid out as reference.data, as its float64 copy was, which numpy
-    # reused for the difference from 256 KiB: the mean sums in memory order
-    diff = np.empty_like(reference.data, dtype=np.float64)
-    np.subtract(reference.data, test.data, out=diff, dtype=np.float64)
+    # pixel-interleaved, as load_ppm lays an image out, whatever the
+    # operands' layout: the mean sums in memory order
+    diff = reference.data.transpose(1, 2, 0).astype(np.float64, order="C")
+    diff -= test.data.transpose(1, 2, 0)
     mse = float(np.mean(np.multiply(diff, diff, out=diff), dtype=np.float64))
     if mse == 0.0:
         return math.inf

@@ -402,6 +402,17 @@ class LayerSpec:
     stride: int = 1
     padding: int = 0
 
+    def convs(self) -> list:
+        """The layer's convs in execution order, as (weight slot prefix,
+        activation): a conv is one ReLU conv named after the layer, a
+        residual block's conv_a (``<name>.a``) carries the ReLU and its
+        conv_b (``<name>.b``) none, and a pool has no conv."""
+        if self.kind == "conv":
+            return [(self.name, "relu")]
+        if self.kind == "res":
+            return [(f"{self.name}.a", "relu"), (f"{self.name}.b", "none")]
+        return []
+
 
 @dataclass(frozen=True)
 class ExtractorSpec:
@@ -440,13 +451,9 @@ def _weight_slots(spec: ExtractorSpec):
     """Manifest entries in execution order: (entry name, shape)."""
     slots = []
     for layer in spec.layers:
-        convs = {"conv": [layer.name], "res": [f"{layer.name}.a", f"{layer.name}.b"]}
-        for prefix in convs.get(layer.kind, []):
-            slots.append(
-                (f"{prefix}.weight",
-                 (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel))
-            )
-            slots.append((f"{prefix}.bias", (layer.out_channels,)))
+        shape = (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
+        for prefix, _ in layer.convs():
+            slots += [(f"{prefix}.weight", shape), (f"{prefix}.bias", shape[:1])]
     return slots
 
 
@@ -457,37 +464,41 @@ class BoundExtractor:
     spec: ExtractorSpec
     weights: dict
 
-    def _conv(self, prefix: str, layer: LayerSpec, activation: str) -> ConvLayer:
-        return ConvLayer(
-            weights=self.weights[f"{prefix}.weight"],
-            bias=self.weights[f"{prefix}.bias"],
-            stride=layer.stride,
-            padding=layer.padding,
-            activation=activation,
-        )
+    def convs(self, layer: LayerSpec) -> list:
+        """The layer's ConvLayers (LayerSpec.convs), bound to their weights."""
+        return [ConvLayer(self.weights[f"{prefix}.weight"], self.weights[f"{prefix}.bias"],
+                          layer.stride, layer.padding, activation)
+                for prefix, activation in layer.convs()]
 
     def bands(self, x: np.ndarray):
         """Run the layers over x (c, h, w), _BAND_ROWS rows at a time, and
         return an iterator of the last layer's output as bands of rows, top
-        to bottom. An x too small for a conv raises IndivisibleDims here,
-        before any arithmetic runs. A conv's ring holds float64, so each
-        conv converts its input exactly as its rows arrive."""
+        to bottom. Each layer's output size is taken as its stream is
+        chained, so an x too small for a conv raises IndivisibleDims here,
+        before any arithmetic runs: a pooling halves each side with floor,
+        and a residual block's two convs keep its input's shape. A conv's
+        ring holds float64, so each conv converts its input exactly as its
+        rows arrive."""
         if x.ndim != 3:
             raise ShapeMismatchError(f"input must be rank 3, got rank {x.ndim}")
-        _validate_dims(self.spec, x.shape[1], x.shape[2])
-        bands = (x[:, r0 : r0 + _BAND_ROWS] for r0 in range(0, x.shape[1], _BAND_ROWS))
+        _, h, w = x.shape
+        bands = (x[:, r0 : r0 + _BAND_ROWS] for r0 in range(0, h, _BAND_ROWS))
         buffers = {}  # the convs' shared scratch
         for layer in self.spec.layers:
-            if layer.kind == "conv":
-                bands = _conv_bands(self._conv(layer.name, layer, "relu"), bands, buffers)
-            elif layer.kind == "pool":
+            if layer.kind == "pool":
+                h, w = h // 2, w // 2
                 bands = _pool_bands(bands)
+                continue
+            try:
+                h = conv_output_dim(h, layer.kernel, layer.stride, layer.padding)
+                w = conv_output_dim(w, layer.kernel, layer.stride, layer.padding)
+            except NonIntegralOutputDimError as exc:
+                raise IndivisibleDimsError(
+                    f"image too small for {self.spec.name} {layer.name}: {exc}") from exc
+            if layer.kind == "conv":
+                bands = _conv_bands(*self.convs(layer), bands, buffers)
             elif layer.kind == "res":
-                block = ResidualBlock(
-                    conv_a=self._conv(f"{layer.name}.a", layer, "relu"),
-                    conv_b=self._conv(f"{layer.name}.b", layer, "none"),
-                )
-                bands = _residual_bands(block, bands, buffers)
+                bands = _residual_bands(ResidualBlock(*self.convs(layer)), bands, buffers)
         return bands
 
     def channel_mean(self, x: np.ndarray) -> np.ndarray:
@@ -625,23 +636,6 @@ def load_weights(spec: ExtractorSpec, manifest_path) -> BoundExtractor:
 
 
 # ------------------------------------------------------ feature extraction
-
-def _validate_dims(spec: ExtractorSpec, h: int, w: int) -> None:
-    """Raise IndivisibleDims unless each conv of the head, a residual
-    block's included, gets an input at least its kernel wide and tall once
-    zero-padded. A pooling halves each side with floor."""
-    for layer in spec.layers:
-        if layer.kind == "pool":
-            h, w = h // 2, w // 2
-            continue
-        # a residual block's two convs keep its input's shape
-        try:
-            h = conv_output_dim(h, layer.kernel, layer.stride, layer.padding)
-            w = conv_output_dim(w, layer.kernel, layer.stride, layer.padding)
-        except NonIntegralOutputDimError as exc:
-            raise IndivisibleDimsError(
-                f"image too small for {spec.name} {layer.name}: {exc}") from exc
-
 
 def extract_features(img: ImageF32, extractor: BoundExtractor) -> np.ndarray:
     """Forward an RGB image (values in [0,1], no mean normalization) through

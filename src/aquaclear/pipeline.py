@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import sys
+import threading
 import typing
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
@@ -265,6 +266,18 @@ def _say(line: str) -> None:
     print(line.translate(_C0_ESCAPES), file=sys.stderr)
 
 
+# The name of the file _run's item is on, per thread; None between files.
+_current = threading.local()
+
+
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    """A warnings.showwarning that prints one ``warning: <name>: <message>``
+    line through _say, naming the file this thread is on (just
+    ``warning: <message>`` outside any file)."""
+    name = getattr(_current, "name", None)
+    _say(f"warning: {message}" if name is None else f"warning: {name}: {message}")
+
+
 def _run(files, one, threads: int) -> list:
     """``one(path)`` for every file, results in input order.
 
@@ -273,7 +286,8 @@ def _run(files, one, threads: int) -> list:
     not read. That, an AquaClearError or a MemoryError turns the file's
     result into the skip record {"file": name, "error": reason} and prints
     one ``skipping`` line on stderr through _say, which escapes any C0
-    control character in it (``a\\rb.ppm``).
+    control character in it (``a\\rb.ppm``). While ``one(path)`` runs, a
+    warning prints through _warning_line with the file's name.
     """
 
     def item(path):
@@ -283,10 +297,13 @@ def _run(files, one, threads: int) -> list:
             return {"file": path.name, "error": "file name is not valid UTF-8"}
         if "\r" in path.name:
             return {"file": path.name, "error": "file name holds a carriage return"}
+        _current.name = path.name
         try:
             return one(path)
         except (AquaClearError, MemoryError) as exc:
             return {"file": path.name, "error": str(exc) or type(exc).__name__}
+        finally:
+            _current.name = None
 
     results = _pmap(item, files, threads)
     for r in results:

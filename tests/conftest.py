@@ -405,3 +405,19 @@ def same_bits(got, want) -> bool:
         and got.shape == want.shape
         and np.array_equal(got.view(np.uint32), want.view(np.uint32))
     )
+
+
+# The numpy, OpenBLAS and CPU SIMD targets that recorded bit-exact figures
+# (feature digests, perfbench goldens) were taken with.
+PINNED_BUILD = ("2.4.6", "0.3.31.188.0", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
+
+
+def blas_build():
+    """numpy's version, its BLAS's, and the SIMD targets numpy found on this
+    CPU, which stand in for the kernels OpenBLAS picks."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("version")
+    if np.__version__ != PINNED_BUILD[0] or blas != PINNED_BUILD[1]:
+        return np.__version__, blas, None
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return np.__version__, blas, tuple(f for f in __cpu_dispatch__ if __cpu_features__[f])

@@ -445,6 +445,16 @@ class TestPlans:
         assert exc_info.value.index == 0
         assert exc_info.value.step == "denoise"
 
+    def test_step_failure_without_text_names_the_cause_type(self, monkeypatch):
+        def fail(img, params):
+            raise MemoryError()
+
+        monkeypatch.setattr(enhance_module, "nlm_denoise", fail)
+        plan = EnhancementPlan((PlanStep(StepKind.DENOISE),))
+        with pytest.raises(PlanStepError) as exc_info:
+            apply_plan(constant_image(0.5, h=4, w=4), plan)
+        assert str(exc_info.value) == "step 0 (denoise) failed: MemoryError"
+
     def test_overrides_reach_the_step(self, rng):
         img = random_image(rng, 12, 12)
         blurred = DegradationFlags(False, False, True)

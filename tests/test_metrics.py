@@ -45,6 +45,12 @@ from conftest import (
 VIEW_LAYOUTS = ["planar", "interleaved", "fortran", "planar crop", "interleaved crop"]
 
 
+def interleaved_psnr_reference(reference, test):
+    """psnr_reference of pixel-interleaved copies of the two images."""
+    return psnr_reference(*(layouts(img.data)["interleaved"].data
+                            for img in (reference, test)))
+
+
 class TestPsnr:
     def test_identical_images_are_infinite(self, rng):
         img = random_image(rng, 8, 8)
@@ -69,19 +75,20 @@ class TestPsnr:
         with pytest.raises(DimMismatchError):
             psnr(random_image(rng, 8, 8), random_image(rng, 8, 9))
 
-    # The mean sums in memory order, so the layout of each operand counts.
+    # The mean sums in memory order, so every layout pair must give the
+    # bits of the pixel-interleaved pair, the layout load_ppm gives.
     @pytest.mark.parametrize("h, w", [(1, 1), (37, 300), (256, 256)])
     @pytest.mark.parametrize("ref_layout", ["planar", "interleaved"])
     @pytest.mark.parametrize("test_layout", ["planar", "interleaved"])
     def test_same_bits_as_whole_float64_operands(self, h, w, ref_layout, test_layout):
         ref = layouts(level_data(h, w, seed=1))[ref_layout]
         test = layouts(level_data(h, w, seed=2))[test_layout]
-        assert psnr(ref, test) == psnr_reference(ref.data, test.data)
+        assert psnr(ref, test) == interleaved_psnr_reference(ref, test)
 
-    # Fortran-order and cropped views too. From 256 KiB of float64 numpy
-    # reused the reference's float64 copy for the old difference, which so
-    # took the reference's layout whatever the test's; psnr's difference
-    # does the same. (105 x 105 is the first square size that large.)
+    # Fortran-order and cropped views too, on both sides of 256 KiB of
+    # float64, from which numpy reuses an operand's float64 copy for a
+    # difference and so takes its layout. (105 x 105 is the first square
+    # size that large.)
     @pytest.mark.parametrize("h, w", [(105, 105), (55, 300), (1, 10923)])
     @pytest.mark.parametrize("ref_layout", VIEW_LAYOUTS)
     @pytest.mark.parametrize("test_layout", VIEW_LAYOUTS)
@@ -94,7 +101,7 @@ class TestPsnr:
                 return ImageF32(whole[:, 1:h + 1, 2:w + 2])
             return layouts(level_data(h, w, seed))[layout]
         ref, test = image(ref_layout, 1), image(test_layout, 2)
-        assert psnr(ref, test) == psnr_reference(ref.data, test.data)
+        assert psnr(ref, test) == interleaved_psnr_reference(ref, test)
 
     def test_builds_one_float64_array(self, rng):
         # two float64 copies and their product peaked at 48 bytes per pixel

@@ -54,8 +54,10 @@ from aquaclear.synth import make_archetype
 from conftest import (
     FUZZ,
     JSON_VALUES,
+    PINNED_BUILD,
     attention_adjust_reference,
     band_shapes,
+    blas_build,
     cnn_conv_oracle,
     heap_peak,
     layouts,
@@ -590,18 +592,6 @@ PINNED_DIGESTS = {
     (128, 128): "a433fb166a0516437181bebe8dbeb63924490fd42923ba342bb3c66aed5df5b3",
     (24, 1040): "8a49b4906eb7b7d54763ec2e8913290a14f340ada6c7cdc109fa22a7c8a6ee84",
 }
-PINNED_BUILD = ("2.4.6", "0.3.31.188.0", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
-
-
-def blas_build():
-    """numpy's version, its BLAS's, and the SIMD targets numpy found on this
-    CPU, which stand in for the kernels OpenBLAS picks."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("version")
-    if np.__version__ != PINNED_BUILD[0] or blas != PINNED_BUILD[1]:
-        return np.__version__, blas, None
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-    return np.__version__, blas, tuple(f for f in __cpu_dispatch__ if __cpu_features__[f])
 
 
 def conv_one_gemm_per_row(x, layer):
@@ -659,10 +649,7 @@ class TestDeterminism:
             if spec.kind == "pool":
                 h, w = h // 2, w // 2
                 continue
-            convs = ([(spec.name, "relu")] if spec.kind == "conv"
-                     else [(f"{spec.name}.a", "relu"), (f"{spec.name}.b", "none")])
-            for name, activation in convs:
-                layer = ext._conv(name, spec, activation)
+            for (name, _), layer in zip(spec.convs(), ext.convs(spec)):
                 x = rng.uniform(0.0, 1.0, (layer.in_channels, h, w))
                 default = conv2d_forward(x, layer)
                 with monkeypatch.context() as m:

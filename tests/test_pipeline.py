@@ -1383,8 +1383,22 @@ class TestCli:
             "--input", str(src), "--output", str(tmp_path / "out"),
         ])
         assert code == EXIT_OK
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["warning: channel means too small for cast detection"] * 3
+        # two threads may print in either order
+        err = sorted(capsys.readouterr().err.splitlines())
+        assert err == [f"warning: black{i}.ppm: channel means too small for cast detection"
+                       for i in range(3)]
+
+    def test_warning_line_escapes_the_name(self, tmp_path, capsys):
+        src = tmp_path / "in"
+        src.mkdir()
+        save_ppm(constant_image(0.0, h=4, w=4), src / "bla\nck.ppm")
+        code = main([
+            "classify", "--config", self.write_config(tmp_path, {}),
+            "--input", str(src), "--output", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: bla\\nck.ppm: channel means too small for cast detection"]
 
     @staticmethod
     def run_capped(argv, timeout=120):
